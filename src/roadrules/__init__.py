@@ -1,110 +1,39 @@
 """Derive enforceable traffic rules (one-way streets, turn restrictions) from
-classified road signs by simulating navigation over a directed road network."""
+classified road signs by simulating navigation over a directed road network.
 
-from .detection import DetectionConfig, detect_signs_along, detect_signs_from, is_visible
-from .errors import GraphError, InputError, InternalError, RoadRulesError
-from .geometry import (
-    LocalProjection,
-    Point,
-    Polyline,
-    angle,
-    distance,
-    distance_to_line,
-    heading,
-    normalize,
-)
+The package root exports the entry points only: load the inputs, run
+``derive_rules``, and write or validate what it derived. Everything else is
+reachable through its module.
+"""
+
+from .detection import DetectionConfig
+from .errors import RoadRulesError
 from .io import (
-    AccuracyReport,
-    GroundTruth,
     load_ground_truth,
     load_network,
     load_rules,
     load_signs,
     render_overlay,
-    rules_document,
     validate,
     write_rules,
 )
-from .navigator import (
-    DerivationResult,
-    Frontier,
-    RuleRecord,
-    assign_signs,
-    derive_rules,
-    is_navigation_forbidden,
-)
-from .network import DirectedEdge, Node, RoadGraph, build_graph
-from .rules import (
-    DerivationState,
-    NoTurnRule,
-    NoWayRule,
-    OneWayRule,
-    Rule,
-    ScoredEdge,
-    analyze_signs,
-    associate_new_rule,
-    best_must_turn_edge,
-    best_no_turn_edge,
-    best_no_way_edge,
-    best_one_way_edge,
-)
-from .scenarios import Scenario, generate_scenario, write_scenario
-from .signs import Sign, SignIndex, SignType
+from .navigator import derive_rules
+from .scenarios import generate_scenario, write_scenario
+from .signs import SignIndex
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyReport",
-    "DerivationResult",
-    "DerivationState",
     "DetectionConfig",
-    "DirectedEdge",
-    "Frontier",
-    "GraphError",
-    "GroundTruth",
-    "InputError",
-    "InternalError",
-    "LocalProjection",
-    "Node",
-    "NoTurnRule",
-    "NoWayRule",
-    "OneWayRule",
-    "Point",
-    "Polyline",
-    "RoadGraph",
     "RoadRulesError",
-    "Rule",
-    "RuleRecord",
-    "Scenario",
-    "ScoredEdge",
-    "Sign",
     "SignIndex",
-    "SignType",
-    "analyze_signs",
-    "angle",
-    "assign_signs",
-    "associate_new_rule",
-    "best_must_turn_edge",
-    "best_no_turn_edge",
-    "best_no_way_edge",
-    "best_one_way_edge",
-    "build_graph",
     "derive_rules",
-    "detect_signs_along",
-    "detect_signs_from",
-    "distance",
-    "distance_to_line",
     "generate_scenario",
-    "heading",
-    "is_navigation_forbidden",
-    "is_visible",
     "load_ground_truth",
     "load_network",
     "load_rules",
     "load_signs",
-    "normalize",
     "render_overlay",
-    "rules_document",
     "validate",
     "write_rules",
     "write_scenario",

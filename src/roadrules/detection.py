@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import Point, heading, normalize
@@ -27,8 +28,9 @@ class DetectionConfig:
 
     def __post_init__(self) -> None:
         for name in ("node_radius", "edge_radius", "lookback", "visibility_half_angle"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
         if self.visibility_half_angle >= 90.0:
             raise ValueError("visibility_half_angle must be below 90 degrees")
 

@@ -22,7 +22,6 @@ __all__ = [
     "normalize",
     "angle",
     "distance",
-    "distance_to_line",
 ]
 
 
@@ -158,11 +157,6 @@ class Polyline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polyline({len(self.vertices)} vertices, {self.length:.3f} m)"
-
-
-def distance_to_line(line: Polyline, p: Point) -> float:
-    """Distance from ``p`` to its closest point on ``line``."""
-    return line.distance_to(p)
 
 
 @dataclass(frozen=True)

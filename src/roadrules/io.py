@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -26,6 +27,9 @@ from .signs import Sign, SignIndex, SignType
 logger = logging.getLogger("roadrules")
 
 PLANAR_MARKER = "local-meters"
+
+# What reading a missing or malformed GeoJSON position raises.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
 
 
 def _read_json(path: str | Path) -> Any:
@@ -59,14 +63,28 @@ def _is_planar(document: dict) -> bool:
     return document.get("coordinate_system") == PLANAR_MARKER
 
 
-def _collect_coordinates(features: Iterable[dict]) -> list[tuple[float, float]]:
+def _bad_coordinates(source: str | Path, i: int, exc: Exception) -> InputError:
+    detail = str(exc) if isinstance(exc, ValueError) else "missing or malformed coordinates"
+    return InputError(f"{source}: feature {i}: {detail}")
+
+
+def _collect_coordinates(features: list[dict], source: str | Path) -> list[tuple[float, float]]:
+    """Every (lon, lat) position of the Point and LineString features."""
     coords: list[tuple[float, float]] = []
-    for feature in features:
+    for i, feature in enumerate(features):
         geometry = feature.get("geometry") or {}
-        if geometry.get("type") == "Point":
-            coords.append(tuple(geometry["coordinates"][:2]))
-        elif geometry.get("type") == "LineString":
-            coords.extend(tuple(c[:2]) for c in geometry["coordinates"])
+        kind = geometry.get("type")
+        if kind not in ("Point", "LineString"):
+            continue
+        try:
+            raw = geometry["coordinates"]
+            for position in [raw] if kind == "Point" else raw:
+                lon, lat = position[0], position[1]
+                if not (math.isfinite(lon) and math.isfinite(lat)):
+                    raise ValueError(f"non-finite coordinates ({lon}, {lat})")
+                coords.append((lon, lat))
+        except _MALFORMED as exc:
+            raise _bad_coordinates(source, i, exc) from exc
     return coords
 
 
@@ -81,7 +99,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     features = _feature_collection(document, source)
     projection = None
     if not _is_planar(document):
-        coords = _collect_coordinates(features)
+        coords = _collect_coordinates(features, source)
         if not coords:
             raise InputError(f"{source}: no coordinates to center a projection on")
         projection = LocalProjection.centered(coords)
@@ -109,7 +127,10 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                 raise InputError(f"{source}: feature {i}: Point without node_id")
             if node_id in node_positions:
                 raise InputError(f"{source}: feature {i}: duplicate node_id {node_id!r}")
-            node_positions[node_id] = to_point(geometry["coordinates"])
+            try:
+                node_positions[node_id] = to_point(geometry["coordinates"])
+            except _MALFORMED as exc:
+                raise _bad_coordinates(source, i, exc) from exc
         elif kind == "LineString":
             edge_id = properties.get("edge_id")
             src = properties.get("source_node")
@@ -123,13 +144,10 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                     f"{source}: duplicate edge_id {edge_id!r} in features "
                     f"{edge_feature_index[edge_id]} and {i}"
                 )
-            raw_coords = geometry.get("coordinates") or []
-            if len(raw_coords) < 2:
-                raise InputError(f"{source}: feature {i}: LineString needs >= 2 coordinates")
             try:
-                line = Polyline([to_point(c) for c in raw_coords])
-            except ValueError as exc:
-                raise InputError(f"{source}: feature {i}: {exc}") from exc
+                line = Polyline([to_point(c) for c in geometry["coordinates"]])
+            except _MALFORMED as exc:
+                raise _bad_coordinates(source, i, exc) from exc
             edge_feature_index[edge_id] = i
             edge_specs.append((edge_id, src, dst, line))
             opposite = properties.get("opposite_id")
@@ -186,7 +204,7 @@ def signs_from_document(
     if planar and projection is not None:
         raise InputError(f"{source}: planar signs cannot accompany a projected network")
     if not planar and projection is None:
-        coords = _collect_coordinates(features)
+        coords = _collect_coordinates(features, source)
         if coords:
             projection = LocalProjection.centered(coords)
     signs: list[Sign] = []
@@ -216,8 +234,11 @@ def signs_from_document(
             azimuth = float(azimuth)
         except (TypeError, ValueError) as exc:
             raise InputError(f"{source}: feature {i}: bad azimuth {azimuth!r}") from exc
-        lon, lat = geometry["coordinates"][0], geometry["coordinates"][1]
-        position = Point(lon, lat) if planar else projection.to_planar(lon, lat)
+        try:
+            lon, lat = geometry["coordinates"][0], geometry["coordinates"][1]
+            position = Point(lon, lat) if planar else projection.to_planar(lon, lat)
+        except _MALFORMED as exc:
+            raise _bad_coordinates(source, i, exc) from exc
         try:
             signs.append(Sign(sign_id, position, sign_type, azimuth))
         except ValueError as exc:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .detection import DetectionConfig, detect_signs_along, detect_signs_from
 from .errors import InternalError
-from .ids import id_sort_key
 from .network import DirectedEdge, EdgeId, RoadGraph
 from .rules import DerivationState, Rule, analyze_signs
 from .signs import SignId, SignIndex
@@ -63,7 +62,7 @@ def is_navigation_forbidden(
     of the node survives the ban and turn-restriction checks; when it is the
     last edge left (dead ends, everything else banned) it is allowed.
     """
-    if candidate.banned:
+    if candidate.id in state.bans:
         return True
     if state.is_turn_banned(current.id, candidate.id):
         return True
@@ -71,7 +70,7 @@ def is_navigation_forbidden(
         for other in state.graph.outgoing_edges(current.destination):
             if other.id == candidate.id:
                 continue
-            if other.banned or state.is_turn_banned(current.id, other.id):
+            if other.id in state.bans or state.is_turn_banned(current.id, other.id):
                 continue
             return True
     return False
@@ -83,47 +82,30 @@ def _navigate(
     cfg: DetectionConfig,
     start_edge: DirectedEdge,
 ) -> None:
-    graph = state.graph
+    graph, visited = state.graph, state.visited
     frontier = Frontier()
-    start_edge.visited = True
+    visited.add(start_edge.id)
     frontier.push(start_edge.id)
     while frontier:
         current = graph.edges[frontier.pop()]
-        if current.banned:
+        if current.id in state.bans:
             raise InternalError(f"banned edge {current.id!r} reached the frontier pop")
         node = graph.nodes[current.destination]
         outgoing = graph.outgoing_edges(node.id)
         signs = detect_signs_along(current, index, cfg) + detect_signs_from(node, index, cfg)
         analyze_signs(signs, current, node, outgoing, frontier, state)
         for edge in outgoing:
-            if not edge.visited and not is_navigation_forbidden(current, edge, state):
-                edge.visited = True
+            if edge.id not in visited and not is_navigation_forbidden(current, edge, state):
+                visited.add(edge.id)
                 frontier.push(edge.id)
 
 
 def _collect(state: DerivationState, index: SignIndex) -> DerivationResult:
     records = tuple(
-        RuleRecord(sign.id, sign.rule, sign.score)
-        for sign in index.signs
-        if sign.rule is not None
+        RuleRecord(sign.id, *state.held[sign.id]) for sign in index.signs if sign.id in state.held
     )
-    visited = frozenset(e.id for e in state.graph.edges.values() if e.visited)
-    unreached = frozenset(state.graph.edges) - visited
-    return DerivationResult(records, visited, unreached)
-
-
-def assign_signs(
-    graph: RoadGraph,
-    index: SignIndex,
-    start: EdgeId,
-    cfg: DetectionConfig | None = None,
-) -> DerivationResult:
-    """Run one full derivation from a single start edge.
-
-    Resets all navigation state, navigates until the frontier drains, and
-    reports the installed rules plus the visited/unreached edge partition.
-    """
-    return derive_rules(graph, index, cfg, [start])
+    visited = frozenset(state.visited)
+    return DerivationResult(records, visited, frozenset(state.graph.edges) - visited)
 
 
 def derive_rules(
@@ -133,31 +115,29 @@ def derive_rules(
     start_edges: list[EdgeId] | tuple[EdgeId, ...] = (),
     cover_all: bool = False,
 ) -> DerivationResult:
-    """Derive rules from one or more start edges on a freshly reset graph.
+    """Derive rules from one or more start edges.
 
-    Start edges run sequentially on shared state; a start already visited or
-    banned by earlier rules is skipped. With ``cover_all`` the run restarts
-    from the smallest-id unvisited unbanned edge until none remain, so only
-    edges banned until the very end stay unreached.
+    This is the one way to run a derivation. All run state lives in a fresh
+    ``DerivationState``; ``graph`` and ``index`` are only read, so they can be
+    reused across calls. Start edges run sequentially on shared state; a
+    start already visited or banned by earlier rules is skipped. With
+    ``cover_all`` the run then restarts from the smallest-id unvisited
+    unbanned edge until none remain, so only edges banned until the very end
+    stay unreached.
     """
     if not start_edges and not cover_all:
         raise ValueError("need at least one start edge, or cover_all")
     cfg = cfg or DetectionConfig()
-    graph.reset_run_state()
-    index.reset_rules()
     state = DerivationState(graph)
     for edge_id in start_edges:
         edge = graph.edge(edge_id)
-        if edge.visited or edge.banned:
-            continue
-        _navigate(state, index, cfg, edge)
+        if edge.id not in state.visited and edge.id not in state.bans:
+            _navigate(state, index, cfg, edge)
     if cover_all:
-        while True:
-            remaining = [
-                e.id for e in graph.edges.values() if not e.visited and not e.banned
-            ]
-            if not remaining:
-                break
-            edge_id = min(remaining, key=id_sort_key)
-            _navigate(state, index, cfg, graph.edges[edge_id])
+        # One id-ordered pass finds every restart: an edge the pass has moved
+        # past never becomes a valid start again, since visits are permanent
+        # and an edge unbanned by a revocation is visited at that moment.
+        for edge in graph.edges.values():
+            if edge.id not in state.visited and edge.id not in state.bans:
+                _navigate(state, index, cfg, edge)
     return _collect(state, index)

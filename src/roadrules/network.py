@@ -1,9 +1,9 @@
 """Directed road-network graph.
 
 Nodes are intersections; edges are one navigable direction of a street, so a
-two-way street contributes two edges paired through ``opposite``. Edges carry
-the per-run ``visited``/``banned`` flags; :meth:`RoadGraph.reset_run_state`
-returns a graph to its pristine state so it can be reused across runs.
+two-way street contributes two edges paired through ``opposite``. A built
+graph is never written during a derivation, so one graph can serve any number
+of runs; what a run visits and bans lives in its ``DerivationState``.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ class DirectedEdge:
     destination: NodeId
     geometry: Polyline
     opposite: EdgeId | None = None
-    visited: bool = False
-    banned: bool = False
 
 
 class RoadGraph:
-    """Validated graph with deterministic, id-ordered iteration."""
+    """Validated graph whose nodes and edges iterate in id order."""
 
     def __init__(self, nodes: dict, edges: dict, projection: LocalProjection | None = None):
         self.nodes: dict[NodeId, Node] = nodes
@@ -67,11 +65,6 @@ class RoadGraph:
         """The paired reverse-direction edge, or None for one-way input edges."""
         opposite = self.edge(edge_id).opposite
         return None if opposite is None else self.edges[opposite]
-
-    def reset_run_state(self) -> None:
-        for edge in self.edges.values():
-            edge.visited = False
-            edge.banned = False
 
 
 def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:

@@ -1,22 +1,26 @@
 """Rule generation: per-edge scoring of detected signs, rule installation and
 score-based replacement.
 
-A sign owns at most one rule. Re-detecting the sign elsewhere produces a new
-candidate that replaces the installed rule only on a strictly higher score;
-global bans are reference-counted so revoking one rule never clears a ban
-still asserted by another sign.
+A sign holds at most one rule per run, recorded in the run's
+``DerivationState``. Re-detecting the sign elsewhere produces a new candidate
+that replaces the held rule only on a strictly higher score; global bans are
+reference-counted so revoking one rule never clears a ban still asserted by
+another sign.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .geometry import angle, heading, normalize
-from .network import DirectedEdge, EdgeId, Node, RoadGraph
-from .signs import Sign, SignType
 from .ids import id_sort_key
+from .network import DirectedEdge, EdgeId, Node, RoadGraph
+from .signs import Sign, SignId, SignType
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .navigator import Frontier
 
 NOMINAL_AHEAD = 10.0  # meters; fallback probe point along an edge
 
@@ -67,16 +71,20 @@ class ScoredEdge:
     score: float
 
 
-class FrontierLike(Protocol):
-    def push(self, edge_id: EdgeId) -> None: ...
-
-
 class DerivationState:
-    """Mutable bookkeeping owned by a single derivation run."""
+    """Everything a single derivation run changes.
+
+    ``visited`` holds the edges the run has pushed, ``bans`` the reference
+    count of every globally banned edge (an edge is banned exactly while it
+    is a key), and ``held`` each sign's installed ``(rule, score)`` by sign id.
+    The graph is only read.
+    """
 
     def __init__(self, graph: RoadGraph):
         self.graph = graph
-        self._ban_counts: Counter[EdgeId] = Counter()
+        self.visited: set[EdgeId] = set()
+        self.bans: Counter[EdgeId] = Counter()
+        self.held: dict[SignId, tuple[Rule, float]] = {}
         self._turn_counts: Counter[tuple[EdgeId, EdgeId]] = Counter()
 
     def is_turn_banned(self, from_edge: EdgeId, to_edge: EdgeId) -> bool:
@@ -84,35 +92,27 @@ class DerivationState:
 
     def install(self, rule: Rule) -> None:
         for edge_id in global_bans(rule):
-            self._ban_counts[edge_id] += 1
-            self.graph.edges[edge_id].banned = True
+            self.bans[edge_id] += 1
         for pair in turn_pairs(rule):
             self._turn_counts[pair] += 1
 
-    def revoke(self, rule: Rule, unban: bool, frontier: FrontierLike) -> None:
+    def revoke(self, rule: Rule, frontier: Frontier) -> None:
         """Withdraw a rule's effects.
 
-        Edges whose last ban disappears are unbanned; with ``unban`` set, the
-        ones not yet visited are marked visited and pushed so the run can
-        still reach them.
+        Edges whose last ban disappears are unbanned, and the ones not yet
+        visited are marked visited and pushed so the run can still reach them.
         """
-        freed = []
         for edge_id in sorted(global_bans(rule), key=id_sort_key):
-            self._ban_counts[edge_id] -= 1
-            if self._ban_counts[edge_id] <= 0:
-                del self._ban_counts[edge_id]
-                self.graph.edges[edge_id].banned = False
-                freed.append(edge_id)
+            self.bans[edge_id] -= 1
+            if self.bans[edge_id] <= 0:
+                del self.bans[edge_id]
+                if edge_id not in self.visited:
+                    self.visited.add(edge_id)
+                    frontier.push(edge_id)
         for pair in turn_pairs(rule):
             self._turn_counts[pair] -= 1
             if self._turn_counts[pair] <= 0:
                 del self._turn_counts[pair]
-        if unban:
-            for edge_id in freed:
-                edge = self.graph.edges[edge_id]
-                if not edge.visited:
-                    edge.visited = True
-                    frontier.push(edge_id)
 
 
 def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
@@ -220,12 +220,7 @@ def best_one_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> S
 
 
 def associate_new_rule(
-    sign: Sign,
-    candidate: Rule,
-    score: float,
-    unban: bool,
-    frontier: FrontierLike,
-    state: DerivationState,
+    sign: Sign, candidate: Rule, score: float, frontier: Frontier, state: DerivationState
 ) -> None:
     """Install ``candidate`` for ``sign`` unless a better rule already holds.
 
@@ -235,13 +230,13 @@ def associate_new_rule(
     """
     if score <= 0.0:
         return
-    if sign.rule is not None:
-        if score <= sign.score:
+    held = state.held.get(sign.id)
+    if held is not None:
+        if score <= held[1]:
             return
-        state.revoke(sign.rule, unban, frontier)
+        state.revoke(held[0], frontier)
     state.install(candidate)
-    sign.rule = candidate
-    sign.score = score
+    state.held[sign.id] = (candidate, score)
 
 
 def analyze_signs(
@@ -249,26 +244,23 @@ def analyze_signs(
     current: DirectedEdge,
     node: Node,
     outgoing: list[DirectedEdge],
-    frontier: FrontierLike,
+    frontier: Frontier,
     state: DerivationState,
-) -> set[Rule]:
-    """Turn the detected signs into rules; returns the rules the signs now hold.
+) -> None:
+    """Turn the detected signs into rules held in ``state``.
 
     Signs are processed in id order. One-way and mandatory-turn signs expand
     into the equivalent ban sets over the remaining exits; candidates whose
     ban set would be empty are dropped.
     """
-    held: set[Rule] = set()
     for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
         candidate: Rule | None = None
         scored: ScoredEdge | None = None
-        unban = False
         kind = sign.sign_type
         if kind is SignType.R101:
             scored = best_no_way_edge(sign, node, outgoing)
             if scored is not None:
                 candidate = NoWayRule(scored.edge)
-                unban = True
         elif kind in (SignType.R302, SignType.R303):
             scored = best_no_turn_edge(sign, current, node, outgoing)
             if scored is not None:
@@ -279,7 +271,6 @@ def analyze_signs(
                 banned = frozenset(e.id for e in outgoing) - {scored.edge}
                 if banned:
                     candidate = OneWayRule(scored.edge, banned)
-                    unban = True
         else:
             scored = best_must_turn_edge(sign, current, node, outgoing)
             if scored is not None:
@@ -287,7 +278,4 @@ def analyze_signs(
                 if banned:
                     candidate = NoTurnRule(current.id, banned)
         if candidate is not None and scored is not None:
-            associate_new_rule(sign, candidate, scored.score, unban, frontier, state)
-        if sign.rule is not None:
-            held.add(sign.rule)
-    return held
+            associate_new_rule(sign, candidate, scored.score, frontier, state)

@@ -1,21 +1,21 @@
 """Classified traffic signs and the spatial index over their positions.
 
 A sign's azimuth is the compass travel direction of the traffic it addresses;
-its face points against that direction, toward the oncoming driver.
+its face points against that direction, toward the oncoming driver. Signs and
+the index are never written during a derivation; the rule a sign holds lives
+in the run's ``DerivationState``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .geometry import Point, Polyline, distance
 from .ids import Identifier, id_sort_key
 from .spatial import RectTree
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .rules import Rule
 
 SignId = Identifier
 
@@ -55,19 +55,14 @@ class Sign:
     position: Point
     sign_type: SignType
     azimuth: float
-    # rule slot, owned by the active derivation run
-    rule: "Rule | None" = field(default=None, repr=False)
-    score: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.azimuth):
+            raise ValueError(f"non-finite azimuth {self.azimuth}")
         azimuth = self.azimuth % 360.0
         if azimuth == 360.0:
             azimuth = 0.0
         self.azimuth = azimuth
-
-    def clear_rule(self) -> None:
-        self.rule = None
-        self.score = None
 
 
 class SignIndex:
@@ -116,7 +111,3 @@ class SignIndex:
         ]
         hits.sort(key=lambda s: id_sort_key(s.id))
         return hits
-
-    def reset_rules(self) -> None:
-        for sign in self.signs:
-            sign.clear_rule()

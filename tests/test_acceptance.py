@@ -277,9 +277,10 @@ def test_criterion_8_ban_bookkeeping():
             graph = star_graph(bearings)
             pool = [f"out{i}" for i in range(8)]
             contended = rng.choice(pool)
-            for edge_id in pool:
-                graph.edges[edge_id].visited = rng.random() < 0.3
             state = DerivationState(graph)
+            for edge_id in pool:
+                if rng.random() < 0.3:
+                    state.visited.add(edge_id)
             frontier = Frontier()
             signs = [
                 Sign("a", Point(1.0, 1.0), SignType.R101, 0.0),
@@ -288,15 +289,12 @@ def test_criterion_8_ban_bookkeeping():
             for _ in range(rng.randint(2, 6)):
                 sign = rng.choice(signs)
                 candidate = _random_candidate(rng, pool, contended)
-                associate_new_rule(
-                    sign, candidate, rng.uniform(0.0, 100.0), True, frontier, state
-                )
+                associate_new_rule(sign, candidate, rng.uniform(0.0, 100.0), frontier, state)
                 asserted = set()
-                for s in signs:
-                    if s.rule is not None:
-                        asserted |= global_bans(s.rule)
+                for rule, _ in state.held.values():
+                    asserted |= global_bans(rule)
                 for edge_id in pool:
-                    assert graph.edges[edge_id].banned == (edge_id in asserted)
+                    assert (edge_id in state.bans) == (edge_id in asserted)
 
 
 def test_criterion_9_golden_scene_validates_at_100_percent():

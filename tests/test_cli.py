@@ -70,6 +70,30 @@ class TestDerive:
         assert main(derive_args(town, tmp_path / "r.json") + ["--half-angle", "95"]) == 1
         assert "half_angle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--node-radius", "--edge-radius", "--lookback", "--half-angle"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_detection_flag(self, town, tmp_path, capsys, flag, value):
+        args = derive_args(town, tmp_path / "r.json") + ["--cover-all", f"{flag}={value}"]
+        assert main(args) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["network", "signs"])
+    @pytest.mark.parametrize("position", [None, [1.0], ["a", "b"]])
+    def test_malformed_coordinates_exit_1(self, town, tmp_path, capsys, name, position):
+        document = json.loads((town / f"{name}.geojson").read_text())
+        kind = "LineString" if name == "network" else "Point"
+        i = next(i for i, f in enumerate(document["features"]) if f["geometry"]["type"] == kind)
+        geometry = document["features"][i]["geometry"]
+        if position is None:
+            del geometry["coordinates"]
+        elif kind == "LineString":
+            geometry["coordinates"][-1] = position
+        else:
+            geometry["coordinates"] = position
+        (town / f"{name}.geojson").write_text(json.dumps(document))
+        assert main(derive_args(town, tmp_path / "r.json")) == 1
+        assert f"feature {i}" in capsys.readouterr().err
+
     def test_cover_all_without_start(self, town, tmp_path):
         rules = tmp_path / "rules.json"
         args = [

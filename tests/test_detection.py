@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from roadrules.detection import (
@@ -35,6 +37,11 @@ class TestConfig:
             {"lookback": 0.0},
             {"visibility_half_angle": 90.0},
             {"visibility_half_angle": -5.0},
+        ]
+        + [
+            {name: value}
+            for name in ("node_radius", "edge_radius", "lookback", "visibility_half_angle")
+            for value in (math.nan, math.inf, -math.inf)
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -11,7 +11,6 @@ from roadrules.geometry import (
     Polyline,
     angle,
     distance,
-    distance_to_line,
     heading,
     normalize,
 )
@@ -175,7 +174,7 @@ class TestDistance:
         assert distance(Point(0, 0), Point(3, 4)) == 5.0
 
     def test_line_distance(self):
-        assert distance_to_line(Polyline([(0, 0), (10, 0)]), Point(5, 3)) == 3.0
+        assert Polyline([(0, 0), (10, 0)]).distance_to(Point(5, 3)) == 3.0
 
     def test_zero(self):
         assert distance(Point(1, 1), Point(1, 1)) == 0.0

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import pytest
 
@@ -32,12 +33,16 @@ def write_doc(tmp_path, name, doc):
     return path
 
 
+MISSING = object()
+
+
 def geo_feature(kind, coords, **props):
-    return {
-        "type": "Feature",
-        "geometry": {"type": kind, "coordinates": coords},
-        "properties": props,
-    }
+    geometry = {"type": kind} if coords is MISSING else {"type": kind, "coordinates": coords}
+    return {"type": "Feature", "geometry": geometry, "properties": props}
+
+
+# Malformed GeoJSON positions: absent, too short, non-numeric, non-finite.
+BAD_POSITIONS = [MISSING, None, 5, [], [1.0], ["1", "2"], [1.0, None], [math.nan, 0.0]]
 
 
 class TestLoadNetwork:
@@ -135,6 +140,34 @@ class TestLoadNetwork:
         step = distance(graph.nodes["A"].position, graph.nodes["B"].position)
         assert step == pytest.approx(111.3, abs=0.5)
 
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("position", BAD_POSITIONS)
+    def test_malformed_edge_coordinates_rejected(self, planar, position):
+        coords = MISSING if position is MISSING else [[0.5, 0.5], position]
+        doc = {
+            "type": "FeatureCollection",
+            "features": [
+                geo_feature("LineString", [[0.0, 0.0], [0.001, 0.0]],
+                            edge_id="ok", source_node="A", target_node="B"),
+                geo_feature("LineString", coords,
+                            edge_id="bad", source_node="A", target_node="C"),
+            ],
+        }
+        if planar:
+            doc["coordinate_system"] = "local-meters"
+        with pytest.raises(InputError, match="feature 1"):
+            network_from_document(doc)
+
+    @pytest.mark.parametrize("position", BAD_POSITIONS)
+    def test_malformed_node_coordinates_rejected(self, position):
+        doc = {
+            "type": "FeatureCollection",
+            "coordinate_system": "local-meters",
+            "features": [geo_feature("Point", position, node_id="A")],
+        }
+        with pytest.raises(InputError, match="feature 0"):
+            network_from_document(doc)
+
     def test_planar_marker_skips_projection(self):
         graph, _, _ = load_scenario("dead-end")
         assert graph.projection is None
@@ -184,6 +217,30 @@ class TestLoadSigns:
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth="north")]
         )
         with pytest.raises(InputError, match="bad azimuth"):
+            signs_from_document(doc)
+
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf, "nan", "-inf"])
+    def test_non_finite_azimuth_rejected(self, azimuth):
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [0, 0], sign_id="a", type="R-101", azimuth=0),
+                geo_feature("Point", [0, 0], sign_id="b", type="R-101", azimuth=azimuth),
+            ]
+        )
+        with pytest.raises(InputError, match="feature 1: non-finite azimuth"):
+            signs_from_document(doc)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("position", BAD_POSITIONS)
+    def test_malformed_coordinates_rejected(self, planar, position):
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [0.0, 0.0], sign_id="a", type="R-101", azimuth=0),
+                geo_feature("Point", position, sign_id="b", type="R-101", azimuth=0),
+            ],
+            planar=planar,
+        )
+        with pytest.raises(InputError, match="feature 1"):
             signs_from_document(doc)
 
     def test_duplicate_ids_rejected(self):

@@ -2,12 +2,7 @@ import pytest
 
 from roadrules.errors import GraphError
 from roadrules.geometry import Point
-from roadrules.navigator import (
-    Frontier,
-    assign_signs,
-    derive_rules,
-    is_navigation_forbidden,
-)
+from roadrules.navigator import Frontier, derive_rules, is_navigation_forbidden
 from roadrules.network import build_graph
 from roadrules.rules import DerivationState, NoTurnRule, NoWayRule
 
@@ -66,8 +61,7 @@ class TestIsNavigationForbidden:
         assert not self.forbidden("out2")
 
     def test_visited_alternatives_still_block_u_turns(self):
-        for eid in ("out0", "out1", "out3"):
-            self.graph.edges[eid].visited = True
+        self.state.visited.update(("out0", "out1", "out3"))
         assert self.forbidden("out2")
 
     def test_dead_end_return_allowed(self):
@@ -97,30 +91,30 @@ def two_component_graph():
 class TestAssignSigns:
     def test_sign_free_grid_fully_visited(self, empty_index):
         graph, index, _ = load_scenario("grid", rows=3, cols=3, spacing=100.0)
-        result = assign_signs(graph, index, "n000_000->n000_001")
+        result = derive_rules(graph, index, start_edges=["n000_000->n000_001"])
         assert len(result.visited_edges) == 24
         assert result.unreached_edges == frozenset()
         assert result.rules == ()
 
     def test_partition_covers_all_edges(self, empty_index):
         graph = two_component_graph()
-        result = assign_signs(graph, empty_index, "A->B")
+        result = derive_rules(graph, empty_index, start_edges=["A->B"])
         assert result.visited_edges | result.unreached_edges == frozenset(graph.edges)
         assert result.visited_edges & result.unreached_edges == frozenset()
 
     def test_isolated_component_stays_unreached(self, empty_index):
         graph = two_component_graph()
-        result = assign_signs(graph, empty_index, "A->B")
+        result = derive_rules(graph, empty_index, start_edges=["A->B"])
         assert result.unreached_edges == frozenset({"X->Y", "Y->X"})
 
     def test_unknown_start_edge(self, empty_index):
         graph = two_component_graph()
         with pytest.raises(GraphError):
-            assign_signs(graph, empty_index, "nope")
+            derive_rules(graph, empty_index, start_edges=["nope"])
 
     def test_dead_end_street_covered_in_both_directions(self, empty_index):
         graph, index, _ = load_scenario("dead-end")
-        result = assign_signs(graph, index, "A->B")
+        result = derive_rules(graph, index, start_edges=["A->B"])
         assert result.unreached_edges == frozenset()
         assert "C->B" in result.visited_edges
 
@@ -130,12 +124,6 @@ class TestDeriveRules:
         graph = two_component_graph()
         with pytest.raises(ValueError):
             derive_rules(graph, empty_index)
-
-    def test_single_start_matches_assign_signs(self, empty_index):
-        graph = two_component_graph()
-        assert derive_rules(graph, empty_index, start_edges=["A->B"]) == assign_signs(
-            graph, empty_index, "A->B"
-        )
 
     def test_one_start_per_component_covers_everything(self, empty_index):
         graph = two_component_graph()
@@ -177,6 +165,27 @@ class TestDeriveRules:
         for start in ("n000_000->n000_001", "n002_002->n001_002", "n003_003->n003_002"):
             result = derive_rules(graph, index, start_edges=[start])
             assert result.visited_edges == all_edges
+
+    @pytest.mark.parametrize("template", ["sample-town", "twin-nodes", "dead-end"])
+    def test_graph_and_index_are_reusable(self, template):
+        # one graph and index serve every run, and each run equals a run on
+        # freshly loaded objects: no state leaks from one run to the next
+        graph, index, expected = load_scenario(template)
+        snapshot = [dict(vars(e)) for e in graph.edges.values()] + [dict(vars(s)) for s in index]
+        edge_ids = list(graph.edges)
+        runs = [
+            {"start_edges": expected["start_edges"][:1]},
+            {"start_edges": [edge_ids[-1]]},
+            {"cover_all": True},
+        ]
+        for kwargs in runs:
+            fresh_graph, fresh_index, _ = load_scenario(template)
+            assert derive_rules(graph, index, **kwargs) == derive_rules(
+                fresh_graph, fresh_index, **kwargs
+            )
+        assert [dict(vars(e)) for e in graph.edges.values()] + [
+            dict(vars(s)) for s in index
+        ] == snapshot
 
 
 class TestRuleDerivationScenes:

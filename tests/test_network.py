@@ -144,11 +144,3 @@ class TestInvariants:
         assert [e.id for e in g1.outgoing_edges("A")] == [
             e.id for e in g2.outgoing_edges("A")
         ]
-
-    def test_reset_run_state(self):
-        graph = build_graph(*two_way_street())
-        edge = graph.edges["A->B"]
-        edge.visited = True
-        edge.banned = True
-        graph.reset_run_state()
-        assert not edge.visited and not edge.banned

@@ -162,74 +162,81 @@ class TestAssociateNewRule:
         self.state = DerivationState(self.graph)
         self.frontier = FrontierSpy()
 
+    def associate(self, s, rule, score):
+        associate_new_rule(s, rule, score, self.frontier, self.state)
+
     def test_zero_score_installs_nothing(self):
         s = sign("R-101", 5, 5)
-        associate_new_rule(s, NoWayRule("out0"), 0.0, True, self.frontier, self.state)
-        assert s.rule is None
-        assert not self.graph.edges["out0"].banned
+        self.associate(s, NoWayRule("out0"), 0.0)
+        assert s.id not in self.state.held
+        assert "out0" not in self.state.bans
 
     def test_install_applies_effects(self):
         s = sign("R-101", 5, 5)
-        associate_new_rule(s, NoWayRule("out0"), 30.0, True, self.frontier, self.state)
-        assert s.rule == NoWayRule("out0") and s.score == 30.0
-        assert self.graph.edges["out0"].banned
+        self.associate(s, NoWayRule("out0"), 30.0)
+        assert self.state.held[s.id] == (NoWayRule("out0"), 30.0)
+        assert "out0" in self.state.bans
 
     def test_lower_score_discarded(self):
         s = sign("R-101", 5, 5)
-        associate_new_rule(s, NoWayRule("out0"), 70.0, True, self.frontier, self.state)
-        associate_new_rule(s, NoWayRule("out1"), 30.0, True, self.frontier, self.state)
-        assert s.rule == NoWayRule("out0") and s.score == 70.0
-        assert not self.graph.edges["out1"].banned
+        self.associate(s, NoWayRule("out0"), 70.0)
+        self.associate(s, NoWayRule("out1"), 30.0)
+        assert self.state.held[s.id] == (NoWayRule("out0"), 70.0)
+        assert "out1" not in self.state.bans
 
     def test_equal_score_discarded(self):
         s = sign("R-101", 5, 5)
-        associate_new_rule(s, NoWayRule("out0"), 70.0, True, self.frontier, self.state)
-        associate_new_rule(s, NoWayRule("out1"), 70.0, True, self.frontier, self.state)
-        assert s.rule == NoWayRule("out0")
+        self.associate(s, NoWayRule("out0"), 70.0)
+        self.associate(s, NoWayRule("out1"), 70.0)
+        assert self.state.held[s.id][0] == NoWayRule("out0")
 
     def test_replacement_unbans_and_requeues(self):
         # scored 30 at the wrong node, then 70 at the right one: only the
         # second rule survives and the wrongly banned, unvisited edge is
         # pushed back for navigation
         s = sign("R-101", 5, 5)
-        associate_new_rule(s, NoWayRule("out0"), 30.0, True, self.frontier, self.state)
-        associate_new_rule(s, NoWayRule("out1"), 70.0, True, self.frontier, self.state)
-        assert s.rule == NoWayRule("out1") and s.score == 70.0
-        assert not self.graph.edges["out0"].banned
-        assert self.graph.edges["out1"].banned
+        self.associate(s, NoWayRule("out0"), 30.0)
+        self.associate(s, NoWayRule("out1"), 70.0)
+        assert self.state.held[s.id] == (NoWayRule("out1"), 70.0)
+        assert "out0" not in self.state.bans
+        assert "out1" in self.state.bans
         assert self.frontier.pushed == ["out0"]
-        assert self.graph.edges["out0"].visited
+        assert "out0" in self.state.visited
 
     def test_replacement_skips_requeue_of_visited_edges(self):
         s = sign("R-101", 5, 5)
-        self.graph.edges["out0"].visited = True
-        associate_new_rule(s, NoWayRule("out0"), 30.0, True, self.frontier, self.state)
-        associate_new_rule(s, NoWayRule("out1"), 70.0, True, self.frontier, self.state)
-        assert not self.graph.edges["out0"].banned
+        self.state.visited.add("out0")
+        self.associate(s, NoWayRule("out0"), 30.0)
+        self.associate(s, NoWayRule("out1"), 70.0)
+        assert "out0" not in self.state.bans
         assert self.frontier.pushed == []
 
     def test_shared_ban_survives_one_revocation(self):
         a = sign("R-101", 5, 5, sign_id="a")
         b = sign("R-101", 5, 5, sign_id="b")
-        associate_new_rule(a, NoWayRule("out0"), 50.0, True, self.frontier, self.state)
-        associate_new_rule(b, NoWayRule("out0"), 40.0, True, self.frontier, self.state)
-        associate_new_rule(a, NoWayRule("out1"), 60.0, True, self.frontier, self.state)
-        assert self.graph.edges["out0"].banned  # b still asserts it
+        self.associate(a, NoWayRule("out0"), 50.0)
+        self.associate(b, NoWayRule("out0"), 40.0)
+        self.associate(a, NoWayRule("out1"), 60.0)
+        assert "out0" in self.state.bans  # b still asserts it
         assert self.frontier.pushed == []
-        associate_new_rule(b, NoWayRule("out2"), 80.0, True, self.frontier, self.state)
-        assert not self.graph.edges["out0"].banned
+        self.associate(b, NoWayRule("out2"), 80.0)
+        assert "out0" not in self.state.bans
         assert self.frontier.pushed == ["out0"]
 
     def test_no_turn_rules_do_not_touch_ban_flags(self):
         s = sign("R-302", 3, -10)
         rule = NoTurnRule("in0", frozenset({"out1"}))
-        associate_new_rule(s, rule, 60.0, False, self.frontier, self.state)
-        assert not self.graph.edges["out1"].banned
+        self.associate(s, rule, 60.0)
+        assert "out1" not in self.state.bans
         assert self.state.is_turn_banned("in0", "out1")
         replacement = NoTurnRule("in2", frozenset({"out3"}))
-        associate_new_rule(s, replacement, 61.0, False, self.frontier, self.state)
+        self.associate(s, replacement, 61.0)
         assert not self.state.is_turn_banned("in0", "out1")
         assert self.state.is_turn_banned("in2", "out3")
+
+
+def held_rules(state: DerivationState) -> set:
+    return {rule for rule, _ in state.held.values()}
 
 
 class TestAnalyzeSigns:
@@ -242,28 +249,27 @@ class TestAnalyzeSigns:
         self.current = self.graph.edges["in2"]  # arriving northbound from S2
 
     def _run(self, *signs_):
-        return analyze_signs(
-            signs_, self.current, self.node, self.outgoing, self.frontier, self.state
-        )
+        analyze_signs(signs_, self.current, self.node, self.outgoing, self.frontier, self.state)
+        return held_rules(self.state)
 
     def test_no_way_sign_bans_facing_edge(self):
         s = sign("R-101", 0, 10, azimuth=180.0)
         held = self._run(s)
         assert held == {NoWayRule("out0")}
-        assert self.graph.edges["out0"].banned
+        assert "out0" in self.state.bans
 
     def test_one_way_sign_bans_all_but_target(self):
         s = sign("R-400a", 0, 5, azimuth=0.0)
         held = self._run(s)
         assert held == {OneWayRule("out1", frozenset({"out0", "out2", "out3"}))}
-        assert [self.graph.edges[e].banned for e in ("out0", "out2", "out3")] == [True] * 3
-        assert not self.graph.edges["out1"].banned
+        assert [e in self.state.bans for e in ("out0", "out2", "out3")] == [True] * 3
+        assert "out1" not in self.state.bans
 
     def test_must_turn_sign_restricts_other_exits(self):
         s = sign("R-400d", 3, -10, azimuth=0.0)
         held = self._run(s)
         assert held == {NoTurnRule("in2", frozenset({"out0", "out2", "out3"}))}
-        assert not any(self.graph.edges[e].banned for e in self.graph.edges)
+        assert not any(e in self.state.bans for e in self.graph.edges)
 
     def test_turn_sign_restricts_single_pair(self):
         s = sign("R-302", 3, -10, azimuth=0.0)
@@ -275,27 +281,21 @@ class TestAnalyzeSigns:
         lonely = star_graph([90.0])
         state = DerivationState(lonely)
         s = sign("R-101", 0, -10, azimuth=180.0)
-        held = analyze_signs(
+        analyze_signs(
             [s], lonely.edges["in0"], lonely.nodes["C"],
             lonely.outgoing_edges("C"), self.frontier, state,
         )
-        assert held == set() and s.rule is None
+        assert state.held == {}
 
     def test_single_exit_one_way_sign_is_dropped(self):
         lonely = star_graph([0.0])
         state = DerivationState(lonely)
         s = sign("R-400c", 0, 5, azimuth=0.0)
-        held = analyze_signs(
+        analyze_signs(
             [s], lonely.edges["in0"], lonely.nodes["C"],
             lonely.outgoing_edges("C"), self.frontier, state,
         )
-        assert held == set() and s.rule is None
-
-    def test_returns_previously_held_rules(self):
-        s = sign("R-101", 0, 10, azimuth=180.0)
-        self._run(s)
-        held = self._run(s)  # second visit: candidate ties, old rule kept
-        assert held == {NoWayRule("out0")}
+        assert state.held == {}
 
     def test_no_turn_never_picks_straight_ahead_when_a_turn_exists(self):
         right = self.graph.edges["out1"]
@@ -311,8 +311,8 @@ class TestAnalyzeSigns:
         # no-right-turn sign, so no rule may be generated
         s = sign("R-302", 3, -10)
         outgoing = [self.graph.edges["out0"], self.graph.edges["out3"]]
-        held = analyze_signs([s], self.current, self.node, outgoing, self.frontier, self.state)
-        assert held == set() and s.rule is None
+        analyze_signs([s], self.current, self.node, outgoing, self.frontier, self.state)
+        assert self.state.held == {}
 
     def test_scores_never_decrease_and_stay_positive(self, rng):
         s = sign("R-101", 5, 5)
@@ -320,12 +320,13 @@ class TestAnalyzeSigns:
         for _ in range(200):
             edge = rng.choice(["out0", "out1", "out2", "out3"])
             score = rng.uniform(-50.0, 100.0)
-            associate_new_rule(s, NoWayRule(edge), score, True, self.frontier, self.state)
-            if s.rule is not None:
-                assert s.score > 0
+            associate_new_rule(s, NoWayRule(edge), score, self.frontier, self.state)
+            if s.id in self.state.held:
+                held_score = self.state.held[s.id][1]
+                assert held_score > 0
                 if best_seen is not None:
-                    assert s.score >= best_seen
-                best_seen = s.score
+                    assert held_score >= best_seen
+                best_seen = held_score
 
     def test_signs_processed_in_id_order(self):
         seen = []

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -31,9 +32,10 @@ class TestSign:
     def test_azimuth_wraps_large_values(self):
         assert sign("s", 0, 0, azimuth=725.0).azimuth == 5.0
 
-    def test_rule_slot_starts_empty(self):
-        s = sign("s", 0, 0)
-        assert s.rule is None and s.score is None
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_azimuth_rejected(self, azimuth):
+        with pytest.raises(ValueError, match="azimuth"):
+            sign("s", 0, 0, azimuth=azimuth)
 
 
 class TestSignIndex:
