@@ -9,6 +9,7 @@ input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -21,12 +22,12 @@ from .io import (
     load_rules,
     load_signs,
     render_overlay,
-    rules_document,
     validate,
     write_report,
     write_rules,
 )
 from .navigator import derive_rules
+from .rules import NoTurnRule, NoWayRule, OneWayRule
 from .scenarios import TEMPLATES, generate_scenario, write_scenario
 from .signs import SignIndex
 
@@ -94,14 +95,38 @@ def _detection_config(args: argparse.Namespace) -> DetectionConfig:
         raise InputError(str(exc)) from exc
 
 
+def _load_inputs(args: argparse.Namespace, index: bool):
+    """Load the network and its signs, as a ``SignIndex`` when ``index`` is set.
+
+    Parsing and graph building allocate millions of containers and none of
+    them forms a reference cycle, so each cyclic-GC pass during the load
+    would rescan the whole heap and free nothing. The collector is paused
+    for the load, and what was loaded is then frozen so that the collections
+    of the rest of the command skip it. The freeze is skipped when the caller
+    has frozen objects of its own, because ``main`` can only undo a freeze by
+    unfreezing everything.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = load_network(args.network)
+        signs = load_signs(
+            args.signs, graph.projection, expected_planar=graph.projection is None
+        )
+        if index:
+            signs = SignIndex(signs)
+    finally:
+        if enabled:
+            gc.enable()
+    if not gc.get_freeze_count():
+        gc.freeze()
+    return graph, signs
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     if not args.start_edge and not args.cover_all:
         raise InputError("derive needs --start-edge or --cover-all")
-    graph = load_network(args.network)
-    signs = load_signs(
-        args.signs, graph.projection, expected_planar=graph.projection is None
-    )
-    index = SignIndex(signs)
+    graph, index = _load_inputs(args, index=True)
     result = derive_rules(
         graph, index, _detection_config(args), start_edges=args.start_edge,
         cover_all=args.cover_all,
@@ -109,13 +134,13 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     write_rules(result, args.out)
     if args.overlay:
         render_overlay(result, graph, index, args.overlay)
-    document = rules_document(result)
+    kinds = [type(record.rule) for record in result.rules]
     print(
         "derived {} no-way, {} one-way, {} no-turn rules; "
         "{} edges visited, {} unreached".format(
-            len(document["no_way"]),
-            len(document["one_way"]),
-            len(document["no_turn"]),
+            kinds.count(NoWayRule),
+            kinds.count(OneWayRule),
+            kinds.count(NoTurnRule),
             len(result.visited_edges),
             len(result.unreached_edges),
         )
@@ -143,10 +168,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    graph = load_network(args.network)
-    signs = load_signs(
-        args.signs, graph.projection, expected_planar=graph.projection is None
-    )
+    graph, signs = _load_inputs(args, index=False)
     render_overlay(load_rules(args.rules), graph, signs, args.out)
     return 0
 
@@ -154,6 +176,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    frozen = gc.get_freeze_count()
     try:
         return args.func(args)
     except InputError as exc:
@@ -165,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - any escape here is a bug
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
+    finally:
+        if not frozen:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

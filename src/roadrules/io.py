@@ -28,8 +28,9 @@ logger = logging.getLogger("roadrules")
 
 PLANAR_MARKER = "local-meters"
 
-# What reading a missing or malformed GeoJSON position raises.
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
+# What reading a missing or malformed GeoJSON position raises; an integer
+# too large for a float raises OverflowError.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
 def _read_json(path: str | Path) -> Any:
@@ -38,9 +39,11 @@ def _read_json(path: str | Path) -> Any:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the int-string digit limit
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
@@ -64,15 +67,37 @@ def _is_planar(document: dict) -> bool:
 
 
 def _bad_coordinates(source: str | Path, i: int, exc: Exception) -> InputError:
-    detail = str(exc) if isinstance(exc, ValueError) else "missing or malformed coordinates"
+    if isinstance(exc, (ValueError, OverflowError)):
+        detail = str(exc)
+    else:
+        detail = "missing or malformed coordinates"
     return InputError(f"{source}: feature {i}: {detail}")
+
+
+def _feature_parts(feature: Any, source: str | Path, i: int) -> tuple[dict, dict]:
+    """A feature's geometry and properties objects; null or absent reads as empty."""
+    if not isinstance(feature, dict):
+        raise InputError(f"{source}: feature {i}: not a JSON object")
+    geometry = feature.get("geometry") or {}
+    properties = feature.get("properties") or {}
+    if not isinstance(geometry, dict):
+        raise InputError(f"{source}: feature {i}: geometry is not a JSON object")
+    if not isinstance(properties, dict):
+        raise InputError(f"{source}: feature {i}: properties is not a JSON object")
+    return geometry, properties
+
+
+def _check_id(value: Any, name: str, source: str | Path, i: int) -> None:
+    # JSON arrays and objects are the only unhashable values json.loads makes
+    if isinstance(value, (list, dict)):
+        raise InputError(f"{source}: feature {i}: {name} must be a string or a number")
 
 
 def _collect_coordinates(features: list[dict], source: str | Path) -> list[tuple[float, float]]:
     """Every (lon, lat) position of the Point and LineString features."""
     coords: list[tuple[float, float]] = []
     for i, feature in enumerate(features):
-        geometry = feature.get("geometry") or {}
+        geometry, _ = _feature_parts(feature, source, i)
         kind = geometry.get("type")
         if kind not in ("Point", "LineString"):
             continue
@@ -118,13 +143,13 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     any_explicit_opposite = False
 
     for i, feature in enumerate(features):
-        geometry = feature.get("geometry") or {}
-        properties = feature.get("properties") or {}
+        geometry, properties = _feature_parts(feature, source, i)
         kind = geometry.get("type")
         if kind == "Point":
             node_id = properties.get("node_id")
             if node_id is None:
                 raise InputError(f"{source}: feature {i}: Point without node_id")
+            _check_id(node_id, "node_id", source, i)
             if node_id in node_positions:
                 raise InputError(f"{source}: feature {i}: duplicate node_id {node_id!r}")
             try:
@@ -139,6 +164,9 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                 raise InputError(
                     f"{source}: feature {i}: LineString needs edge_id, source_node, target_node"
                 )
+            _check_id(edge_id, "edge_id", source, i)
+            _check_id(src, "source_node", source, i)
+            _check_id(dst, "target_node", source, i)
             if edge_id in edge_feature_index:
                 raise InputError(
                     f"{source}: duplicate edge_id {edge_id!r} in features "
@@ -152,6 +180,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
             edge_specs.append((edge_id, src, dst, line))
             opposite = properties.get("opposite_id")
             if opposite is not None:
+                _check_id(opposite, "opposite_id", source, i)
                 any_explicit_opposite = True
                 pair = tuple(sorted((edge_id, opposite), key=id_sort_key))
                 if pair not in seen_pairs:
@@ -210,8 +239,7 @@ def signs_from_document(
     signs: list[Sign] = []
     seen: dict = {}
     for i, feature in enumerate(features):
-        geometry = feature.get("geometry") or {}
-        properties = feature.get("properties") or {}
+        geometry, properties = _feature_parts(feature, source, i)
         if geometry.get("type") != "Point":
             raise InputError(f"{source}: feature {i}: signs must be Point features")
         sign_id = properties.get("sign_id")
@@ -219,6 +247,7 @@ def signs_from_document(
         azimuth = properties.get("azimuth")
         if sign_id is None or code is None or azimuth is None:
             raise InputError(f"{source}: feature {i}: sign needs sign_id, type, azimuth")
+        _check_id(sign_id, "sign_id", source, i)
         if sign_id in seen:
             raise InputError(
                 f"{source}: duplicate sign_id {sign_id!r} in features {seen[sign_id]} and {i}"
@@ -232,7 +261,7 @@ def signs_from_document(
             continue
         try:
             azimuth = float(azimuth)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{source}: feature {i}: bad azimuth {azimuth!r}") from exc
         try:
             lon, lat = geometry["coordinates"][0], geometry["coordinates"][1]

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -78,7 +79,7 @@ class TestDerive:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["network", "signs"])
-    @pytest.mark.parametrize("position", [None, [1.0], ["a", "b"]])
+    @pytest.mark.parametrize("position", [None, [1.0], ["a", "b"], [10**400, 0.0]])
     def test_malformed_coordinates_exit_1(self, town, tmp_path, capsys, name, position):
         document = json.loads((town / f"{name}.geojson").read_text())
         kind = "LineString" if name == "network" else "Point"
@@ -94,6 +95,45 @@ class TestDerive:
         assert main(derive_args(town, tmp_path / "r.json")) == 1
         assert f"feature {i}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, kind, part, value",
+        [
+            ("network", "Point", ("properties", "node_id"), []),
+            ("network", "LineString", ("properties", "edge_id"), {}),
+            ("network", "LineString", ("properties", "source_node"), [1]),
+            ("network", "LineString", ("properties", "target_node"), {"a": 1}),
+            ("network", "LineString", ("properties", "opposite_id"), []),
+            ("signs", "Point", ("properties", "sign_id"), [[]]),
+            ("network", "LineString", (), 5),
+            ("network", "Point", ("geometry",), "x"),
+            ("network", "LineString", ("properties",), 5),
+            ("signs", "Point", (), "x"),
+            ("signs", "Point", ("geometry",), 5),
+            ("signs", "Point", ("properties",), "x"),
+            ("signs", "Point", ("properties", "azimuth"), 10**400),
+        ],
+    )
+    def test_malformed_feature_exit_1(self, town, tmp_path, capsys, name, kind, part, value):
+        document = json.loads((town / f"{name}.geojson").read_text())
+        features = document["features"]
+        i = next(i for i, f in enumerate(features) if f["geometry"]["type"] == kind)
+        if not part:
+            features[i] = value
+        elif len(part) == 1:
+            features[i][part[0]] = value
+        else:
+            features[i][part[0]][part[1]] = value
+        (town / f"{name}.geojson").write_text(json.dumps(document))
+        assert main(derive_args(town, tmp_path / "r.json")) == 1
+        assert f"feature {i}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["network", "signs"])
+    def test_integer_past_digit_limit_exit_1(self, town, tmp_path, capsys, name):
+        path = town / f"{name}.geojson"
+        path.write_text(path.read_text().replace("0.0", "1" + "0" * 5000, 1))
+        assert main(derive_args(town, tmp_path / "r.json")) == 1
+        assert str(path) in capsys.readouterr().err
+
     def test_cover_all_without_start(self, town, tmp_path):
         rules = tmp_path / "rules.json"
         args = [
@@ -106,6 +146,80 @@ class TestDerive:
         assert main(args) == 0
         doc = json.loads(rules.read_text())
         assert doc["unreached"] == ["N10->N00"]
+
+
+class TestCollectorState:
+    """The CLI pauses and freezes the collector while loading, then undoes both."""
+
+    @staticmethod
+    def collector_state():
+        return gc.isenabled(), gc.get_freeze_count()
+
+    def test_paused_while_loading_and_frozen_for_derive(self, town, tmp_path, monkeypatch):
+        import roadrules.cli as cli
+
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] = self.collector_state()
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("load_network", "load_signs", "SignIndex", "derive_rules"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        assert gc.get_freeze_count() == 0
+        assert main(derive_args(town, tmp_path / "r.json")) == 0
+        assert [seen[name][0] for name in ("load_network", "load_signs", "SignIndex")] == [False] * 3
+        enabled, frozen = seen["derive_rules"]
+        assert enabled and frozen > 0
+
+    def test_derive_with_overlay(self, town, tmp_path):
+        before = self.collector_state()
+        assert main(derive_args(town, tmp_path / "r.json", tmp_path / "o.geojson")) == 0
+        assert self.collector_state() == before
+
+    def test_render(self, town, tmp_path):
+        rules = tmp_path / "r.json"
+        assert main(derive_args(town, rules)) == 0
+        before = self.collector_state()
+        code = main(
+            [
+                "render",
+                "--rules", str(rules),
+                "--network", str(town / "network.geojson"),
+                "--signs", str(town / "signs.geojson"),
+                "--out", str(tmp_path / "o.geojson"),
+            ]
+        )
+        assert code == 0
+        assert self.collector_state() == before
+
+    def test_malformed_signs(self, town, tmp_path):
+        (town / "signs.geojson").write_text('{"type": "FeatureCollection", "features": [5]}')
+        before = self.collector_state()
+        assert main(derive_args(town, tmp_path / "r.json")) == 1
+        assert self.collector_state() == before
+
+    def test_caller_freeze_is_kept(self, town, tmp_path):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(derive_args(town, tmp_path / "r.json")) == 0
+            # frozen objects that die leave the count, so it can only fall
+            assert gc.isenabled() and 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
+
+    def test_disabled_collector_stays_disabled(self, town, tmp_path):
+        frozen = gc.get_freeze_count()
+        gc.disable()
+        try:
+            assert main(derive_args(town, tmp_path / "r.json")) == 0
+            assert self.collector_state() == (False, frozen)
+        finally:
+            gc.enable()
 
 
 class TestValidateCommand:

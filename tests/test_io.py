@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 
 import pytest
 
@@ -41,8 +42,29 @@ def geo_feature(kind, coords, **props):
     return {"type": "Feature", "geometry": geometry, "properties": props}
 
 
-# Malformed GeoJSON positions: absent, too short, non-numeric, non-finite.
-BAD_POSITIONS = [MISSING, None, 5, [], [1.0], ["1", "2"], [1.0, None], [math.nan, 0.0]]
+# Malformed GeoJSON positions: absent, too short, non-numeric, non-finite,
+# too large for a float.
+BAD_POSITIONS = [
+    MISSING, None, 5, [], [1.0], ["1", "2"], [1.0, None], [math.nan, 0.0], [10**400, 0.0]
+]
+
+# JSON arrays and objects, which cannot serve as ids.
+UNHASHABLE = [[], {"a": 1}]
+
+# Values that are not JSON objects where a feature, geometry or properties must be.
+NOT_OBJECTS = [5, "x", [1]]
+
+
+def planar_network(*features):
+    return {"type": "FeatureCollection", "coordinate_system": "local-meters",
+            "features": list(features)}
+
+
+def replace_part(feature, part, value):
+    """``feature`` itself (``part`` None) or one of its members, replaced by ``value``."""
+    if part is None:
+        return value
+    return dict(feature, **{part: value})
 
 
 class TestLoadNetwork:
@@ -168,6 +190,54 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match="feature 0"):
             network_from_document(doc)
 
+    @pytest.mark.parametrize("value", UNHASHABLE)
+    @pytest.mark.parametrize("name", ["edge_id", "source_node", "target_node", "opposite_id"])
+    def test_unhashable_edge_ids_rejected(self, name, value):
+        props = {"edge_id": "ab", "source_node": "A", "target_node": "B", "opposite_id": "ba"}
+        props[name] = value
+        doc = planar_network(
+            geo_feature("LineString", [[100, 0], [0, 0]],
+                        edge_id="ba", source_node="B", target_node="A"),
+            geo_feature("LineString", [[0, 0], [100, 0]], **props),
+        )
+        with pytest.raises(InputError, match=f"feature 1: {name} must be"):
+            network_from_document(doc)
+
+    @pytest.mark.parametrize("value", UNHASHABLE)
+    def test_unhashable_node_id_rejected(self, value):
+        doc = planar_network(
+            geo_feature("Point", [0, 0], node_id="A"),
+            geo_feature("Point", [1, 1], node_id=value),
+        )
+        with pytest.raises(InputError, match="feature 1: node_id must be"):
+            network_from_document(doc)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("value", NOT_OBJECTS)
+    @pytest.mark.parametrize("part", [None, "geometry", "properties"])
+    def test_non_object_feature_parts_rejected(self, planar, part, value):
+        edge = geo_feature("LineString", [[0.0, 0.0], [0.001, 0.0]],
+                           edge_id="ab", source_node="A", target_node="B")
+        doc = planar_network(geo_feature("Point", [0.0, 0.0], node_id="A"),
+                             replace_part(edge, part, value))
+        if not planar:
+            del doc["coordinate_system"]
+        with pytest.raises(InputError, match="feature 1: .*not a JSON object"):
+            network_from_document(doc)
+
+    def test_integer_past_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "long.geojson"
+        text = json.dumps(planar_network(geo_feature("Point", [0, 0], node_id="A")))
+        path.write_text(text.replace("[0, 0]", "[0, 1" + "0" * 5000 + "]"), encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            load_network(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.geojson"
+        path.write_bytes(b'{"type": "FeatureCollection", "features": [], "x": "\xe9"}')
+        with pytest.raises(InputError, match="not UTF-8"):
+            load_network(path)
+
     def test_planar_marker_skips_projection(self):
         graph, _, _ = load_scenario("dead-end")
         assert graph.projection is None
@@ -210,6 +280,43 @@ class TestLoadSigns:
     def test_missing_field_rejected(self):
         doc = self.signs_doc([geo_feature("Point", [0, 0], sign_id="s", type="R-101")])
         with pytest.raises(InputError, match="azimuth"):
+            signs_from_document(doc)
+
+    @pytest.mark.parametrize("azimuth", [10**400, [], {}])
+    def test_unconvertible_azimuth_rejected(self, azimuth):
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [0, 0], sign_id="a", type="R-101", azimuth=0),
+                geo_feature("Point", [0, 0], sign_id="b", type="R-101", azimuth=azimuth),
+            ]
+        )
+        with pytest.raises(InputError, match="feature 1: bad azimuth"):
+            signs_from_document(doc)
+
+    @pytest.mark.parametrize("value", UNHASHABLE)
+    def test_unhashable_sign_id_rejected(self, value):
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [0, 0], sign_id="a", type="R-101", azimuth=0),
+                geo_feature("Point", [0, 0], sign_id=value, type="R-101", azimuth=0),
+            ]
+        )
+        with pytest.raises(InputError, match="feature 1: sign_id must be"):
+            signs_from_document(doc)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("value", NOT_OBJECTS)
+    @pytest.mark.parametrize("part", [None, "geometry", "properties"])
+    def test_non_object_feature_parts_rejected(self, planar, part, value):
+        sign = geo_feature("Point", [0.0, 0.0], sign_id="b", type="R-101", azimuth=0)
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [0.0, 0.0], sign_id="a", type="R-101", azimuth=0),
+                replace_part(sign, part, value),
+            ],
+            planar=planar,
+        )
+        with pytest.raises(InputError, match="feature 1: .*not a JSON object"):
             signs_from_document(doc)
 
     def test_non_numeric_azimuth_rejected(self):
