@@ -10,24 +10,23 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import sys
 
 from .detection import DetectionConfig
 from .errors import InputError, InternalError
 from .io import (
+    dump_json,
     load_ground_truth,
     load_network,
     load_rules,
     load_signs,
     render_overlay,
     validate,
-    write_report,
+    write_json,
     write_rules,
 )
 from .navigator import derive_rules
-from .rules import NoTurnRule, NoWayRule, OneWayRule
 from .scenarios import TEMPLATES, generate_scenario, write_scenario
 from .signs import SignIndex
 
@@ -110,9 +109,7 @@ def _load_inputs(args: argparse.Namespace, index: bool):
     gc.disable()
     try:
         graph = load_network(args.network)
-        signs = load_signs(
-            args.signs, graph.projection, expected_planar=graph.projection is None
-        )
+        signs = load_signs(args.signs, graph)
         if index:
             signs = SignIndex(signs)
     finally:
@@ -131,29 +128,28 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         graph, index, _detection_config(args), start_edges=args.start_edge,
         cover_all=args.cover_all,
     )
-    write_rules(result, args.out)
+    rules = write_rules(result, args.out)
     if args.overlay:
-        render_overlay(result, graph, index, args.overlay)
-    kinds = [type(record.rule) for record in result.rules]
+        render_overlay(rules, graph, index, args.overlay)
     print(
         "derived {} no-way, {} one-way, {} no-turn rules; "
         "{} edges visited, {} unreached".format(
-            kinds.count(NoWayRule),
-            kinds.count(OneWayRule),
-            kinds.count(NoTurnRule),
+            len(rules["no_way"]),
+            len(rules["one_way"]),
+            len(rules["no_turn"]),
             len(result.visited_edges),
-            len(result.unreached_edges),
+            len(rules["unreached"]),
         )
     )
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate(load_rules(args.rules), load_ground_truth(args.truth))
+    report = validate(load_rules(args.rules), load_ground_truth(args.truth)).to_document()
     if args.out:
-        write_report(report, args.out)
+        write_json(report, args.out)
     else:
-        print(json.dumps(report.to_document(), indent=2, sort_keys=True))
+        dump_json(report, sys.stdout)
     return 0
 
 

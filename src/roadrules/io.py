@@ -12,16 +12,17 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
-from .errors import GraphError, InputError
+from .errors import GraphError, InputError, shown
 from .geometry import LocalProjection, Point, Polyline
 from .ids import id_sort_key
 from .navigator import DerivationResult
 from .network import EdgeId, RoadGraph, build_graph
-from .rules import NoTurnRule, NoWayRule, OneWayRule
+from .rules import NoWayRule, OneWayRule
 from .signs import Sign, SignIndex, SignType
 
 logger = logging.getLogger("roadrules")
@@ -47,10 +48,16 @@ def _read_json(path: str | Path) -> Any:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def _write_json(document: Any, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def dump_json(document: Any, stream: TextIO) -> None:
+    """Write ``document`` to ``stream`` in the one output encoding."""
+    # streamed: as one string, a large overlay's text outweighs the overlay
+    json.dump(document, stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
+def write_json(document: Any, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        dump_json(document, handle)
 
 
 def _feature_collection(document: Any, path: str | Path) -> list[dict]:
@@ -87,9 +94,21 @@ def _feature_parts(feature: Any, source: str | Path, i: int) -> tuple[dict, dict
     return geometry, properties
 
 
+def _is_id(value: Any) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
+def _is_id_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_id, value))
+
+
+def _is_finite(value: Any) -> bool:
+    # the comparison is exact for an int of any size, and false for NaN
+    return _is_id(value) and not isinstance(value, str) and abs(value) <= sys.float_info.max
+
+
 def _check_id(value: Any, name: str, source: str | Path, i: int) -> None:
-    # JSON arrays and objects are the only unhashable values json.loads makes
-    if isinstance(value, (list, dict)):
+    if not _is_id(value):
         raise InputError(f"{source}: feature {i}: {name} must be a string or a number")
 
 
@@ -151,7 +170,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                 raise InputError(f"{source}: feature {i}: Point without node_id")
             _check_id(node_id, "node_id", source, i)
             if node_id in node_positions:
-                raise InputError(f"{source}: feature {i}: duplicate node_id {node_id!r}")
+                raise InputError(f"{source}: feature {i}: duplicate node_id {shown(node_id)}")
             try:
                 node_positions[node_id] = to_point(geometry["coordinates"])
             except _MALFORMED as exc:
@@ -169,7 +188,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
             _check_id(dst, "target_node", source, i)
             if edge_id in edge_feature_index:
                 raise InputError(
-                    f"{source}: duplicate edge_id {edge_id!r} in features "
+                    f"{source}: duplicate edge_id {shown(edge_id)} in features "
                     f"{edge_feature_index[edge_id]} and {i}"
                 )
             try:
@@ -187,7 +206,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                     seen_pairs.add(pair)
                     opposite_pairs.append(pair)
         else:
-            raise InputError(f"{source}: feature {i}: unsupported geometry type {kind!r}")
+            raise InputError(f"{source}: feature {i}: unsupported geometry type {shown(kind)}")
 
     # fall back to edge endpoints for nodes the Point features do not cover
     for edge_id, src, dst, line in edge_specs:
@@ -213,25 +232,26 @@ def load_network(path: str | Path) -> RoadGraph:
 def signs_from_document(
     document: dict,
     source: str | Path = "<signs>",
-    projection: LocalProjection | None = None,
-    expected_planar: bool | None = None,
+    network: RoadGraph | None = None,
 ) -> list[Sign]:
     """Parse sign Point features (properties sign_id, type, azimuth).
 
     Unknown type codes are rejected with a logged warning instead of failing
-    the whole file; missing fields and non-finite azimuths are errors. Pass
-    ``expected_planar`` to reject signs whose coordinate frame does not match
-    the network they accompany.
+    the whole file; missing fields and non-finite azimuths are errors. With
+    a ``network``, the signs must be in its coordinate frame, and lon/lat
+    signs reuse its projection; without one, lon/lat signs are projected
+    around their own centroid.
     """
     features = _feature_collection(document, source)
     planar = _is_planar(document)
-    if expected_planar is not None and planar != expected_planar:
-        raise InputError(
-            f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
-            f"network is {'planar' if expected_planar else 'lon/lat'}"
-        )
-    if planar and projection is not None:
-        raise InputError(f"{source}: planar signs cannot accompany a projected network")
+    projection = None
+    if network is not None:
+        projection = network.projection
+        if planar != (projection is None):
+            raise InputError(
+                f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
+                f"network is {'lon/lat' if planar else 'planar'}"
+            )
     if not planar and projection is None:
         coords = _collect_coordinates(features, source)
         if coords:
@@ -250,19 +270,19 @@ def signs_from_document(
         _check_id(sign_id, "sign_id", source, i)
         if sign_id in seen:
             raise InputError(
-                f"{source}: duplicate sign_id {sign_id!r} in features {seen[sign_id]} and {i}"
+                f"{source}: duplicate sign_id {shown(sign_id)} in features {seen[sign_id]} and {i}"
             )
         seen[sign_id] = i
         try:
             sign_type = SignType.from_code(code)
         except ValueError:
-            logger.warning("%s: feature %d: skipping sign %r with unknown type %r",
-                           source, i, sign_id, code)
+            logger.warning("%s: feature %d: skipping sign %s with unknown type %s",
+                           source, i, shown(sign_id), shown(code))
             continue
         try:
             azimuth = float(azimuth)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{source}: feature {i}: bad azimuth {azimuth!r}") from exc
+            raise InputError(f"{source}: feature {i}: bad azimuth {shown(azimuth)}") from exc
         try:
             lon, lat = geometry["coordinates"][0], geometry["coordinates"][1]
             position = Point(lon, lat) if planar else projection.to_planar(lon, lat)
@@ -275,64 +295,64 @@ def signs_from_document(
     return signs
 
 
-def load_signs(
-    path: str | Path,
-    projection: LocalProjection | None = None,
-    expected_planar: bool | None = None,
-) -> list[Sign]:
-    """Read a signs GeoJSON file; pass the network's projection for lon/lat input."""
-    return signs_from_document(_read_json(path), path, projection, expected_planar)
+def load_signs(path: str | Path, network: RoadGraph | None = None) -> list[Sign]:
+    """Read a signs GeoJSON file; pass the network the signs belong to."""
+    return signs_from_document(_read_json(path), path, network)
+
+
+# The fields of each rule family's entries and the check each value passes;
+# a family's entries are sorted by their first field, then by sign.
+RULE_FIELDS = {
+    "no_way": {"edge": _is_id, "sign": _is_id, "score": _is_finite},
+    "one_way": {"chosen": _is_id, "banned": _is_id_list, "sign": _is_id, "score": _is_finite},
+    "no_turn": {"from": _is_id, "banned_to": _is_id_list, "sign": _is_id, "score": _is_finite},
+}
 
 
 def rules_document(result: DerivationResult) -> dict:
     """Serialize a derivation result to the rule-document schema."""
-    no_way, one_way, no_turn = [], [], []
+    document: dict = {family: [] for family in RULE_FIELDS}
     for record in result.rules:
         rule = record.rule
         if isinstance(rule, NoWayRule):
-            no_way.append(
-                {"edge": rule.banned_edge, "sign": record.sign_id, "score": record.score}
-            )
+            family, entry = "no_way", {"edge": rule.banned_edge}
         elif isinstance(rule, OneWayRule):
-            one_way.append(
-                {
-                    "chosen": rule.chosen,
-                    "banned": sorted(rule.banned_edges, key=id_sort_key),
-                    "sign": record.sign_id,
-                    "score": record.score,
-                }
-            )
-        elif isinstance(rule, NoTurnRule):
-            no_turn.append(
-                {
-                    "from": rule.from_edge,
-                    "banned_to": sorted(rule.banned_to, key=id_sort_key),
-                    "sign": record.sign_id,
-                    "score": record.score,
-                }
-            )
-    no_way.sort(key=lambda r: (id_sort_key(r["edge"]), id_sort_key(r["sign"])))
-    one_way.sort(key=lambda r: (id_sort_key(r["chosen"]), id_sort_key(r["sign"])))
-    no_turn.sort(key=lambda r: (id_sort_key(r["from"]), id_sort_key(r["sign"])))
-    return {
-        "no_way": no_way,
-        "one_way": one_way,
-        "no_turn": no_turn,
-        "unreached": sorted(result.unreached_edges, key=id_sort_key),
-    }
+            banned = sorted(rule.banned_edges, key=id_sort_key)
+            family, entry = "one_way", {"chosen": rule.chosen, "banned": banned}
+        else:
+            banned = sorted(rule.banned_to, key=id_sort_key)
+            family, entry = "no_turn", {"from": rule.from_edge, "banned_to": banned}
+        document[family].append(dict(entry, sign=record.sign_id, score=record.score))
+    for family, (first, *_) in RULE_FIELDS.items():
+        document[family].sort(key=lambda e: (id_sort_key(e[first]), id_sort_key(e["sign"])))
+    document["unreached"] = sorted(result.unreached_edges, key=id_sort_key)
+    return document
 
 
-def write_rules(result: DerivationResult, path: str | Path) -> None:
-    _write_json(rules_document(result), path)
+def write_rules(result: DerivationResult, path: str | Path) -> dict:
+    """Write the rule document of ``result`` and return it."""
+    document = rules_document(result)
+    write_json(document, path)
+    return document
 
 
 def load_rules(path: str | Path) -> dict:
+    """Read a rule document, checking every entry once, where it enters."""
     document = _read_json(path)
     if not isinstance(document, dict):
         raise InputError(f"{path}: expected a rule document object")
-    for key in ("no_way", "one_way", "no_turn", "unreached"):
+    for key in (*RULE_FIELDS, "unreached"):
         if not isinstance(document.get(key), list):
             raise InputError(f"{path}: rule document is missing the {key!r} array")
+    if not _is_id_list(document["unreached"]):
+        raise InputError(f"{path}: 'unreached' must hold only strings or numbers")
+    for family, fields in RULE_FIELDS.items():
+        for i, entry in enumerate(document[family]):
+            if not isinstance(entry, dict):
+                raise InputError(f"{path}: {family} entry {i} is not a JSON object")
+            for field, check in fields.items():
+                if not check(entry.get(field)):
+                    raise InputError(f"{path}: {family} entry {i}: bad or missing {field!r}")
     return document
 
 
@@ -348,14 +368,13 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     document = _read_json(path)
     if not isinstance(document, dict):
         raise InputError(f"{path}: expected a ground-truth object")
-    try:
-        banned = frozenset(document.get("one_way_banned_edges", ()))
-        pairs = frozenset(tuple(p) for p in document.get("turn_restrictions", ()))
-    except TypeError as exc:
-        raise InputError(f"{path}: malformed ground truth: {exc}") from exc
-    if any(len(p) != 2 for p in pairs):
+    banned = document.get("one_way_banned_edges", [])
+    pairs = document.get("turn_restrictions", [])
+    if not _is_id_list(banned):
+        raise InputError(f"{path}: one_way_banned_edges must be a list of strings or numbers")
+    if not (isinstance(pairs, list) and all(_is_id_list(p) and len(p) == 2 for p in pairs)):
         raise InputError(f"{path}: turn_restrictions entries must be [from, to] pairs")
-    return GroundTruth(banned, pairs)
+    return GroundTruth(frozenset(banned), frozenset(map(tuple, pairs)))
 
 
 @dataclass(frozen=True)
@@ -419,10 +438,6 @@ def validate(rules: DerivationResult | dict, truth: GroundTruth) -> AccuracyRepo
     )
 
 
-def _line_coordinates(line: Polyline) -> list[list[float]]:
-    return [[v.x, v.y] for v in line.vertices]
-
-
 def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> dict:
     """GeoJSON overlay: edges colored by status, signs with their rule linkage.
 
@@ -431,26 +446,13 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
     banned, _ = derived_rule_sets(rules)
     unreached = set(rules["unreached"])
     rule_by_sign: dict = {}
-    for entry in rules["no_way"]:
-        rule_by_sign[entry["sign"]] = {"kind": "no_way", "edge": entry["edge"], "score": entry["score"]}
-    for entry in rules["one_way"]:
-        rule_by_sign[entry["sign"]] = {
-            "kind": "one_way",
-            "chosen": entry["chosen"],
-            "banned": entry["banned"],
-            "score": entry["score"],
-        }
-    for entry in rules["no_turn"]:
-        rule_by_sign[entry["sign"]] = {
-            "kind": "no_turn",
-            "from": entry["from"],
-            "banned_to": entry["banned_to"],
-            "score": entry["score"],
-        }
+    for kind, fields in RULE_FIELDS.items():
+        for entry in rules[kind]:
+            linked = {field: entry[field] for field in fields if field != "sign"}
+            rule_by_sign[entry["sign"]] = dict(linked, kind=kind)
 
     features = []
-    for edge_id in sorted(graph.edges, key=id_sort_key):
-        edge = graph.edges[edge_id]
+    for edge_id, edge in graph.edges.items():
         if edge_id in banned:
             status = "banned"
         elif edge_id in unreached:
@@ -462,7 +464,7 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
                 "type": "Feature",
                 "geometry": {
                     "type": "LineString",
-                    "coordinates": _line_coordinates(edge.geometry),
+                    "coordinates": [[v.x, v.y] for v in edge.geometry.vertices],
                 },
                 "properties": {"edge_id": edge_id, "status": status},
             }
@@ -497,8 +499,4 @@ def render_overlay(
 ) -> None:
     """Write the inspection overlay for a completed derivation."""
     rules = rules_document(result) if isinstance(result, DerivationResult) else result
-    _write_json(overlay_document(graph, signs, rules), path)
-
-
-def write_report(report: AccuracyReport, path: str | Path) -> None:
-    _write_json(report.to_document(), path)
+    write_json(overlay_document(graph, signs, rules), path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import GraphError
+from .errors import GraphError, shown
 from .geometry import LocalProjection, Point, Polyline, distance
 from .ids import Identifier, id_sort_key
 
@@ -49,13 +49,13 @@ class RoadGraph:
         try:
             return self.nodes[node_id]
         except KeyError:
-            raise GraphError(f"unknown node {node_id!r}") from None
+            raise GraphError(f"unknown node {shown(node_id)}") from None
 
     def edge(self, edge_id: EdgeId) -> DirectedEdge:
         try:
             return self.edges[edge_id]
         except KeyError:
-            raise GraphError(f"unknown edge {edge_id!r}") from None
+            raise GraphError(f"unknown edge {shown(edge_id)}") from None
 
     def outgoing_edges(self, node_id: NodeId) -> list[DirectedEdge]:
         """Edges leaving ``node_id`` in EdgeId order."""
@@ -93,20 +93,20 @@ def build_graph(
     node_map: dict[NodeId, Node] = {}
     for node_id, position in node_items:
         if node_id in node_map:
-            raise GraphError(f"duplicate node id {node_id!r}")
+            raise GraphError(f"duplicate node id {shown(node_id)}")
         node_map[node_id] = Node(node_id, position)
 
     edge_map: dict[EdgeId, DirectedEdge] = {}
     for edge_id, source, destination, geometry in edges:
         if edge_id in edge_map:
-            raise GraphError(f"duplicate edge id {edge_id!r}")
+            raise GraphError(f"duplicate edge id {shown(edge_id)}")
         for endpoint in (source, destination):
             if endpoint not in node_map:
-                raise GraphError(f"edge {edge_id!r} references unknown node {endpoint!r}")
+                raise GraphError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
         if distance(geometry.vertices[0], node_map[source].position) > ENDPOINT_TOLERANCE:
-            raise GraphError(f"edge {edge_id!r} geometry does not start at node {source!r}")
+            raise GraphError(f"edge {shown(edge_id)} geometry does not start at node {shown(source)}")
         if distance(geometry.vertices[-1], node_map[destination].position) > ENDPOINT_TOLERANCE:
-            raise GraphError(f"edge {edge_id!r} geometry does not end at node {destination!r}")
+            raise GraphError(f"edge {shown(edge_id)} geometry does not end at node {shown(destination)}")
         edge_map[edge_id] = DirectedEdge(edge_id, source, destination, geometry)
 
     if opposite_pairs is None:
@@ -115,14 +115,14 @@ def build_graph(
         for a, b in opposite_pairs:
             for eid in (a, b):
                 if eid not in edge_map:
-                    raise GraphError(f"opposite pairing references unknown edge {eid!r}")
+                    raise GraphError(f"opposite pairing references unknown edge {shown(eid)}")
             ea, eb = edge_map[a], edge_map[b]
             if ea.opposite not in (None, b) or eb.opposite not in (None, a):
-                raise GraphError(f"asymmetric opposite pairing for edges {a!r} and {b!r}")
+                raise GraphError(f"asymmetric opposite pairing for edges {shown(a)} and {shown(b)}")
             if ea.source != eb.destination or ea.destination != eb.source:
-                raise GraphError(f"opposite edges {a!r} and {b!r} do not swap endpoints")
+                raise GraphError(f"opposite edges {shown(a)} and {shown(b)} do not swap endpoints")
             if not _reversed_match(ea.geometry, eb.geometry, ENDPOINT_TOLERANCE):
-                raise GraphError(f"opposite edges {a!r} and {b!r} have mismatched geometry")
+                raise GraphError(f"opposite edges {shown(a)} and {shown(b)} have mismatched geometry")
             ea.opposite = b
             eb.opposite = a
 
@@ -149,7 +149,7 @@ def _autodetect_opposites(edge_map: dict[EdgeId, DirectedEdge]) -> None:
         ]
         if len(candidates) > 1:
             ids = sorted((c.id for c in candidates), key=id_sort_key)
-            raise GraphError(f"ambiguous opposite for edge {edge.id!r}: candidates {ids}")
+            raise GraphError(f"ambiguous opposite for edge {shown(edge.id)}: candidates {shown(ids)}")
         if candidates:
             edge.opposite = candidates[0].id
             candidates[0].opposite = edge.id

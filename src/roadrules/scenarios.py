@@ -7,12 +7,11 @@ unambiguous geometry), never from the derivation engine itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError
-from .io import PLANAR_MARKER
+from .errors import InputError, shown
+from .io import PLANAR_MARKER, write_json
 
 TEMPLATES = ("grid", "dead-end", "twin-nodes", "sample-town")
 
@@ -204,7 +203,7 @@ def generate_scenario(
         return _twin_nodes()
     if template == "sample-town":
         return _sample_town()
-    raise InputError(f"unknown template {template!r}; choose from {', '.join(TEMPLATES)}")
+    raise InputError(f"unknown template {shown(template)}; choose from {', '.join(TEMPLATES)}")
 
 
 def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
@@ -222,7 +221,5 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
         "expected": scenario.expected,
     }
     for key, path in paths.items():
-        path.write_text(
-            json.dumps(documents[key], indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(documents[key], path)
     return paths

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .errors import shown
 from .geometry import Point, Polyline, distance
 from .ids import Identifier, id_sort_key
 from .spatial import RectTree
@@ -41,7 +42,7 @@ class SignType(Enum):
         try:
             return cls(code)
         except ValueError:
-            raise ValueError(f"unknown sign type code {code!r}") from None
+            raise ValueError(f"unknown sign type code {shown(code)}") from None
 
 
 # Signs read at an intersection versus signs read while driving an edge.
@@ -76,7 +77,7 @@ class SignIndex:
         ordered = sorted(signs, key=lambda s: id_sort_key(s.id))
         for a, b in zip(ordered, ordered[1:]):
             if a.id == b.id:
-                raise ValueError(f"duplicate sign id {a.id!r}")
+                raise ValueError(f"duplicate sign id {shown(a.id)}")
         self.signs: tuple[Sign, ...] = tuple(ordered)
         self._tree = RectTree([(s.position.x, s.position.y, s) for s in self.signs])
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,35 @@ class TestDerive:
         path.write_text(path.read_text().replace("0.0", "1" + "0" * 5000, 1))
         assert main(derive_args(town, tmp_path / "r.json")) == 1
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, kind, part, value, count",
+        [
+            ("signs", "Point", ("properties", "azimuth"), 10**3999, 1),
+            ("signs", "Point", ("properties", "sign_id"), "s" * 5000, 2),
+            ("signs", "Point", ("properties", "type"), "T" * 5000, 1),
+            ("network", "LineString", ("properties", "edge_id"), "e" * 5000, 2),
+            ("network", "Point", ("properties", "node_id"), "n" * 5000, 2),
+            ("network", "Point", ("geometry", "type"), "G" * 5000, 1),
+        ],
+        ids=["azimuth", "dup-sign-id", "sign-type", "dup-edge-id", "dup-node-id", "geometry-type"],
+    )
+    def test_echoed_values_are_shortened(
+        self, town, tmp_path, capsys, caplog, name, kind, part, value, count
+    ):
+        path = town / f"{name}.geojson"
+        document = json.loads(path.read_text())
+        chosen = [i for i, f in enumerate(document["features"]) if f["geometry"]["type"] == kind]
+        for i in chosen[:count]:
+            document["features"][i][part[0]][part[1]] = value
+        path.write_text(json.dumps(document))
+        assert main(derive_args(town, tmp_path / "r.json")) in (0, 1)
+        lines = capsys.readouterr().err.splitlines() + [r.getMessage() for r in caplog.records]
+        last = chosen[count - 1]  # a duplicate names both features, or the second one
+        named = [line for line in lines if re.search(rf"\bfeatures? (\d+ and )?{last}\b", line)]
+        assert named, lines
+        for line in named:
+            assert len(line) < 300 and str(path) in line, line
 
     def test_cover_all_without_start(self, town, tmp_path):
         rules = tmp_path / "rules.json"
@@ -275,6 +305,17 @@ class TestRenderCommand:
         )
         assert code == 0
         assert overlay.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("template", ["sample-town", "twin-nodes"])
+    def test_cover_all_overlay_matches_render(self, tmp_path, template):
+        scene = tmp_path / template
+        assert main(["scenario", "--template", template, "--out-dir", str(scene)]) == 0
+        inputs = ["--network", str(scene / "network.geojson"), "--signs", str(scene / "signs.geojson")]
+        rules, derived, rendered = tmp_path / "r.json", tmp_path / "o1.geojson", tmp_path / "o2.geojson"
+        derive = ["derive", *inputs, "--cover-all", "--out", str(rules), "--overlay", str(derived)]
+        assert main(derive) == 0
+        assert main(["render", "--rules", str(rules), *inputs, "--out", str(rendered)]) == 0
+        assert derived.read_bytes() == rendered.read_bytes()
 
 
 class TestExitCodes:

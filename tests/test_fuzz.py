@@ -1,9 +1,12 @@
-"""Fuzz the input boundary: a mutated scenario must exit 0 or 1, never 2.
+"""Fuzz the input boundary: a mutated input file must exit 0 or 1, never 2.
 
-Each example takes the bundled ``sample-town`` network and signs documents,
-replaces one feature, geometry, properties, property value or coordinate with
-a value from a fixed pool of JSON oddities, and runs ``derive --cover-all``
-in-process on the result.
+Each example of the first test takes the bundled ``sample-town`` network and
+signs documents, replaces one feature, geometry, properties, property value
+or coordinate with a value from a fixed pool of JSON oddities, and runs
+``derive --cover-all`` in-process on the result. Each example of the second
+replaces any member or item of the rule document that ``derive --cover-all``
+writes for ``sample-town``, or of its ``expected_rules.json``, and runs
+``validate`` and ``render`` in-process.
 """
 
 import copy
@@ -15,7 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roadrules.cli import main
+from roadrules.io import network_from_document, rules_document, signs_from_document
+from roadrules.navigator import derive_rules
 from roadrules.scenarios import generate_scenario
+from roadrules.signs import SignIndex
 
 POOL = [None, True, -1, 1.5, math.nan, math.inf, 10**400, "x", [], {}, [[]]]
 
@@ -45,6 +51,32 @@ def _slots(document):
 
 SLOTS = [(name, path) for name, document in DOCUMENTS.items() for path in _slots(document)]
 
+# What derive --cover-all writes, with the CLI's default detection settings.
+RULES = rules_document(
+    derive_rules(
+        network_from_document(SCENARIO.network),
+        SignIndex(signs_from_document(SCENARIO.signs)),
+        cover_all=True,
+    )
+)
+CONSUMED = {"rules": RULES, "truth": SCENARIO.expected}
+
+
+def _json_slots(value, path=()):
+    """Every path below the root of a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _json_slots(item, path + (key,))
+
+
+CONSUMED_SLOTS = [(name, path) for name, document in CONSUMED.items() for path in _json_slots(document)]
+
 
 def _replace(document, path, value):
     mutated = copy.deepcopy(document)
@@ -60,24 +92,52 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(slot=st.sampled_from(SLOTS), value=st.sampled_from(POOL))
-def test_mutated_input_exits_0_or_1(workdir, slot, value, capsys):
+def _write(workdir, documents, slot, value):
+    """Write ``documents`` with ``value`` at ``slot``; the path of each by name."""
     name, path = slot
     files = {}
-    for doc_name, document in DOCUMENTS.items():
+    for doc_name, document in documents.items():
         if doc_name == name:
             document = _replace(document, path, value)
-        files[doc_name] = workdir / f"{doc_name}.geojson"
+        files[doc_name] = workdir / f"{doc_name}.json"
         files[doc_name].write_text(json.dumps(document), encoding="utf-8")
+    return files
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(slot=st.sampled_from(SLOTS), value=st.sampled_from(POOL))
+def test_mutated_input_exits_0_or_1(workdir, slot, value, capsys):
+    files = _write(workdir, DOCUMENTS, slot, value)
     code = main(
         [
             "derive",
             "--network", str(files["network"]),
             "--signs", str(files["signs"]),
             "--cover-all",
-            "--out", str(workdir / "rules.json"),
+            "--out", str(workdir / "derived.json"),
         ]
     )
     err = capsys.readouterr().err
     assert code in (0, 1), err
+
+
+@FUZZ
+@given(slot=st.sampled_from(CONSUMED_SLOTS), value=st.sampled_from(POOL))
+def test_mutated_rules_or_truth_exit_0_or_1(workdir, slot, value, capsys):
+    files = _write(workdir, {**DOCUMENTS, **CONSUMED}, slot, value)
+    rules, truth = str(files["rules"]), str(files["truth"])
+    validated = main(["validate", "--rules", rules, "--truth", truth])
+    rendered = main(
+        [
+            "render",
+            "--rules", rules,
+            "--network", str(files["network"]),
+            "--signs", str(files["signs"]),
+            "--out", str(workdir / "overlay.geojson"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert validated in (0, 1) and rendered in (0, 1), err

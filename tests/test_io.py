@@ -1,3 +1,4 @@
+import copy
 import json
 import logging
 import math
@@ -367,8 +368,9 @@ class TestLoadSigns:
         with pytest.raises(InputError, match="Point"):
             signs_from_document(doc)
 
-    def test_geographic_signs_reuse_network_projection(self):
-        network = {
+    @staticmethod
+    def geographic_network():
+        return network_from_document({
             "type": "FeatureCollection",
             "features": [
                 geo_feature("Point", [-8.41, 43.362], node_id="A"),
@@ -376,21 +378,23 @@ class TestLoadSigns:
                 geo_feature("LineString", [[-8.41, 43.362], [-8.41, 43.363]],
                             edge_id="ab", source_node="A", target_node="B"),
             ],
-        }
-        graph = network_from_document(network)
+        })
+
+    def test_geographic_signs_reuse_network_projection(self):
+        graph = self.geographic_network()
         doc = self.signs_doc(
             [geo_feature("Point", [-8.41, 43.362], sign_id="s", type="R-101", azimuth=0)],
             planar=False,
         )
-        (s,) = signs_from_document(doc, projection=graph.projection)
+        (s,) = signs_from_document(doc, network=graph)
         assert distance(s.position, graph.nodes["A"].position) <= 1e-6
 
     def test_frame_mismatch_rejected(self):
         planar_doc = self.signs_doc(
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth=0)]
         )
-        with pytest.raises(InputError, match="planar"):
-            signs_from_document(planar_doc, expected_planar=False)
+        with pytest.raises(InputError, match="signs are planar but the network is lon/lat"):
+            signs_from_document(planar_doc, network=self.geographic_network())
 
 
 def empty_result() -> DerivationResult:
@@ -433,6 +437,13 @@ class TestRulesDocument:
         ]
         assert doc["no_way"] == [{"edge": "x", "sign": "c", "score": 30.0}]
 
+    def test_write_rules_returns_the_document_it_wrote(self, tmp_path):
+        graph, index, expected = load_scenario("sample-town")
+        result = derive_rules(graph, index, start_edges=expected["start_edges"])
+        path = tmp_path / "rules.json"
+        document = write_rules(result, path)
+        assert document == rules_document(result) == json.loads(path.read_text())
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
@@ -444,6 +455,53 @@ class TestRulesDocument:
     def test_load_rules_validates_shape(self, tmp_path):
         path = write_doc(tmp_path, "r.json", {"no_way": []})
         with pytest.raises(InputError, match="one_way"):
+            load_rules(path)
+
+    RULES = {
+        "no_way": [{"edge": "e1", "sign": "s1", "score": 1.0}],
+        "one_way": [{"chosen": "e2", "banned": ["e3", 4], "sign": "s2", "score": 2}],
+        "no_turn": [{"from": "e4", "banned_to": ["e5", 6.5], "sign": 7, "score": 3.5}],
+        "unreached": ["e8", 9],
+    }
+
+    def test_load_rules_accepts_string_and_number_ids(self, tmp_path):
+        assert load_rules(write_doc(tmp_path, "r.json", self.RULES)) == self.RULES
+
+    @pytest.mark.parametrize(
+        "slot, value, message",
+        [
+            (("no_way", 0), None, "no_way entry 0 is not a JSON object"),
+            (("one_way", 0), ["e2"], "one_way entry 0 is not a JSON object"),
+            (("no_way", 0, "score"), MISSING, "no_way entry 0: bad or missing 'score'"),
+            (("no_way", 0, "edge"), MISSING, "no_way entry 0: bad or missing 'edge'"),
+            (("no_way", 0, "sign"), [], "no_way entry 0: bad or missing 'sign'"),
+            (("no_way", 0, "edge"), True, "no_way entry 0: bad or missing 'edge'"),
+            (("one_way", 0, "chosen"), {}, "one_way entry 0: bad or missing 'chosen'"),
+            (("one_way", 0, "banned"), "ab", "one_way entry 0: bad or missing 'banned'"),
+            (("one_way", 0, "banned", 0), ["e3"], "one_way entry 0: bad or missing 'banned'"),
+            (("no_turn", 0, "banned_to"), "N11->N21", "no_turn entry 0: bad or missing 'banned_to'"),
+            (("no_turn", 0, "from"), None, "no_turn entry 0: bad or missing 'from'"),
+            (("no_turn", 0, "score"), "1.0", "no_turn entry 0: bad or missing 'score'"),
+            (("no_turn", 0, "score"), True, "no_turn entry 0: bad or missing 'score'"),
+            (("no_turn", 0, "score"), math.nan, "no_turn entry 0: bad or missing 'score'"),
+            (("no_turn", 0, "score"), -math.inf, "no_turn entry 0: bad or missing 'score'"),
+            (("no_turn", 0, "score"), 10**400, "no_turn entry 0: bad or missing 'score'"),
+            (("unreached", 1), [], "'unreached' must hold only strings or numbers"),
+            (("unreached", 1), None, "'unreached' must hold only strings or numbers"),
+        ],
+    )
+    def test_load_rules_rejects_malformed_entries(self, tmp_path, slot, value, message):
+        document = copy.deepcopy(self.RULES)
+        *parents, last = slot
+        parent = document
+        for key in parents:
+            parent = parent[key]
+        if value is MISSING:
+            del parent[last]
+        else:
+            parent[last] = value
+        path = write_doc(tmp_path, "r.json", document)
+        with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
             load_rules(path)
 
 
@@ -504,6 +562,23 @@ class TestValidate:
     def test_ground_truth_bad_pairs(self, tmp_path):
         path = write_doc(tmp_path, "t.json", {"turn_restrictions": [["only-one"]]})
         with pytest.raises(InputError, match="pairs"):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"one_way_banned_edges": "N10->N00"}, "one_way_banned_edges"),
+            ({"one_way_banned_edges": ["a", []]}, "one_way_banned_edges"),
+            ({"one_way_banned_edges": None}, "one_way_banned_edges"),
+            ({"turn_restrictions": ["ab"]}, "pairs"),
+            ({"turn_restrictions": "ab"}, "pairs"),
+            ({"turn_restrictions": [["a", "b", "c"]]}, "pairs"),
+            ({"turn_restrictions": [["a", {}]]}, "pairs"),
+        ],
+    )
+    def test_ground_truth_malformed_members(self, tmp_path, document, message):
+        path = write_doc(tmp_path, "t.json", document)
+        with pytest.raises(InputError, match=re.escape(f"{path}: ") + ".*" + message):
             load_ground_truth(path)
 
 
