@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import logging
 import sys
 
@@ -27,6 +28,7 @@ from .io import (
     write_rules,
 )
 from .navigator import derive_rules
+from .network import RoadGraph
 from .scenarios import TEMPLATES, generate_scenario, write_scenario
 from .signs import SignIndex
 
@@ -120,12 +122,25 @@ def _load_inputs(args: argparse.Namespace, index: bool):
     return graph, signs
 
 
+def _edge_ids(graph: RoadGraph, names: list[str]) -> list:
+    """The graph's id for each ``--start-edge`` argument.
+
+    An exact string id wins; otherwise the argument names the numeric id
+    whose JSON text it is. An argument that matches neither is kept, so that
+    ``derive_rules`` reports it as an unknown edge.
+    """
+    if all(name in graph.edges for name in names):
+        return names
+    numeric = {json.dumps(e): e for e in graph.edges if not isinstance(e, str)}
+    return [name if name in graph.edges else numeric.get(name, name) for name in names]
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     if not args.start_edge and not args.cover_all:
         raise InputError("derive needs --start-edge or --cover-all")
     graph, index = _load_inputs(args, index=True)
     result = derive_rules(
-        graph, index, _detection_config(args), start_edges=args.start_edge,
+        graph, index, _detection_config(args), start_edges=_edge_ids(graph, args.start_edge),
         cover_all=args.cover_all,
     )
     rules = write_rules(result, args.out)

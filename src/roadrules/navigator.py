@@ -1,9 +1,10 @@
 """Frontier-driven navigation: drive the graph, read signs, derive rules.
 
 The traversal mimics a driver exploring an unknown town: edges enter a FIFO
-frontier once, signs are read along the popped edge and at its end node, and
-the resulting rules immediately constrain which exits may be taken next.
-U-turns are taken only when nothing else is legal.
+frontier once, signs are read along every popped edge and at its end node on
+the run's first arrival there, and the resulting rules immediately constrain
+which exits may be taken next. U-turns are taken only when nothing else is
+legal.
 """
 
 from __future__ import annotations
@@ -92,7 +93,15 @@ def _navigate(
             raise InternalError(f"banned edge {current.id!r} reached the frontier pop")
         node = graph.nodes[current.destination]
         outgoing = graph.outgoing_edges(node.id)
-        signs = detect_signs_along(current, index, cfg) + detect_signs_from(node, index, cfg)
+        signs = detect_signs_along(current, index, cfg)
+        # Node signs are read on the first arrival only. Their candidates
+        # depend on the sign, the node and its outgoing edges, never on the
+        # approach edge, and a held score never drops (it is replaced only by
+        # a higher one and never removed), so a repeat reading would score at
+        # most what is held and associate_new_rule would ignore it.
+        if node.id not in state.read_nodes:
+            state.read_nodes.add(node.id)
+            signs += detect_signs_from(node, index, cfg)
         analyze_signs(signs, current, node, outgoing, frontier, state)
         for edge in outgoing:
             if edge.id not in visited and not is_navigation_forbidden(current, edge, state):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Union
 
 from .geometry import angle, heading, normalize
 from .ids import id_sort_key
-from .network import DirectedEdge, EdgeId, Node, RoadGraph
+from .network import DirectedEdge, EdgeId, Node, NodeId, RoadGraph
 from .signs import Sign, SignId, SignType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,21 +74,23 @@ class ScoredEdge:
 class DerivationState:
     """Everything a single derivation run changes.
 
-    ``visited`` holds the edges the run has pushed, ``bans`` the reference
-    count of every globally banned edge (an edge is banned exactly while it
-    is a key), and ``held`` each sign's installed ``(rule, score)`` by sign id.
-    The graph is only read.
+    ``visited`` holds the edges the run has pushed, ``read_nodes`` the nodes
+    whose signs the run has read, ``bans`` the reference count of every
+    globally banned edge (an edge is banned exactly while it is a key, and so
+    is a turn pair in ``_turn_counts``), and ``held`` each sign's installed
+    ``(rule, score)`` by sign id. The graph is only read.
     """
 
     def __init__(self, graph: RoadGraph):
         self.graph = graph
         self.visited: set[EdgeId] = set()
+        self.read_nodes: set[NodeId] = set()
         self.bans: Counter[EdgeId] = Counter()
         self.held: dict[SignId, tuple[Rule, float]] = {}
         self._turn_counts: Counter[tuple[EdgeId, EdgeId]] = Counter()
 
     def is_turn_banned(self, from_edge: EdgeId, to_edge: EdgeId) -> bool:
-        return self._turn_counts[(from_edge, to_edge)] > 0
+        return (from_edge, to_edge) in self._turn_counts
 
     def install(self, rule: Rule) -> None:
         for edge_id in global_bans(rule):

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from roadrules.cli import main
+from roadrules.navigator import derive_rules
 
 
 @pytest.fixture
@@ -61,6 +62,33 @@ class TestDerive:
     def test_unknown_start_edge(self, town, tmp_path, capsys):
         assert main(derive_args(town, tmp_path / "r.json", start="nope")) == 1
         assert "unknown edge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arg, edge_id", [("1", "1"), ("2.5", 2.5), ("3", 3)])
+    def test_start_edge_names_numeric_ids(self, tmp_path, monkeypatch, capsys, arg, edge_id):
+        # grid edge ids renumbered to "1" (a string), 1, 2.5, 3, 4, ...: an
+        # exact string id wins, otherwise the argument is a number's JSON text
+        grid = tmp_path / "grid"
+        assert main(["scenario", "--template", "grid", "--out-dir", str(grid)]) == 0
+        network = json.loads((grid / "network.geojson").read_text())
+        edges = [f["properties"] for f in network["features"] if "edge_id" in f["properties"]]
+        renamed = {p["edge_id"]: i for i, p in enumerate(edges)}
+        renamed.update({edges[0]["edge_id"]: "1", edges[1]["edge_id"]: 1, edges[2]["edge_id"]: 2.5})
+        for p in edges:
+            p["edge_id"], p["opposite_id"] = renamed[p["edge_id"]], renamed[p["opposite_id"]]
+        (grid / "network.geojson").write_text(json.dumps(network))
+        starts = []
+
+        def recording(graph, index, cfg, start_edges, cover_all):
+            starts.extend(start_edges)
+            return derive_rules(graph, index, cfg, start_edges, cover_all)
+
+        monkeypatch.setattr("roadrules.cli.derive_rules", recording)
+        args = derive_args(grid, tmp_path / "r.json", start=arg)
+        assert main(args) == 0
+        assert starts == [edge_id]
+        for unknown in ("3.0", "99"):
+            assert main(derive_args(grid, tmp_path / "r.json", start=unknown)) == 1
+            assert f"error: unknown edge '{unknown}'" in capsys.readouterr().err
 
     def test_missing_network_file(self, town, tmp_path, capsys):
         args = derive_args(town, tmp_path / "r.json")

@@ -5,8 +5,9 @@ signs documents, replaces one feature, geometry, properties, property value
 or coordinate with a value from a fixed pool of JSON oddities, and runs
 ``derive --cover-all`` in-process on the result. Each example of the second
 replaces any member or item of the rule document that ``derive --cover-all``
-writes for ``sample-town``, or of its ``expected_rules.json``, and runs
-``validate`` and ``render`` in-process.
+writes for ``sample-town``, of the one it writes with an added one-way sign,
+or of its ``expected_rules.json``, and runs ``validate`` and ``render``
+in-process on both rule documents.
 """
 
 import copy
@@ -51,15 +52,32 @@ def _slots(document):
 
 SLOTS = [(name, path) for name, document in DOCUMENTS.items() for path in _slots(document)]
 
-# What derive --cover-all writes, with the CLI's default detection settings.
-RULES = rules_document(
-    derive_rules(
-        network_from_document(SCENARIO.network),
-        SignIndex(signs_from_document(SCENARIO.signs)),
-        cover_all=True,
+
+def _derived(signs):
+    """What derive --cover-all writes, with the CLI's default detection settings."""
+    return rules_document(
+        derive_rules(
+            network_from_document(SCENARIO.network),
+            SignIndex(signs_from_document(signs)),
+            cover_all=True,
+        )
     )
-)
-CONSUMED = {"rules": RULES, "truth": SCENARIO.expected}
+
+
+# sample-town's rule document has no one_way entry; an R-400c at N20 facing
+# north-east adds one (N20->N21 chosen, N20->N10 banned).
+ONE_WAY_SIGN = {
+    "type": "Feature",
+    "geometry": {"type": "Point", "coordinates": [205.0, 5.0]},
+    "properties": {"sign_id": "s3", "type": "R-400c", "azimuth": 45.0},
+}
+CONSUMED = {
+    "rules": _derived(SCENARIO.signs),
+    "one_way_rules": _derived(
+        dict(SCENARIO.signs, features=SCENARIO.signs["features"] + [ONE_WAY_SIGN])
+    ),
+    "truth": SCENARIO.expected,
+}
 
 
 def _json_slots(value, path=()):
@@ -124,20 +142,29 @@ def test_mutated_input_exits_0_or_1(workdir, slot, value, capsys):
     assert code in (0, 1), err
 
 
+def test_consumed_slots_reach_one_way_entries():
+    assert CONSUMED["one_way_rules"]["one_way"]
+    paths = {path for _, path in CONSUMED_SLOTS}
+    assert {("one_way", 0, "chosen"), ("one_way", 0, "banned"), ("one_way", 0, "banned", 0)} <= paths
+
+
 @FUZZ
 @given(slot=st.sampled_from(CONSUMED_SLOTS), value=st.sampled_from(POOL))
 def test_mutated_rules_or_truth_exit_0_or_1(workdir, slot, value, capsys):
     files = _write(workdir, {**DOCUMENTS, **CONSUMED}, slot, value)
-    rules, truth = str(files["rules"]), str(files["truth"])
-    validated = main(["validate", "--rules", rules, "--truth", truth])
-    rendered = main(
-        [
-            "render",
-            "--rules", rules,
-            "--network", str(files["network"]),
-            "--signs", str(files["signs"]),
-            "--out", str(workdir / "overlay.geojson"),
-        ]
-    )
+    codes = []
+    for rules in (str(files["rules"]), str(files["one_way_rules"])):
+        codes.append(main(["validate", "--rules", rules, "--truth", str(files["truth"])]))
+        codes.append(
+            main(
+                [
+                    "render",
+                    "--rules", rules,
+                    "--network", str(files["network"]),
+                    "--signs", str(files["signs"]),
+                    "--out", str(workdir / "overlay.geojson"),
+                ]
+            )
+        )
     err = capsys.readouterr().err
-    assert validated in (0, 1) and rendered in (0, 1), err
+    assert set(codes) <= {0, 1}, err

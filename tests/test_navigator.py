@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+import roadrules.navigator as navigator
 from roadrules.errors import GraphError
 from roadrules.geometry import Point
 from roadrules.navigator import Frontier, derive_rules, is_navigation_forbidden
 from roadrules.network import build_graph
 from roadrules.rules import DerivationState, NoTurnRule, NoWayRule
+from roadrules.scenarios import TEMPLATES
+from roadrules.signs import Sign, SignIndex, SignType
 
 from conftest import load_scenario, star_graph, straight_edge
 
@@ -208,3 +213,77 @@ class TestRuleDerivationScenes:
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
         assert all(r.score > 0 for r in result.rules)
+
+
+class _Forgetful(set):
+    """A set that never retains a member."""
+
+    def add(self, item):
+        pass
+
+
+class _RereadingState(DerivationState):
+    """Run state that reads a node's signs on every arrival, as a literal
+    reading of the simulated driver would."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.read_nodes = _Forgetful()
+
+
+def _dense_sign_grid(seed):
+    """A 7x7 grid with 300 random signs of all 8 types near its nodes and
+    along its edges, at random azimuths."""
+    graph, _, _ = load_scenario("grid", rows=7, cols=7, spacing=60.0)
+    rng = random.Random(seed)
+    nodes = list(graph.nodes.values())
+    edges = list(graph.edges.values())
+    signs = []
+    for i in range(300):
+        if rng.random() < 0.5:
+            base = rng.choice(nodes).position
+        else:
+            base = rng.choice(edges).geometry.project(rng.uniform(0.0, 60.0))
+        position = Point(base.x + rng.uniform(-12.0, 12.0), base.y + rng.uniform(-12.0, 12.0))
+        signs.append(Sign(f"s{i}", position, rng.choice(list(SignType)), rng.uniform(0.0, 360.0)))
+    return graph, SignIndex(signs)
+
+
+def _scenes():
+    for template in TEMPLATES:
+        graph, index, expected = load_scenario(template)
+        starts = expected["start_edges"][:1] or [next(iter(graph.edges))]
+        yield template, graph, index, starts
+    for seed in (1, 2, 3):
+        graph, index = _dense_sign_grid(seed)
+        yield f"dense-{seed}", graph, index, [next(iter(graph.edges))]
+
+
+SCENES = list(_scenes())
+
+
+class TestNodeSignsReadOnce:
+    @pytest.mark.parametrize("cover_all", [False, True])
+    @pytest.mark.parametrize("scene", SCENES, ids=[scene[0] for scene in SCENES])
+    def test_repeat_reads_change_nothing(self, monkeypatch, scene, cover_all):
+        _, graph, index, starts = scene
+        once = derive_rules(graph, index, start_edges=starts, cover_all=cover_all)
+        monkeypatch.setattr(navigator, "DerivationState", _RereadingState)
+        every_arrival = derive_rules(graph, index, start_edges=starts, cover_all=cover_all)
+        assert once == every_arrival
+
+    @pytest.mark.parametrize("scene", SCENES, ids=[scene[0] for scene in SCENES])
+    def test_each_node_read_once(self, monkeypatch, scene):
+        _, graph, index, starts = scene
+        read = []
+
+        def recording(node, index, cfg):
+            read.append(node.id)
+            return detect(node, index, cfg)
+
+        detect = navigator.detect_signs_from
+        monkeypatch.setattr(navigator, "detect_signs_from", recording)
+        result = derive_rules(graph, index, start_edges=starts, cover_all=True)
+        reached = {graph.edges[edge_id].destination for edge_id in result.visited_edges}
+        assert len(read) == len(set(read))
+        assert set(read) == reached
