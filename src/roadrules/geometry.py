@@ -4,7 +4,8 @@ polylines.
 All coordinates are meters in a local planar frame (x east, y north). Compass
 bearings are degrees clockwise from north in [0, 360); signed angles are
 degrees in (-180, 180]. Every value is immutable after construction and every
-operation is a pure function.
+operation is a pure function. Nothing here checks that a coordinate is finite:
+``io`` checks each position once, where it is read from a file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Point",
@@ -25,16 +26,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """Planar position: x meters east, y meters north."""
 
     x: float
     y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
 def distance(a: Point, b: Point) -> float:
@@ -151,9 +147,6 @@ class Polyline:
     def distance_to(self, p: Point) -> float:
         """Distance from ``p`` to the line."""
         return self._nearest(p)[0]
-
-    def reversed(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.vertices)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polyline({len(self.vertices)} vertices, {self.length:.3f} m)"

@@ -5,17 +5,21 @@ Planar inputs mark themselves with a top-level ``"coordinate_system":
 "local-meters"`` member; without it, coordinates are treated as RFC 7946
 lon/lat and projected to local meters around the dataset centroid. All
 outputs are deterministic byte-for-byte for identical inputs.
+
+Every value read from a file is checked once, here, where it enters, and a
+bad one is reported with the feature or entry that holds it: ``_position``
+checks each coordinate, and the loaders check ids and their uniqueness. The
+layers below (``geometry``, ``network``) take the checked values as given.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 from .errors import GraphError, InputError, shown
 from .geometry import LocalProjection, Point, Polyline
@@ -28,10 +32,7 @@ from .signs import Sign, SignIndex, SignType
 logger = logging.getLogger("roadrules")
 
 PLANAR_MARKER = "local-meters"
-
-# What reading a missing or malformed GeoJSON position raises; an integer
-# too large for a float raises OverflowError.
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _read_json(path: str | Path) -> Any:
@@ -51,7 +52,7 @@ def _read_json(path: str | Path) -> Any:
 def dump_json(document: Any, stream: TextIO) -> None:
     """Write ``document`` to ``stream`` in the one output encoding."""
     # streamed: as one string, a large overlay's text outweighs the overlay
-    json.dump(document, stream, indent=2, sort_keys=True)
+    json.dump(document, stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")
 
 
@@ -74,7 +75,7 @@ def _is_planar(document: dict) -> bool:
 
 
 def _bad_coordinates(source: str | Path, i: int, exc: Exception) -> InputError:
-    if isinstance(exc, (ValueError, OverflowError)):
+    if isinstance(exc, ValueError):
         detail = str(exc)
     else:
         detail = "missing or malformed coordinates"
@@ -94,42 +95,80 @@ def _feature_parts(feature: Any, source: str | Path, i: int) -> tuple[dict, dict
     return geometry, properties
 
 
+def _is_finite(value: Any) -> bool:
+    # a JSON number parses to exactly int or float (true and false to bool);
+    # the comparison is exact for an int of any size, and false for NaN
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
 def _is_id(value: Any) -> bool:
-    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    return isinstance(value, str) or _is_finite(value)
 
 
 def _is_id_list(value: Any) -> bool:
     return isinstance(value, list) and all(map(_is_id, value))
 
 
-def _is_finite(value: Any) -> bool:
-    # the comparison is exact for an int of any size, and false for NaN
-    return _is_id(value) and not isinstance(value, str) and abs(value) <= sys.float_info.max
-
-
 def _check_id(value: Any, name: str, source: str | Path, i: int) -> None:
     if not _is_id(value):
-        raise InputError(f"{source}: feature {i}: {name} must be a string or a number")
+        raise InputError(f"{source}: feature {i}: {name} must be a string or a finite number")
 
 
-def _collect_coordinates(features: list[dict], source: str | Path) -> list[tuple[float, float]]:
-    """Every (lon, lat) position of the Point and LineString features."""
-    coords: list[tuple[float, float]] = []
-    for i, feature in enumerate(features):
-        geometry, _ = _feature_parts(feature, source, i)
-        kind = geometry.get("type")
-        if kind not in ("Point", "LineString"):
-            continue
+def _positions(raw: Any, planar: bool, point: Callable[[Any, Any], Any]) -> list:
+    """``point(x, y)`` of each GeoJSON position in ``raw``.
+
+    The one check of a loaded coordinate, made before any arithmetic: a JSON
+    number (not ``true``/``false``), finite, and for lon/lat within ±180/±90,
+    so that the projection cannot overflow.
+    """
+    points = []
+    for position in raw:
+        x, y = position[0], position[1]
+        if not (_is_finite(x) and _is_finite(y)):
+            raise ValueError(f"coordinates ({shown(x)}, {shown(y)}) are not finite numbers")
+        if not (planar or abs(x) <= 180.0 and abs(y) <= 90.0):
+            raise ValueError(f"lon/lat ({shown(x)}, {shown(y)}) out of range")
+        points.append(point(x, y))
+    return points
+
+
+def _read_feature(feature: Any, source: str | Path, i: int, planar: bool, point) -> tuple:
+    """A feature's geometry type, properties and the ``_positions`` of its
+    Point or LineString."""
+    geometry, properties = _feature_parts(feature, source, i)
+    kind = geometry.get("type")
+    points: list = []
+    if kind in ("Point", "LineString"):
         try:
             raw = geometry["coordinates"]
-            for position in [raw] if kind == "Point" else raw:
-                lon, lat = position[0], position[1]
-                if not (math.isfinite(lon) and math.isfinite(lat)):
-                    raise ValueError(f"non-finite coordinates ({lon}, {lat})")
-                coords.append((lon, lat))
-        except _MALFORMED as exc:
+            points = _positions([raw] if kind == "Point" else raw, planar, point)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise _bad_coordinates(source, i, exc) from exc
-    return coords
+    return kind, properties, points
+
+
+def _read_features(
+    features: list, source: str | Path, planar: bool, projection: LocalProjection | None = None
+) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
+    """(geometry type, properties, planar points) of each feature, and the projection.
+
+    Features are read one at a time as the caller iterates, so that a large
+    file is not held twice, except that lon/lat ones without a ``projection``
+    are all read first, to center one on the centroid of their positions,
+    summed in feature order.
+    """
+    if planar or projection is not None:
+        point = Point if planar else projection.to_planar
+        read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(features))
+        return read, projection
+    read = [_read_feature(f, source, i, planar, lambda x, y: (x, y)) for i, f in enumerate(features)]
+    positions = [p for _, _, points in read for p in points]
+    if not positions:
+        return read, None
+    projection = LocalProjection.centered(positions)
+    to_planar = projection.to_planar
+    projected = ((kind, props, [to_planar(x, y) for x, y in points]) for kind, props, points in read)
+    return projected, projection
 
 
 def network_from_document(document: dict, source: str | Path = "<network>") -> RoadGraph:
@@ -140,30 +179,17 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     ``node_id``. Node positions missing from the Point features are inferred
     from edge endpoints.
     """
-    features = _feature_collection(document, source)
-    projection = None
-    if not _is_planar(document):
-        coords = _collect_coordinates(features, source)
-        if not coords:
-            raise InputError(f"{source}: no coordinates to center a projection on")
-        projection = LocalProjection.centered(coords)
-
-    def to_point(raw) -> Point:
-        lon, lat = raw[0], raw[1]
-        if projection is None:
-            return Point(lon, lat)
-        return projection.to_planar(lon, lat)
+    planar = _is_planar(document)
+    features, projection = _read_features(_feature_collection(document, source), source, planar)
+    if projection is None and not planar:
+        raise InputError(f"{source}: no coordinates to center a projection on")
 
     node_positions: dict = {}
-    edge_specs: list[tuple[EdgeId, Any, Any, Polyline]] = []
+    edges: dict[EdgeId, tuple[Any, Any, Polyline]] = {}
     edge_feature_index: dict[EdgeId, int] = {}
     opposite_pairs: list[tuple[EdgeId, EdgeId]] = []
-    seen_pairs: set[tuple[EdgeId, EdgeId]] = set()
-    any_explicit_opposite = False
 
-    for i, feature in enumerate(features):
-        geometry, properties = _feature_parts(feature, source, i)
-        kind = geometry.get("type")
+    for i, (kind, properties, points) in enumerate(features):
         if kind == "Point":
             node_id = properties.get("node_id")
             if node_id is None:
@@ -171,10 +197,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
             _check_id(node_id, "node_id", source, i)
             if node_id in node_positions:
                 raise InputError(f"{source}: feature {i}: duplicate node_id {shown(node_id)}")
-            try:
-                node_positions[node_id] = to_point(geometry["coordinates"])
-            except _MALFORMED as exc:
-                raise _bad_coordinates(source, i, exc) from exc
+            node_positions[node_id] = points[0]
         elif kind == "LineString":
             edge_id = properties.get("edge_id")
             src = properties.get("source_node")
@@ -192,34 +215,25 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                     f"{edge_feature_index[edge_id]} and {i}"
                 )
             try:
-                line = Polyline([to_point(c) for c in geometry["coordinates"]])
-            except _MALFORMED as exc:
+                line = Polyline(points)
+            except ValueError as exc:
                 raise _bad_coordinates(source, i, exc) from exc
             edge_feature_index[edge_id] = i
-            edge_specs.append((edge_id, src, dst, line))
+            edges[edge_id] = (src, dst, line)
             opposite = properties.get("opposite_id")
             if opposite is not None:
                 _check_id(opposite, "opposite_id", source, i)
-                any_explicit_opposite = True
-                pair = tuple(sorted((edge_id, opposite), key=id_sort_key))
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    opposite_pairs.append(pair)
+                opposite_pairs.append((edge_id, opposite))
         else:
             raise InputError(f"{source}: feature {i}: unsupported geometry type {shown(kind)}")
 
     # fall back to edge endpoints for nodes the Point features do not cover
-    for edge_id, src, dst, line in edge_specs:
+    for src, dst, line in edges.values():
         node_positions.setdefault(src, line.vertices[0])
         node_positions.setdefault(dst, line.vertices[-1])
 
     try:
-        return build_graph(
-            node_positions,
-            edge_specs,
-            opposite_pairs if any_explicit_opposite else None,
-            projection=projection,
-        )
+        return build_graph(node_positions, edges, opposite_pairs or None, projection=projection)
     except GraphError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -242,7 +256,6 @@ def signs_from_document(
     signs reuse its projection; without one, lon/lat signs are projected
     around their own centroid.
     """
-    features = _feature_collection(document, source)
     planar = _is_planar(document)
     projection = None
     if network is not None:
@@ -252,15 +265,11 @@ def signs_from_document(
                 f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
                 f"network is {'lon/lat' if planar else 'planar'}"
             )
-    if not planar and projection is None:
-        coords = _collect_coordinates(features, source)
-        if coords:
-            projection = LocalProjection.centered(coords)
+    features, _ = _read_features(_feature_collection(document, source), source, planar, projection)
     signs: list[Sign] = []
     seen: dict = {}
-    for i, feature in enumerate(features):
-        geometry, properties = _feature_parts(feature, source, i)
-        if geometry.get("type") != "Point":
+    for i, (kind, properties, points) in enumerate(features):
+        if kind != "Point":
             raise InputError(f"{source}: feature {i}: signs must be Point features")
         sign_id = properties.get("sign_id")
         code = properties.get("type")
@@ -280,16 +289,13 @@ def signs_from_document(
                            source, i, shown(sign_id), shown(code))
             continue
         try:
+            if isinstance(azimuth, bool):
+                raise TypeError("an azimuth is not true or false")
             azimuth = float(azimuth)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{source}: feature {i}: bad azimuth {shown(azimuth)}") from exc
         try:
-            lon, lat = geometry["coordinates"][0], geometry["coordinates"][1]
-            position = Point(lon, lat) if planar else projection.to_planar(lon, lat)
-        except _MALFORMED as exc:
-            raise _bad_coordinates(source, i, exc) from exc
-        try:
-            signs.append(Sign(sign_id, position, sign_type, azimuth))
+            signs.append(Sign(sign_id, points[0], sign_type, azimuth))
         except ValueError as exc:
             raise InputError(f"{source}: feature {i}: {exc}") from exc
     return signs

@@ -4,6 +4,11 @@ Nodes are intersections; edges are one navigable direction of a street, so a
 two-way street contributes two edges paired through ``opposite``. A built
 graph is never written during a derivation, so one graph can serve any number
 of runs; what a run visits and bans lives in its ``DerivationState``.
+
+``build_graph`` checks how the parts fit together: endpoints, geometry and
+opposite pairs. Ids are unique because its inputs are keyed by id, and the
+values it gets are already checked: ``io`` reads each id and position once,
+where it enters, and names the feature that holds a bad one.
 """
 
 from __future__ import annotations
@@ -61,11 +66,6 @@ class RoadGraph:
         """Edges leaving ``node_id`` in EdgeId order."""
         return [self.edges[eid] for eid in self.node(node_id).outgoing]
 
-    def opposite_of(self, edge_id: EdgeId) -> DirectedEdge | None:
-        """The paired reverse-direction edge, or None for one-way input edges."""
-        opposite = self.edge(edge_id).opposite
-        return None if opposite is None else self.edges[opposite]
-
 
 def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
     if len(a.vertices) != len(b.vertices):
@@ -76,30 +76,23 @@ def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
 
 
 def build_graph(
-    nodes: Iterable[tuple[NodeId, Point]] | Mapping[NodeId, Point],
-    edges: Iterable[tuple[EdgeId, NodeId, NodeId, Polyline]],
+    nodes: Mapping[NodeId, Point],
+    edges: Mapping[EdgeId, tuple[NodeId, NodeId, Polyline]],
     opposite_pairs: Iterable[tuple[EdgeId, EdgeId]] | None = None,
     projection: LocalProjection | None = None,
 ) -> RoadGraph:
     """Assemble and validate a road graph.
 
-    ``nodes``: (node_id, position) pairs. ``edges``: (edge_id, source,
-    destination, geometry) tuples whose geometry starts at the source position
-    and ends at the destination position (within 1 mm). When
-    ``opposite_pairs`` is None, opposites are auto-detected as the unique edge
-    with swapped endpoints and reversed geometry.
+    ``nodes`` maps each node id to its position; ``edges`` maps each edge id
+    to its (source, destination, geometry), whose geometry starts at the
+    source position and ends at the destination position (within 1 mm).
+    ``opposite_pairs`` may name a pair in either order or in both; when it is
+    None, opposites are auto-detected as the unique edge with swapped
+    endpoints and reversed geometry.
     """
-    node_items = nodes.items() if isinstance(nodes, Mapping) else nodes
-    node_map: dict[NodeId, Node] = {}
-    for node_id, position in node_items:
-        if node_id in node_map:
-            raise GraphError(f"duplicate node id {shown(node_id)}")
-        node_map[node_id] = Node(node_id, position)
-
+    node_map = {node_id: Node(node_id, position) for node_id, position in nodes.items()}
     edge_map: dict[EdgeId, DirectedEdge] = {}
-    for edge_id, source, destination, geometry in edges:
-        if edge_id in edge_map:
-            raise GraphError(f"duplicate edge id {shown(edge_id)}")
+    for edge_id, (source, destination, geometry) in edges.items():
         for endpoint in (source, destination):
             if endpoint not in node_map:
                 raise GraphError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
@@ -117,7 +110,9 @@ def build_graph(
                 if eid not in edge_map:
                     raise GraphError(f"opposite pairing references unknown edge {shown(eid)}")
             ea, eb = edge_map[a], edge_map[b]
-            if ea.opposite not in (None, b) or eb.opposite not in (None, a):
+            if ea.opposite == b:
+                continue  # the same pair, named again from its other edge
+            if ea.opposite is not None or eb.opposite is not None:
                 raise GraphError(f"asymmetric opposite pairing for edges {shown(a)} and {shown(b)}")
             if ea.source != eb.destination or ea.destination != eb.source:
                 raise GraphError(f"opposite edges {shown(a)} and {shown(b)} do not swap endpoints")

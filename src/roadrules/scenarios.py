@@ -7,6 +7,7 @@ unambiguous geometry), never from the derivation engine itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,8 +80,8 @@ def _expected(one_way=(), turns=(), start_edges=()) -> dict:
 def _grid(rows: int, cols: int, spacing: float) -> Scenario:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InputError("grid needs at least two nodes")
-    if spacing <= 0:
-        raise InputError("grid spacing must be positive")
+    if not (spacing > 0 and math.isfinite((max(rows, cols) - 1) * spacing)):
+        raise InputError(f"grid spacing must be positive and keep the grid finite, not {shown(spacing)}")
 
     def nid(r: int, c: int) -> str:
         return f"n{r:03d}_{c:03d}"

@@ -15,7 +15,8 @@ from roadrules.signs import Sign, SignIndex
 
 
 def straight_edge(edge_id, src, dst, a, b) -> tuple:
-    return (edge_id, src, dst, Polyline([a, b]))
+    """One ``(edge_id, (source, destination, geometry))`` item of a ``build_graph`` edge dict."""
+    return edge_id, (src, dst, Polyline([a, b]))
 
 
 def star_graph(bearings, length=60.0) -> RoadGraph:
@@ -24,14 +25,14 @@ def star_graph(bearings, length=60.0) -> RoadGraph:
     Street i runs to satellite node 'S{i}'; edge ids are 'out{i}' / 'in{i}'.
     """
     center = Point(0.0, 0.0)
-    nodes = [("C", center)]
-    edges = []
+    nodes = {"C": center}
+    edges = {}
     for i, bearing in enumerate(bearings):
         rad = math.radians(bearing)
         tip = Point(length * math.sin(rad), length * math.cos(rad))
-        nodes.append((f"S{i}", tip))
-        edges.append(straight_edge(f"out{i}", "C", f"S{i}", center, tip))
-        edges.append(straight_edge(f"in{i}", f"S{i}", "C", tip, center))
+        nodes[f"S{i}"] = tip
+        edges.update([straight_edge(f"out{i}", "C", f"S{i}", center, tip),
+                      straight_edge(f"in{i}", f"S{i}", "C", tip, center)])
     return build_graph(nodes, edges)
 
 

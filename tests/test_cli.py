@@ -108,7 +108,7 @@ class TestDerive:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["network", "signs"])
-    @pytest.mark.parametrize("position", [None, [1.0], ["a", "b"], [10**400, 0.0]])
+    @pytest.mark.parametrize("position", [None, [1.0], ["a", "b"], [10**400, 0.0], [True, 0.0]])
     def test_malformed_coordinates_exit_1(self, town, tmp_path, capsys, name, position):
         document = json.loads((town / f"{name}.geojson").read_text())
         kind = "LineString" if name == "network" else "Point"
@@ -390,3 +390,12 @@ class TestScenarioCommand:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 1
         assert "two nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spacing", ["nan", "inf", "1e308"])
+    def test_spacing_that_leaves_the_floats_exit_1(self, tmp_path, capsys, spacing):
+        out = tmp_path / "g"
+        code = main(["scenario", "--template", "grid", "--cols", "3", "--spacing", spacing,
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "spacing" in capsys.readouterr().err
+        assert not out.exists()

@@ -25,7 +25,7 @@ def _grid_graph(rng):
     for r in range(rows):
         for c in range(cols):
             nodes[f"n{r}_{c}"] = Point(c * spacing, r * spacing)
-    edges = []
+    edges = {}
     for r in range(rows):
         for c in range(cols):
             here = f"n{r}_{c}"
@@ -34,9 +34,9 @@ def _grid_graph(rng):
                     continue
                 there = f"n{r + dr}_{c + dc}"
                 a, b = nodes[here], nodes[there]
-                edges.append((f"{here}>{there}", here, there, Polyline([a, b])))
-                edges.append((f"{there}>{here}", there, here, Polyline([b, a])))
-    return build_graph(list(nodes.items()), edges)
+                edges[f"{here}>{there}"] = (here, there, Polyline([a, b]))
+                edges[f"{there}>{here}"] = (there, here, Polyline([b, a]))
+    return build_graph(nodes, edges)
 
 
 def _entry_ban_sign(rng, graph, used, sign_id):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -109,14 +108,6 @@ class TestPolylineBasics:
     def test_rejects_zero_length_segment(self):
         with pytest.raises(ValueError):
             Polyline([(0, 0), (0, 0), (1, 1)])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Polyline([(0, 0), (math.inf, 1)])
-
-    def test_reversed(self):
-        line = Polyline([(0, 0), (3, 0), (3, 4)])
-        assert line.reversed().vertices == tuple(reversed(line.vertices))
 
 
 class TestProject:

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import logging
 import math
@@ -10,6 +11,7 @@ from roadrules.errors import InputError
 from roadrules.geometry import Point, distance
 from roadrules.io import (
     GroundTruth,
+    dump_json,
     load_ground_truth,
     load_network,
     load_rules,
@@ -44,9 +46,10 @@ def geo_feature(kind, coords, **props):
 
 
 # Malformed GeoJSON positions: absent, too short, non-numeric, non-finite,
-# too large for a float.
+# too large for a float, a JSON boolean.
 BAD_POSITIONS = [
-    MISSING, None, 5, [], [1.0], ["1", "2"], [1.0, None], [math.nan, 0.0], [10**400, 0.0]
+    MISSING, None, 5, [], [1.0], ["1", "2"], [1.0, None], [math.nan, 0.0], [10**400, 0.0],
+    [True, 0.0],
 ]
 
 # JSON arrays and objects, which cannot serve as ids.
@@ -121,6 +124,51 @@ class TestLoadNetwork:
             ],
         }
         with pytest.raises(InputError, match="features 0 and 1"):
+            network_from_document(doc)
+
+    def test_duplicate_node_id_names_the_feature(self):
+        doc = planar_network(
+            geo_feature("Point", [0, 0], node_id="A"),
+            geo_feature("Point", [100, 0], node_id="A"),
+        )
+        with pytest.raises(InputError, match="feature 1: duplicate node_id 'A'"):
+            network_from_document(doc)
+
+    @pytest.mark.parametrize("named_by", [("ab", "ba"), ("ab",), ("ba",)])
+    def test_opposite_named_by_either_or_both_features_links_once(self, named_by):
+        ends = {"ab": ("A", "B", [[0, 0], [100, 0]]), "ba": ("B", "A", [[100, 0], [0, 0]])}
+        features = []
+        for edge_id, (src, dst, coords) in ends.items():
+            props = dict(edge_id=edge_id, source_node=src, target_node=dst)
+            if edge_id in named_by:
+                props["opposite_id"] = "ba" if edge_id == "ab" else "ab"
+            features.append(geo_feature("LineString", coords, **props))
+        graph = network_from_document(planar_network(*features))
+        assert graph.edges["ab"].opposite == "ba"
+        assert graph.edges["ba"].opposite == "ab"
+
+    def test_asymmetric_opposite_ids_rejected(self):
+        doc = planar_network(
+            geo_feature("LineString", [[0, 0], [100, 0]],
+                        edge_id="ab", source_node="A", target_node="B", opposite_id="ba"),
+            geo_feature("LineString", [[100, 0], [0, 0]],
+                        edge_id="ba", source_node="B", target_node="A", opposite_id="ab"),
+            geo_feature("LineString", [[100, 0], [200, 0]],
+                        edge_id="bc", source_node="B", target_node="C", opposite_id="ab"),
+        )
+        with pytest.raises(InputError, match="asymmetric opposite pairing for edges 'bc' and 'ab'"):
+            network_from_document(doc)
+
+    @pytest.mark.parametrize("position", [[1e308, 0.0], [180.5, 0.0], [0.0, -90.5]])
+    def test_lonlat_out_of_range_names_its_feature(self, position):
+        doc = {
+            "type": "FeatureCollection",
+            "features": [
+                geo_feature("Point", [0.0, 0.0], node_id="A"),
+                geo_feature("Point", position, node_id="B"),
+            ],
+        }
+        with pytest.raises(InputError, match="feature 1: lon/lat .* out of range"):
             network_from_document(doc)
 
     def test_missing_properties_rejected(self):
@@ -213,6 +261,15 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match="feature 1: node_id must be"):
             network_from_document(doc)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_number_node_id_rejected(self, value):
+        doc = planar_network(
+            geo_feature("Point", [0, 0], node_id="A"),
+            geo_feature("Point", [1, 1], node_id=value),
+        )
+        with pytest.raises(InputError, match="feature 1: node_id must be a string or a finite"):
+            network_from_document(doc)
+
     @pytest.mark.parametrize("planar", [True, False])
     @pytest.mark.parametrize("value", NOT_OBJECTS)
     @pytest.mark.parametrize("part", [None, "geometry", "properties"])
@@ -272,6 +329,16 @@ class TestLoadSigns:
         assert [s.id for s in signs] == ["ok"]
         assert "R-500" in caplog.text and "bad" in caplog.text
 
+    def test_unknown_type_coordinates_still_checked(self):
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [5, 5], sign_id="ok", type="R-303", azimuth=10),
+                geo_feature("Point", [math.inf, 0], sign_id="bad", type="R-500", azimuth=0),
+            ]
+        )
+        with pytest.raises(InputError, match="feature 1: coordinates"):
+            signs_from_document(doc)
+
     def test_azimuth_wraps(self):
         doc = self.signs_doc(
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth=360)]
@@ -283,7 +350,7 @@ class TestLoadSigns:
         with pytest.raises(InputError, match="azimuth"):
             signs_from_document(doc)
 
-    @pytest.mark.parametrize("azimuth", [10**400, [], {}])
+    @pytest.mark.parametrize("azimuth", [10**400, [], {}, True])
     def test_unconvertible_azimuth_rejected(self, azimuth):
         doc = self.signs_doc(
             [
@@ -303,6 +370,17 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="feature 1: sign_id must be"):
+            signs_from_document(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_sign_id_rejected(self, value):
+        doc = self.signs_doc(
+            [
+                geo_feature("Point", [0, 0], sign_id="a", type="R-101", azimuth=0),
+                geo_feature("Point", [0, 0], sign_id=value, type="R-101", azimuth=0),
+            ]
+        )
+        with pytest.raises(InputError, match="feature 1: sign_id must be a string or a finite"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("planar", [True, False])
@@ -443,6 +521,11 @@ class TestRulesDocument:
         path = tmp_path / "rules.json"
         document = write_rules(result, path)
         assert document == rules_document(result) == json.loads(path.read_text())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_never_written(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"score": value}, io.StringIO())
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         graph, index, expected = load_scenario("sample-town")
@@ -612,7 +695,7 @@ class TestOverlay:
         assert sign_props[0]["score"] is None
 
     def test_empty_graph_yields_empty_collection(self):
-        graph = build_graph([], [])
+        graph = build_graph({}, {})
         doc = overlay_document(graph, [], rules_document(empty_result()))
         assert doc["type"] == "FeatureCollection" and doc["features"] == []
 

@@ -78,18 +78,18 @@ class TestIsNavigationForbidden:
 
 
 def two_component_graph():
-    nodes = [
-        ("A", Point(0, 0)),
-        ("B", Point(100, 0)),
-        ("X", Point(0, 1000)),
-        ("Y", Point(100, 1000)),
-    ]
-    edges = [
+    nodes = {
+        "A": Point(0, 0),
+        "B": Point(100, 0),
+        "X": Point(0, 1000),
+        "Y": Point(100, 1000),
+    }
+    edges = dict([
         straight_edge("A->B", "A", "B", Point(0, 0), Point(100, 0)),
         straight_edge("B->A", "B", "A", Point(100, 0), Point(0, 0)),
         straight_edge("X->Y", "X", "Y", Point(0, 1000), Point(100, 1000)),
         straight_edge("Y->X", "Y", "X", Point(100, 1000), Point(0, 1000)),
-    ]
+    ])
     return build_graph(nodes, edges)
 
 
@@ -213,6 +213,25 @@ class TestRuleDerivationScenes:
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
         assert all(r.score > 0 for r in result.rules)
+
+    def test_twin_nodes_replaces_a_worse_reading(self, monkeypatch):
+        # s1 is first read from N1, which bans N1->N2; the better reading from
+        # N2 replaces it, and the revocation re-opens N1->N2
+        graph, index, _ = load_scenario("twin-nodes")
+        revoked = []
+
+        def recording(self, rule, frontier):
+            revoked.append(rule)
+            return revoke(self, rule, frontier)
+
+        revoke = DerivationState.revoke
+        monkeypatch.setattr(DerivationState, "revoke", recording)
+        result = derive_rules(graph, index, start_edges=["E1->N1"])
+        assert revoked == [NoWayRule("N1->N2")]
+        [record] = result.rules
+        assert record.rule == NoWayRule("N2->E2")
+        assert record.score == pytest.approx(56.31, abs=0.01)
+        assert "N1->N2" in result.visited_edges
 
 
 class _Forgetful(set):
