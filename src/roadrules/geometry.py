@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -164,6 +165,7 @@ class LocalProjection:
     lat0: float
 
     EARTH_RADIUS = 6378137.0  # WGS84 semi-major axis
+    METERS_PER_DEGREE = math.radians(1.0) * EARTH_RADIUS
 
     @classmethod
     def centered(cls, coordinates: Iterable[tuple[float, float]]) -> "LocalProjection":
@@ -176,8 +178,10 @@ class LocalProjection:
             raise ValueError("cannot center a projection on zero coordinates")
         return cls(sum(lons) / len(lons), sum(lats) / len(lats))
 
+    @cached_property
+    def _cos_lat0(self) -> float:
+        return math.cos(math.radians(self.lat0))
+
     def to_planar(self, lon: float, lat: float) -> Point:
-        scale = math.radians(1.0) * self.EARTH_RADIUS
-        x = (lon - self.lon0) * scale * math.cos(math.radians(self.lat0))
-        y = (lat - self.lat0) * scale
-        return Point(x, y)
+        scale = self.METERS_PER_DEGREE
+        return Point((lon - self.lon0) * scale * self._cos_lat0, (lat - self.lat0) * scale)

@@ -32,6 +32,7 @@ from .signs import Sign, SignIndex, SignType
 logger = logging.getLogger("roadrules")
 
 PLANAR_MARKER = "local-meters"
+PLANAR_BOUND = 1e9  # meters; the largest planar coordinate a file may hold
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -95,10 +96,13 @@ def _feature_parts(feature: Any, source: str | Path, i: int) -> tuple[dict, dict
     return geometry, properties
 
 
-def _is_finite(value: Any) -> bool:
-    # a JSON number parses to exactly int or float (true and false to bool);
-    # the comparison is exact for an int of any size, and false for NaN
-    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+def _is_finite(value: Any, bound: float = _FLOAT_MAX) -> bool:
+    """True for a JSON number within ±``bound``.
+
+    A JSON number parses to exactly int or float (true and false to bool);
+    the comparison is exact for an int of any size, and false for NaN.
+    """
+    return type(value) in (int, float) and abs(value) <= bound
 
 
 def _is_id(value: Any) -> bool:
@@ -118,16 +122,18 @@ def _positions(raw: Any, planar: bool, point: Callable[[Any, Any], Any]) -> list
     """``point(x, y)`` of each GeoJSON position in ``raw``.
 
     The one check of a loaded coordinate, made before any arithmetic: a JSON
-    number (not ``true``/``false``), finite, and for lon/lat within ±180/±90,
-    so that the projection cannot overflow.
+    number (not ``true``/``false``) within its frame's bound, ±1e9 m planar
+    or ±180/±90 lon/lat, so that no length or projection can overflow.
     """
+    if planar:
+        name, bound_x, bound_y = "coordinates", PLANAR_BOUND, PLANAR_BOUND
+    else:
+        name, bound_x, bound_y = "lon/lat", 180.0, 90.0
     points = []
     for position in raw:
         x, y = position[0], position[1]
-        if not (_is_finite(x) and _is_finite(y)):
-            raise ValueError(f"coordinates ({shown(x)}, {shown(y)}) are not finite numbers")
-        if not (planar or abs(x) <= 180.0 and abs(y) <= 90.0):
-            raise ValueError(f"lon/lat ({shown(x)}, {shown(y)}) out of range")
+        if not (_is_finite(x, bound_x) and _is_finite(y, bound_y)):
+            raise ValueError(f"{name} ({shown(x)}, {shown(y)}) out of range or not numbers")
         points.append(point(x, y))
     return points
 
@@ -251,10 +257,10 @@ def signs_from_document(
     """Parse sign Point features (properties sign_id, type, azimuth).
 
     Unknown type codes are rejected with a logged warning instead of failing
-    the whole file; missing fields and non-finite azimuths are errors. With
-    a ``network``, the signs must be in its coordinate frame, and lon/lat
-    signs reuse its projection; without one, lon/lat signs are projected
-    around their own centroid.
+    the whole file; missing fields, and an azimuth that is not a finite JSON
+    number, are errors. With a ``network``, the signs must be in its
+    coordinate frame, and lon/lat signs reuse its projection; without one,
+    lon/lat signs are projected around their own centroid.
     """
     planar = _is_planar(document)
     projection = None
@@ -288,16 +294,9 @@ def signs_from_document(
             logger.warning("%s: feature %d: skipping sign %s with unknown type %s",
                            source, i, shown(sign_id), shown(code))
             continue
-        try:
-            if isinstance(azimuth, bool):
-                raise TypeError("an azimuth is not true or false")
-            azimuth = float(azimuth)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{source}: feature {i}: bad azimuth {shown(azimuth)}") from exc
-        try:
-            signs.append(Sign(sign_id, points[0], sign_type, azimuth))
-        except ValueError as exc:
-            raise InputError(f"{source}: feature {i}: {exc}") from exc
+        if not _is_finite(azimuth):
+            raise InputError(f"{source}: feature {i}: bad azimuth {shown(azimuth)}")
+        signs.append(Sign(sign_id, points[0], sign_type, azimuth))
     return signs
 
 

@@ -7,12 +7,11 @@ unambiguous geometry), never from the derivation engine itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError, shown
-from .io import PLANAR_MARKER, write_json
+from .io import PLANAR_BOUND, PLANAR_MARKER, write_json
 
 TEMPLATES = ("grid", "dead-end", "twin-nodes", "sample-town")
 
@@ -80,8 +79,11 @@ def _expected(one_way=(), turns=(), start_edges=()) -> dict:
 def _grid(rows: int, cols: int, spacing: float) -> Scenario:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InputError("grid needs at least two nodes")
-    if not (spacing > 0 and math.isfinite((max(rows, cols) - 1) * spacing)):
-        raise InputError(f"grid spacing must be positive and keep the grid finite, not {shown(spacing)}")
+    if not (spacing > 0 and (max(rows, cols) - 1) * spacing <= PLANAR_BOUND):
+        raise InputError(
+            f"grid spacing must be positive and keep the grid within {PLANAR_BOUND:g} m, "
+            f"not {shown(spacing)}"
+        )
 
     def nid(r: int, c: int) -> str:
         return f"n{r:03d}_{c:03d}"

@@ -1,4 +1,4 @@
-"""Classified traffic signs and the spatial index over their positions.
+"""Classified traffic signs and the table of 50 m cells that finds them by position.
 
 A sign's azimuth is the compass travel direction of the traffic it addresses;
 its face points against that direction, toward the oncoming driver. Signs and
@@ -16,9 +16,10 @@ from typing import Iterable
 from .errors import shown
 from .geometry import Point, Polyline, distance
 from .ids import Identifier, id_sort_key
-from .spatial import RectTree
 
 SignId = Identifier
+
+CELL = 50.0  # side of one square cell of the sign table, in meters
 
 
 class SignType(Enum):
@@ -67,8 +68,9 @@ class Sign:
 
 
 class SignIndex:
-    """Immutable sign inventory with radius queries accelerated by a rectangle tree.
+    """Immutable sign inventory with radius queries over a table of square cells.
 
+    Each sign is filed under the ``CELL``-meter cell that holds its position.
     Query results are sorted by sign id and always equal what a linear scan
     over the inventory would return.
     """
@@ -79,7 +81,12 @@ class SignIndex:
             if a.id == b.id:
                 raise ValueError(f"duplicate sign id {shown(a.id)}")
         self.signs: tuple[Sign, ...] = tuple(ordered)
-        self._tree = RectTree([(s.position.x, s.position.y, s) for s in self.signs])
+        # cell -> (x, y, sign) of each sign in it, in id order
+        self._cells: dict[tuple[int, int], list[tuple[float, float, Sign]]] = {}
+        for s in self.signs:
+            x, y = s.position
+            key = (math.floor(x / CELL), math.floor(y / CELL))
+            self._cells.setdefault(key, []).append((x, y, s))
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -87,13 +94,37 @@ class SignIndex:
     def __iter__(self):
         return iter(self.signs)
 
+    def _in_box(self, min_x: float, min_y: float, max_x: float, max_y: float) -> list[Sign]:
+        """Signs inside the closed box, from the cells it touches.
+
+        A box that spans more cells than the table holds (a 2,000 km edge, a
+        radius of 1e308) takes one pass over the occupied cells instead of a
+        walk over its mostly empty ones.
+        """
+        cells = self._cells
+        if ((max_x - min_x) / CELL + 1.0) * ((max_y - min_y) / CELL + 1.0) > len(cells):
+            touched = cells.values()
+        else:
+            # floor is monotone, so every sign inside the box is in these cells
+            x0, x1 = math.floor(min_x / CELL), math.floor(max_x / CELL)
+            y0, y1 = math.floor(min_y / CELL), math.floor(max_y / CELL)
+            touched = [cells.get((i, j), ()) for i in range(x0, x1 + 1) for j in range(y0, y1 + 1)]
+        return [
+            s
+            for cell in touched
+            for x, y, s in cell
+            if min_x <= x <= max_x and min_y <= y <= max_y
+        ]
+
     def signs_within(self, p: Point, r: float) -> list[Sign]:
         """Signs at distance <= r from ``p``, sorted by id."""
         if r <= 0:
             raise ValueError("radius must be positive")
+        if not self.signs:
+            return []
         hits = [
             s
-            for s in self._tree.search(p.x - r, p.y - r, p.x + r, p.y + r)
+            for s in self._in_box(p.x - r, p.y - r, p.x + r, p.y + r)
             if distance(s.position, p) <= r
         ]
         hits.sort(key=lambda s: id_sort_key(s.id))
@@ -103,11 +134,13 @@ class SignIndex:
         """Signs at distance <= r from ``line``, sorted by id."""
         if r <= 0:
             raise ValueError("radius must be positive")
+        if not self.signs:
+            return []
         xs = [v.x for v in line.vertices]
         ys = [v.y for v in line.vertices]
         hits = [
             s
-            for s in self._tree.search(min(xs) - r, min(ys) - r, max(xs) + r, max(ys) + r)
+            for s in self._in_box(min(xs) - r, min(ys) - r, max(xs) + r, max(ys) + r)
             if line.distance_to(s.position) <= r
         ]
         hits.sort(key=lambda s: id_sort_key(s.id))

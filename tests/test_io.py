@@ -46,10 +46,10 @@ def geo_feature(kind, coords, **props):
 
 
 # Malformed GeoJSON positions: absent, too short, non-numeric, non-finite,
-# too large for a float, a JSON boolean.
+# too large for a float, a JSON boolean, past the ±1e9 m planar bound.
 BAD_POSITIONS = [
     MISSING, None, 5, [], [1.0], ["1", "2"], [1.0, None], [math.nan, 0.0], [10**400, 0.0],
-    [True, 0.0],
+    [True, 0.0], [2e9, 0.0], [0.0, -2e9],
 ]
 
 # JSON arrays and objects, which cannot serve as ids.
@@ -350,7 +350,7 @@ class TestLoadSigns:
         with pytest.raises(InputError, match="azimuth"):
             signs_from_document(doc)
 
-    @pytest.mark.parametrize("azimuth", [10**400, [], {}, True])
+    @pytest.mark.parametrize("azimuth", [10**400, [], {}, True, "270", " 2.7e2 "])
     def test_unconvertible_azimuth_rejected(self, azimuth):
         doc = self.signs_doc(
             [
@@ -413,7 +413,7 @@ class TestLoadSigns:
                 geo_feature("Point", [0, 0], sign_id="b", type="R-101", azimuth=azimuth),
             ]
         )
-        with pytest.raises(InputError, match="feature 1: non-finite azimuth"):
+        with pytest.raises(InputError, match="feature 1: bad azimuth"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("planar", [True, False])

@@ -233,6 +233,23 @@ class TestRuleDerivationScenes:
         assert record.score == pytest.approx(56.31, abs=0.01)
         assert "N1->N2" in result.visited_edges
 
+    @pytest.mark.parametrize(
+        "start, from_edge, banned_to",
+        [
+            ("n000_000->n000_001", "n000_001->n001_001", "n001_001->n001_002"),
+            ("n000_000->n001_000", "n001_000->n001_001", "n001_001->n000_001"),
+        ],
+    )
+    def test_equal_score_tie_keeps_the_first_reading(self, start, from_edge, banned_to):
+        # the R-302 at (97, 97) is read from both edges into n001_001, each time
+        # as an exact right turn scoring 60; whichever the run reads first holds
+        graph, _, _ = load_scenario("grid", rows=3, cols=3, spacing=100.0)
+        index = SignIndex([Sign("t", Point(97.0, 97.0), SignType.R302, 30.0)])
+        result = derive_rules(graph, index, start_edges=[start])
+        [record] = result.rules
+        assert record.rule == NoTurnRule(from_edge, frozenset({banned_to}))
+        assert record.score == 60.0
+
 
 class _Forgetful(set):
     """A set that never retains a member."""

@@ -1,11 +1,9 @@
 import math
-import random
 
 import pytest
 
 from roadrules.geometry import Point, Polyline, distance
-from roadrules.signs import Sign, SignIndex, SignType
-from roadrules.spatial import RectTree
+from roadrules.signs import CELL, Sign, SignIndex, SignType
 
 
 def sign(sign_id, x, y, code="R-101", azimuth=0.0) -> Sign:
@@ -79,7 +77,7 @@ class TestSignIndex:
 
 
 class TestIndexScanEquivalence:
-    """Rectangle-tree pruning must never change a query result."""
+    """Looking signs up by cell must never change a query result."""
 
     def _random_inventory(self, rng, count):
         return [
@@ -112,16 +110,64 @@ class TestIndexScanEquivalence:
             assert [s.id for s in index.signs_within_line(line, r)] == expected
 
 
-class TestRectTree:
-    def test_matches_linear_scan(self):
-        rng = random.Random(99)
-        points = [(rng.uniform(0, 100), rng.uniform(0, 100), i) for i in range(1000)]
-        tree = RectTree(points)
-        for _ in range(50):
-            x0, x1 = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
-            y0, y1 = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
-            expected = sorted(i for x, y, i in points if x0 <= x <= x1 and y0 <= y <= y1)
-            assert sorted(tree.search(x0, y0, x1, y1)) == expected
+class TestCellTable:
+    """Corner cases of the cell table, each checked against a linear scan."""
 
-    def test_empty_tree(self):
-        assert RectTree([]).search(0, 0, 1, 1) == []
+    @staticmethod
+    def assert_scans_equal(signs, queries):
+        index = SignIndex(signs)
+        for query in queries:
+            if isinstance(query[0], Polyline):
+                line, r = query
+                expected = sorted(s.id for s in signs if line.distance_to(s.position) <= r)
+                assert [s.id for s in index.signs_within_line(line, r)] == expected
+            else:
+                p, r = query
+                expected = sorted(s.id for s in signs if distance(s.position, p) <= r)
+                assert [s.id for s in index.signs_within(p, r)] == expected
+
+    def test_signs_on_cell_edges(self):
+        edges = (-CELL, 0.0, CELL)
+        signs = [sign(f"s{i}{j}", x, y) for i, x in enumerate(edges) for j, y in enumerate(edges)]
+        signs += [sign(f"o{i}", x, 7.0) for i, x in enumerate(edges)]
+        queries = [
+            (Point(x, y), r)
+            for x in (-CELL, -1.0, 0.0, 1.0, CELL)
+            for y in edges
+            for r in (0.5, 1.0, CELL, 2 * CELL)
+        ]
+        queries += [
+            (Polyline([(-CELL, y), (CELL, y)]), r)
+            for y in (-CELL - 1.0, 0.0, CELL + 1.0)
+            for r in (1.0, 7.0)
+        ]
+        queries += [(Polyline([(x, -2 * CELL), (x, 2 * CELL)]), 0.5) for x in edges]
+        self.assert_scans_equal(signs, queries)
+
+    def test_all_signs_in_one_cell(self, rng):
+        signs = [
+            sign(f"s{i:03d}", rng.uniform(0.0, 49.9), rng.uniform(0.0, 49.9)) for i in range(200)
+        ]
+        queries = [
+            (Point(rng.uniform(-10.0, 60.0), rng.uniform(-10.0, 60.0)), rng.uniform(0.5, 30.0))
+            for _ in range(30)
+        ]
+        queries += [
+            (Polyline([(-20.0, 25.0), (70.0, 26.0)]), 3.0),
+            (Polyline([(60.0, 0.0), (60.0, 50.0)]), 9.0),
+        ]
+        self.assert_scans_equal(signs, queries)
+
+    def test_box_wider_than_the_occupied_cells(self):
+        line = Polyline([(-1e9, 0.0), (1e9, 0.0)])
+        signs = [sign("near-left", -1e9 + 5.0, 3.0), sign("near-mid", 12.0, -9.0),
+                 sign("near-right", 1e9, 10.0), sign("far-mid", 0.0, 10.5),
+                 sign("far-beyond", 1e9 + 20.0, 0.0), sign("far-away", 3e5, 4e5)]
+        half = Polyline([(-1e9, 5.0), (0.0, 5.0)])
+        self.assert_scans_equal(signs, [(line, 10.0), (line, 1e5), (half, 10.0)])
+
+    def test_radius_of_1e308(self, rng):
+        signs = [sign(f"s{i}", rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9)) for i in range(50)]
+        queries = [(Point(0.0, 0.0), 1e308), (Point(1e9, -1e9), 1e308),
+                   (Polyline([(0.0, 0.0), (1.0, 0.0)]), 1e308)]
+        self.assert_scans_equal(signs, queries)
