@@ -169,14 +169,20 @@ class LocalProjection:
 
     @classmethod
     def centered(cls, coordinates: Iterable[tuple[float, float]]) -> "LocalProjection":
-        """Projection centered on the centroid of (lon, lat) pairs."""
-        lons, lats = [], []
+        """Projection centered on the centroid of (lon, lat) pairs.
+
+        The sums are plain left-to-right float additions, not ``sum()``,
+        which Python 3.12 made compensated: the centroid, and so every
+        lon/lat result, is then the same on every supported version.
+        """
+        count, lon_total, lat_total = 0, 0.0, 0.0
         for lon, lat in coordinates:
-            lons.append(lon)
-            lats.append(lat)
-        if not lons:
+            count += 1
+            lon_total += lon
+            lat_total += lat
+        if not count:
             raise ValueError("cannot center a projection on zero coordinates")
-        return cls(sum(lons) / len(lons), sum(lats) / len(lats))
+        return cls(lon_total / count, lat_total / count)
 
     @cached_property
     def _cos_lat0(self) -> float:

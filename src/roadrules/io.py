@@ -50,10 +50,39 @@ def _read_json(path: str | Path) -> Any:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
+# compact and key-sorted; ``encode`` is one-shot, so it runs in CPython's C encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+
 def dump_json(document: Any, stream: TextIO) -> None:
-    """Write ``document`` to ``stream`` in the one output encoding."""
-    # streamed: as one string, a large overlay's text outweighs the overlay
-    json.dump(document, stream, indent=2, sort_keys=True, allow_nan=False)
+    """Write ``document`` to ``stream`` in the one output encoding.
+
+    Compact JSON with sorted keys, ending in a newline. Each element of an
+    array member of a top-level object (whose keys are strings, as in every
+    document this package writes) goes on its own line, so a feature
+    collection or rule family is written one element at a time: the text of
+    the whole document is never held at once. (One ``encode`` of the whole
+    lonlat-overlay benchmark overlay, 4.1 MB, raises that run's peak RSS from
+    54 to 66 MB.)
+    """
+    encode = _ENCODER.encode
+    if not isinstance(document, dict):
+        stream.write(encode(document))
+    else:
+        stream.write("{")
+        for n, key in enumerate(sorted(document)):
+            value = document[key]
+            stream.write(f"{',' if n else ''}{encode(key)}:")
+            if isinstance(value, list) and value:
+                separator = "[\n"
+                for element in value:
+                    stream.write(separator)
+                    stream.write(encode(element))
+                    separator = ",\n"
+                stream.write("\n]")
+            else:
+                stream.write(encode(value))
+        stream.write("}")
     stream.write("\n")
 
 

@@ -211,3 +211,8 @@ class TestLocalProjection:
     def test_centered_on_centroid(self):
         proj = LocalProjection.centered([(1.0, 10.0), (3.0, 20.0)])
         assert (proj.lon0, proj.lat0) == (2.0, 15.0)
+
+    def test_centroid_sums_left_to_right(self):
+        # a compensated sum (Python 3.12's sum()) gives exactly 1.0 here
+        proj = LocalProjection.centered([(0.1, 0.1)] * 10)
+        assert proj.lon0 == proj.lat0 == 0.9999999999999999 / 10

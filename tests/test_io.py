@@ -26,7 +26,7 @@ from roadrules.io import (
 from roadrules.navigator import DerivationResult, RuleRecord, derive_rules
 from roadrules.network import build_graph
 from roadrules.rules import NoTurnRule, NoWayRule, OneWayRule
-from roadrules.scenarios import generate_scenario, write_scenario
+from roadrules.scenarios import TEMPLATES, generate_scenario, write_scenario
 
 from conftest import load_scenario
 
@@ -526,6 +526,8 @@ class TestRulesDocument:
     def test_non_finite_number_is_never_written(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
             dump_json({"score": value}, io.StringIO())
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"no_way": [{"score": 1.0}, {"score": value}]}, io.StringIO())
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         graph, index, expected = load_scenario("sample-town")
@@ -586,6 +588,100 @@ class TestRulesDocument:
         path = write_doc(tmp_path, "r.json", document)
         with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
             load_rules(path)
+
+
+def dumped(document) -> str:
+    stream = io.StringIO()
+    dump_json(document, stream)
+    return stream.getvalue()
+
+
+class TestOutputEncoding:
+    def test_feature_collection_bytes(self):
+        point = {"type": "Point", "coordinates": [1.5, -2.0]}
+        line = {"type": "LineString", "coordinates": [[0, 0], [10, 0]]}
+        document = {
+            "type": "FeatureCollection",
+            "coordinate_system": "local-meters",
+            "features": [
+                {"type": "Feature", "geometry": line, "properties": {"edge_id": "a", "status": "visited"}},
+                {"type": "Feature", "geometry": point, "properties": {"sign_id": 7, "rule": None}},
+            ],
+        }
+        assert dumped(document) == (
+            '{"coordinate_system":"local-meters","features":[\n'
+            '{"geometry":{"coordinates":[[0,0],[10,0]],"type":"LineString"},'
+            '"properties":{"edge_id":"a","status":"visited"},"type":"Feature"},\n'
+            '{"geometry":{"coordinates":[1.5,-2.0],"type":"Point"},'
+            '"properties":{"rule":null,"sign_id":7},"type":"Feature"}\n'
+            '],"type":"FeatureCollection"}\n'
+        )
+
+    def test_rule_document_bytes(self):
+        result = DerivationResult(
+            (
+                RuleRecord("s2", OneWayRule("keep", frozenset({"z", "a"})), 10.0),
+                RuleRecord("s1", NoWayRule("x"), 30.25),
+            ),
+            frozenset(),
+            frozenset({"u"}),
+        )
+        assert dumped(rules_document(result)) == (
+            '{"no_turn":[],"no_way":[\n'
+            '{"edge":"x","score":30.25,"sign":"s1"}\n'
+            '],"one_way":[\n'
+            '{"banned":["a","z"],"chosen":"keep","score":10.0,"sign":"s2"}\n'
+            '],"unreached":[\n'
+            '"u"\n'
+            ']}\n'
+        )
+
+    def test_nested_features_key_is_encoded_whole(self):
+        document = {
+            "features": [{"features": [1, 2], "type": "x"}, {"features": []}],
+            "meta": {"features": [], "type": "Feature"},
+        }
+        text = dumped(document)
+        assert json.loads(text) == document
+        assert text == (
+            '{"features":[\n{"features":[1,2],"type":"x"},\n{"features":[]}\n],'
+            '"meta":{"features":[],"type":"Feature"}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "document, text",
+        [
+            ({"features": [], "type": "FeatureCollection"}, '{"features":[],"type":"FeatureCollection"}'),
+            ({}, "{}"),
+            ([], "[]"),
+            ([{"b": 1, "a": 2}, 3], '[{"a":2,"b":1},3]'),
+            ("é", '"\\u00e9"'),
+        ],
+    )
+    def test_empty_lists_and_other_documents_are_encoded_whole(self, document, text):
+        assert dumped(document) == text + "\n"
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_bundled_outputs_parse_back_to_their_documents(self, tmp_path, template):
+        scenario = generate_scenario(template)
+        paths = write_scenario(scenario, tmp_path)
+        for key, document in [
+            ("network", scenario.network), ("signs", scenario.signs), ("expected", scenario.expected),
+        ]:
+            assert json.loads(paths[key].read_text(encoding="utf-8")) == document
+        graph, index, expected = load_scenario(template)
+        result = derive_rules(graph, index, cover_all=True)
+        rules = write_rules(result, tmp_path / "rules.json")
+        assert json.loads((tmp_path / "rules.json").read_text(encoding="utf-8")) == rules
+        render_overlay(rules, graph, index, tmp_path / "overlay.geojson")
+        overlay = json.loads((tmp_path / "overlay.geojson").read_text(encoding="utf-8"))
+        assert overlay == overlay_document(graph, index, rules)
+        truth = GroundTruth(
+            frozenset(expected["one_way_banned_edges"]),
+            frozenset(map(tuple, expected["turn_restrictions"])),
+        )
+        report = validate(rules, truth).to_document()
+        assert json.loads(dumped(report)) == report
 
 
 class TestValidate:

@@ -5,6 +5,7 @@ import pytest
 import roadrules.navigator as navigator
 from roadrules.errors import GraphError
 from roadrules.geometry import Point
+from roadrules.io import GroundTruth, rules_document, validate
 from roadrules.navigator import Frontier, derive_rules, is_navigation_forbidden
 from roadrules.network import build_graph
 from roadrules.rules import DerivationState, NoTurnRule, NoWayRule
@@ -232,6 +233,28 @@ class TestRuleDerivationScenes:
         assert record.rule == NoWayRule("N2->E2")
         assert record.score == pytest.approx(56.31, abs=0.01)
         assert "N1->N2" in result.visited_edges
+
+    def test_twin_nodes_replacements_keep_a_valid_document(self, monkeypatch):
+        # no benchmark workload replaces a rule; twin-nodes does from several
+        # starts, and every run's document must still validate at 100%
+        graph, index, expected = load_scenario("twin-nodes")
+        truth = GroundTruth(frozenset(expected["one_way_banned_edges"]), frozenset())
+        revocations = 0
+
+        def counting(self, rule, frontier):
+            nonlocal revocations
+            revocations += 1
+            return revoke(self, rule, frontier)
+
+        revoke = DerivationState.revoke
+        monkeypatch.setattr(DerivationState, "revoke", counting)
+        runs = [{"start_edges": [edge_id]} for edge_id in graph.edges]
+        runs += [{"start_edges": expected["start_edges"]}, {"cover_all": True}]
+        for run in runs:
+            report = validate(rules_document(derive_rules(graph, index, **run)), truth)
+            assert report.one_way.accuracy == 100.0, run
+            assert report.turn.total_mapped == 0, run
+        assert revocations > 0
 
     @pytest.mark.parametrize(
         "start, from_edge, banned_to",

@@ -48,6 +48,34 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="does not start"):
             build_graph(nodes, bad)
 
+    @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False)])
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_endpoint_tolerance_is_one_millimeter(self, end, offset, ok):
+        start, stop = (Point(0, offset), B) if end == "start" else (A, Point(100, offset))
+        edges = {"e": ("A", "B", Polyline([start, stop]))}
+        if ok:
+            assert build_graph({"A": A, "B": B}, edges).edges["e"].geometry.vertices == (start, stop)
+        else:
+            with pytest.raises(GraphError, match=f"does not {end}"):
+                build_graph({"A": A, "B": B}, edges)
+
+    @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False)])
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_opposite_geometry_tolerance_is_one_millimeter(self, explicit, offset, ok):
+        bend = Point(50, 30)
+        edges = {
+            "ab": ("A", "B", Polyline([A, bend, B])),
+            "ba": ("B", "A", Polyline([B, Point(50, 30 + offset), A])),
+        }
+        pairs = [("ab", "ba")] if explicit else None
+        if ok:
+            assert build_graph({"A": A, "B": B}, edges, pairs).edges["ab"].opposite == "ba"
+        elif explicit:
+            with pytest.raises(GraphError, match="mismatched geometry"):
+                build_graph({"A": A, "B": B}, edges, pairs)
+        else:
+            assert build_graph({"A": A, "B": B}, edges).edges["ab"].opposite is None
+
     def test_explicit_asymmetric_pairing_rejected(self):
         nodes = {"A": A, "B": B, "C": Point(200, 0)}
         edges = dict([
