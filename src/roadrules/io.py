@@ -19,7 +19,7 @@ import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import GraphError, InputError, shown
 from .geometry import LocalProjection, Point, Polyline
@@ -92,9 +92,10 @@ def write_json(document: Any, path: str | Path) -> None:
 
 
 def _feature_collection(document: Any, path: str | Path) -> list[dict]:
+    """The features array, taken out of ``document``: a document is read once."""
     if not isinstance(document, dict) or document.get("type") != "FeatureCollection":
         raise InputError(f"{path}: expected a GeoJSON FeatureCollection")
-    features = document.get("features")
+    features = document.pop("features", None)
     if not isinstance(features, list):
         raise InputError(f"{path}: FeatureCollection without a features array")
     return features
@@ -182,27 +183,41 @@ def _read_feature(feature: Any, source: str | Path, i: int, planar: bool, point)
     return kind, properties, points
 
 
+def _taken(items: list) -> Iterator:
+    """The items of ``items`` in order, each dropped from the list as it is taken."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _read_features(
     features: list, source: str | Path, planar: bool, projection: LocalProjection | None = None
 ) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
     """(geometry type, properties, planar points) of each feature, and the projection.
 
-    Features are read one at a time as the caller iterates, so that a large
-    file is not held twice, except that lon/lat ones without a ``projection``
-    are all read first, to center one on the centroid of their positions,
-    summed in feature order.
+    Each feature is dropped from ``features`` as it is read, so the parsed
+    document shrinks while the caller builds from it and a load never holds
+    both at once. Features are read as the caller iterates, except that
+    lon/lat ones without a ``projection`` are all read first, to center one
+    on the centroid of their positions, summed in feature order; each of
+    those readings is then dropped as it is projected.
     """
     if planar or projection is not None:
         point = Point if planar else projection.to_planar
-        read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(features))
+        read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(_taken(features)))
         return read, projection
-    read = [_read_feature(f, source, i, planar, lambda x, y: (x, y)) for i, f in enumerate(features)]
+    read = [
+        _read_feature(f, source, i, planar, lambda x, y: (x, y))
+        for i, f in enumerate(_taken(features))
+    ]
     positions = [p for _, _, points in read for p in points]
     if not positions:
         return read, None
     projection = LocalProjection.centered(positions)
     to_planar = projection.to_planar
-    projected = ((kind, props, [to_planar(x, y) for x, y in points]) for kind, props, points in read)
+    projected = (
+        (kind, props, [to_planar(x, y) for x, y in points]) for kind, props, points in _taken(read)
+    )
     return projected, projection
 
 
@@ -213,6 +228,12 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     ``target_node`` and optional ``opposite_id``; Point features carry
     ``node_id``. Node positions missing from the Point features are inferred
     from edge endpoints.
+
+    The document's features are consumed: each is dropped as it is read, so
+    the graph is built in the memory the document frees, and the features
+    array is gone afterwards, even when a feature is rejected. Reading the
+    document again raises ``InputError``; a caller that reuses a document
+    passes a copy.
     """
     planar = _is_planar(document)
     features, projection = _read_features(_feature_collection(document, source), source, planar)
@@ -274,7 +295,11 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 
 
 def load_network(path: str | Path) -> RoadGraph:
-    """Read a network GeoJSON file into a validated road graph."""
+    """Read a network GeoJSON file into a validated road graph.
+
+    The parsed document goes straight to ``network_from_document``, which
+    drops it feature by feature, so the load peaks at the JSON parse.
+    """
     return network_from_document(_read_json(path), path)
 
 
@@ -289,7 +314,8 @@ def signs_from_document(
     the whole file; missing fields, and an azimuth that is not a finite JSON
     number, are errors. With a ``network``, the signs must be in its
     coordinate frame, and lon/lat signs reuse its projection; without one,
-    lon/lat signs are projected around their own centroid.
+    lon/lat signs are projected around their own centroid. The document's
+    features are consumed, as by ``network_from_document``.
     """
     planar = _is_planar(document)
     projection = None

@@ -86,9 +86,9 @@ def build_graph(
     ``nodes`` maps each node id to its position; ``edges`` maps each edge id
     to its (source, destination, geometry), whose geometry starts at the
     source position and ends at the destination position (within 1 mm).
-    ``opposite_pairs`` may name a pair in either order or in both; when it is
-    None, opposites are auto-detected as the unique edge with swapped
-    endpoints and reversed geometry.
+    ``opposite_pairs`` may name a pair in either order or in both, but never
+    an edge paired with itself; when it is None, opposites are auto-detected
+    as the unique other edge with swapped endpoints and reversed geometry.
     """
     node_map = {node_id: Node(node_id, position) for node_id, position in nodes.items()}
     edge_map: dict[EdgeId, DirectedEdge] = {}
@@ -109,6 +109,8 @@ def build_graph(
             for eid in (a, b):
                 if eid not in edge_map:
                     raise GraphError(f"opposite pairing references unknown edge {shown(eid)}")
+            if a == b:
+                raise GraphError(f"edge {shown(a)} is named as its own opposite")
             ea, eb = edge_map[a], edge_map[b]
             if ea.opposite == b:
                 continue  # the same pair, named again from its other edge

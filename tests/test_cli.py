@@ -156,6 +156,21 @@ class TestDerive:
         assert main(derive_args(town, tmp_path / "r.json")) == 1
         assert f"feature {i}" in capsys.readouterr().err
 
+    def test_edge_named_as_its_own_opposite_exit_1(self, tmp_path, capsys):
+        loop = {
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[0, 0], [50, 50], [0, 0]]},
+            "properties": {
+                "edge_id": "aa", "source_node": "A", "target_node": "A", "opposite_id": "aa",
+            },
+        }
+        for name, features in (("network", [loop]), ("signs", [])):
+            document = {"type": "FeatureCollection", "coordinate_system": "local-meters",
+                        "features": features}
+            (tmp_path / f"{name}.geojson").write_text(json.dumps(document))
+        assert main(derive_args(tmp_path, tmp_path / "r.json", start="aa")) == 1
+        assert "edge 'aa' is named as its own opposite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["network", "signs"])
     def test_integer_past_digit_limit_exit_1(self, town, tmp_path, capsys, name):
         path = town / f"{name}.geojson"

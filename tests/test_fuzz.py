@@ -1,9 +1,11 @@
 """Fuzz the input boundary: a mutated input file must exit 0 or 1, never 2.
 
-Each example of the first test takes the bundled ``sample-town`` network and
-signs documents, replaces one feature, geometry, properties, property value
-or coordinate with a value from a fixed pool of JSON oddities, and runs
-``derive --cover-all`` in-process on the result. Each example of the second
+Each example of the first test takes the network and signs documents of one
+bundled scenario, replaces one feature, geometry, properties, property value
+or coordinate with a value from a fixed pool of JSON oddities and large but
+finite numbers, and runs ``derive --cover-all`` in-process on the result.
+Each example of the second gives one feature the ``edge_id``, ``node_id`` or
+``sign_id`` of another, which must exit 1. Each example of the third
 replaces any member or item of the rule document that ``derive --cover-all``
 writes for ``sample-town``, of the one it writes with an added one-way sign,
 or of its ``expected_rules.json``, and runs ``validate`` and ``render``
@@ -21,13 +23,18 @@ from hypothesis import strategies as st
 from roadrules.cli import main
 from roadrules.io import network_from_document, rules_document, signs_from_document
 from roadrules.navigator import derive_rules
-from roadrules.scenarios import generate_scenario
+from roadrules.scenarios import TEMPLATES, generate_scenario
 from roadrules.signs import SignIndex
 
-POOL = [None, True, -1, 1.5, math.nan, math.inf, 10**400, "x", [], {}, [[]]]
+POOL = [
+    None, True, -1, 1.5, math.nan, math.inf, 10**400, "x", [], {}, [[]],
+    1e308, -1e308, 2e9, 10**300,
+]
 
-SCENARIO = generate_scenario("sample-town")
-DOCUMENTS = {"network": SCENARIO.network, "signs": SCENARIO.signs}
+SCENES = {template: generate_scenario(template) for template in TEMPLATES}
+INPUTS = {template: {"network": s.network, "signs": s.signs} for template, s in SCENES.items()}
+SCENARIO = SCENES["sample-town"]
+DOCUMENTS = INPUTS["sample-town"]
 
 
 def _coordinate_slots(coordinates, path):
@@ -50,15 +57,46 @@ def _slots(document):
     return slots
 
 
-SLOTS = [(name, path) for name, document in DOCUMENTS.items() for path in _slots(document)]
+SLOTS = {
+    template: [(name, path) for name, document in documents.items() for path in _slots(document)]
+    for template, documents in INPUTS.items()
+}
+
+ID_KEYS = ("edge_id", "node_id", "sign_id")
+
+
+def _duplicates(document):
+    """(path of an id property, the other ids of that key in ``document``) pairs."""
+    ids = {key: [] for key in ID_KEYS}
+    for i, feature in enumerate(document["features"]):
+        for key in ID_KEYS:
+            if key in feature["properties"]:
+                ids[key].append((("features", i, "properties", key), feature["properties"][key]))
+    return [
+        (path, tuple(other for _, other in found if other != own))
+        for found in ids.values()
+        if len(found) > 1
+        for path, own in found
+    ]
+
+
+DUPLICATES = [
+    (template, name, path, others)
+    for template, documents in INPUTS.items()
+    for name, document in documents.items()
+    for path, others in _duplicates(document)
+]
 
 
 def _derived(signs):
-    """What derive --cover-all writes, with the CLI's default detection settings."""
+    """What derive --cover-all writes, with the CLI's default detection settings.
+
+    The loaders consume the documents they read, so they are given copies.
+    """
     return rules_document(
         derive_rules(
-            network_from_document(SCENARIO.network),
-            SignIndex(signs_from_document(signs)),
+            network_from_document(copy.deepcopy(SCENARIO.network)),
+            SignIndex(signs_from_document(copy.deepcopy(signs))),
             cover_all=True,
         )
     )
@@ -125,11 +163,8 @@ def _write(workdir, documents, slot, value):
 FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@FUZZ
-@given(slot=st.sampled_from(SLOTS), value=st.sampled_from(POOL))
-def test_mutated_input_exits_0_or_1(workdir, slot, value, capsys):
-    files = _write(workdir, DOCUMENTS, slot, value)
-    code = main(
+def _derive(workdir, files):
+    return main(
         [
             "derive",
             "--network", str(files["network"]),
@@ -138,8 +173,40 @@ def test_mutated_input_exits_0_or_1(workdir, slot, value, capsys):
             "--out", str(workdir / "derived.json"),
         ]
     )
+
+
+# every template is drawn equally often, however many slots it has
+ANY_SLOT = st.sampled_from(TEMPLATES).flatmap(
+    lambda template: st.tuples(st.just(template), st.sampled_from(SLOTS[template]))
+)
+
+
+@FUZZ
+@given(slot=ANY_SLOT, value=st.sampled_from(POOL))
+def test_mutated_input_exits_0_or_1(workdir, slot, value, capsys):
+    template, slot = slot
+    files = _write(workdir, INPUTS[template], slot, value)
+    code = _derive(workdir, files)
     err = capsys.readouterr().err
     assert code in (0, 1), err
+
+
+def test_duplicates_cover_every_id_key():
+    keys = {path[-1] for _, _, path, _ in DUPLICATES}
+    assert keys == set(ID_KEYS)
+
+
+@FUZZ
+@given(duplicate=st.sampled_from(DUPLICATES).flatmap(
+    lambda d: st.tuples(st.just(d[:3]), st.sampled_from(d[3]))
+))
+def test_duplicated_id_exits_1(workdir, duplicate, capsys):
+    (template, name, path), other = duplicate
+    files = _write(workdir, INPUTS[template], (name, path), other)
+    code = _derive(workdir, files)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"duplicate {path[-1]}" in err
 
 
 def test_consumed_slots_reach_one_way_entries():

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -473,6 +474,83 @@ class TestLoadSigns:
         )
         with pytest.raises(InputError, match="signs are planar but the network is lon/lat"):
             signs_from_document(planar_doc, network=self.geographic_network())
+
+
+def as_lonlat(document):
+    """A planar feature collection written as lon/lat, 1e-5 degree per meter from (10, 50)."""
+    def lonlat(x, y):
+        return [10.0 + x * 1e-5, 50.0 + y * 1e-5]
+
+    features = []
+    for feature in document["features"]:
+        geometry = feature["geometry"]
+        if geometry["type"] == "Point":
+            coordinates = lonlat(*geometry["coordinates"])
+        else:
+            coordinates = [lonlat(*position) for position in geometry["coordinates"]]
+        features.append(dict(feature, geometry=dict(geometry, coordinates=coordinates)))
+    return {"type": "FeatureCollection", "features": features}
+
+
+def grid_network(rows, cols):
+    return generate_scenario("grid", rows=rows, cols=cols).network
+
+
+def sign_inventory(rows, cols):
+    return planar_network(*(
+        geo_feature("Point", [3.0 * i, 2.0 * i], sign_id=f"s{i}", type="R-302", azimuth=90.0)
+        for i in range(rows * cols)
+    ))
+
+
+# a document maker, called with grid rows and columns, and its reader
+READERS = {
+    "planar": (grid_network, network_from_document),
+    "lonlat": (lambda rows, cols: as_lonlat(grid_network(rows, cols)), network_from_document),
+    "signs": (sign_inventory, signs_from_document),
+}
+
+
+class TestDocumentsAreConsumed:
+    """The loaders drop each feature from the parsed document as they read it."""
+
+    # the feature in hand and the reader's own frames
+    SLACK = 64 * 1024
+
+    @pytest.mark.parametrize("reading", READERS)
+    def test_traced_peak_stays_within_the_parsed_document(self, reading):
+        make, read = READERS[reading]
+        text = json.dumps(make(40, 40))
+        tracemalloc.start()
+        try:
+            document = json.loads(text)
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            read(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 1_000_000
+        assert peak <= size + self.SLACK, (peak, size)
+
+    @pytest.mark.parametrize("reading", READERS)
+    def test_consumed_document_cannot_be_read_again(self, reading):
+        make, read = READERS[reading]
+        document = make(3, 3)
+        read(copy.deepcopy(document))  # a caller that reuses a document passes a copy
+        read(document)
+        assert "features" not in document
+        with pytest.raises(InputError, match="FeatureCollection without a features array"):
+            read(document)
+
+    @pytest.mark.parametrize("reading", READERS)
+    def test_bad_feature_is_named_by_its_index(self, reading):
+        make, read = READERS[reading]
+        document = make(3, 3)
+        document["features"][5]["properties"] = "x"
+        with pytest.raises(InputError, match="feature 5: properties is not a JSON object"):
+            read(document)
+        assert "features" not in document
 
 
 def empty_result() -> DerivationResult:

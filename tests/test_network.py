@@ -105,6 +105,13 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="ambiguous opposite"):
             build_graph(nodes, edges)
 
+    def test_edge_paired_with_itself_rejected(self):
+        # a closed loop swaps its own endpoints and reverses onto itself
+        loop = {"aa": ("A", "A", Polyline([A, Point(50, 50), A]))}
+        with pytest.raises(GraphError, match="edge 'aa' is named as its own opposite"):
+            build_graph({"A": A}, loop, opposite_pairs=[("aa", "aa")])
+        assert build_graph({"A": A}, loop).edges["aa"].opposite is None
+
     def test_opposite_pair_referencing_unknown_edge(self):
         nodes, edges = two_way_street()
         with pytest.raises(GraphError, match="unknown edge"):
