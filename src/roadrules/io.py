@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import GraphError, InputError, shown
 from .geometry import LocalProjection, Point, Polyline
-from .ids import id_sort_key
+from .ids import id_sort_key, sorted_ids
 from .navigator import DerivationResult
 from .network import EdgeId, RoadGraph, build_graph
 from .rules import NoWayRule, OneWayRule
@@ -63,7 +63,10 @@ def dump_json(document: Any, stream: TextIO) -> None:
     collection or rule family is written one element at a time: the text of
     the whole document is never held at once. (One ``encode`` of the whole
     lonlat-overlay benchmark overlay, 4.1 MB, raises that run's peak RSS from
-    54 to 66 MB.)
+    54 to 66 MB.) A member may also be an iterator, such as the features
+    ``overlay_document`` produces: it is written as the array of the
+    elements it yields, each encoded as it comes, and as ``[]`` when it
+    yields none, so the bytes are those of the same member as a list.
     """
     encode = _ENCODER.encode
     if not isinstance(document, dict):
@@ -73,13 +76,13 @@ def dump_json(document: Any, stream: TextIO) -> None:
         for n, key in enumerate(sorted(document)):
             value = document[key]
             stream.write(f"{',' if n else ''}{encode(key)}:")
-            if isinstance(value, list) and value:
+            if isinstance(value, (list, Iterator)):
                 separator = "[\n"
                 for element in value:
                     stream.write(separator)
                     stream.write(encode(element))
                     separator = ",\n"
-                stream.write("\n]")
+                stream.write("[]" if separator == "[\n" else "\n]")
             else:
                 stream.write(encode(value))
         stream.write("}")
@@ -162,7 +165,11 @@ def _positions(raw: Any, planar: bool, point: Callable[[Any, Any], Any]) -> list
     points = []
     for position in raw:
         x, y = position[0], position[1]
-        if not (_is_finite(x, bound_x) and _is_finite(y, bound_y)):
+        # ``_is_finite`` of each, written out: this runs once per vertex
+        if not (
+            type(x) in (int, float) and abs(x) <= bound_x
+            and type(y) in (int, float) and abs(y) <= bound_y
+        ):
             raise ValueError(f"{name} ({shown(x)}, {shown(y)}) out of range or not numbers")
         points.append(point(x, y))
     return points
@@ -250,7 +257,8 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
             node_id = properties.get("node_id")
             if node_id is None:
                 raise InputError(f"{source}: feature {i}: Point without node_id")
-            _check_id(node_id, "node_id", source, i)
+            if type(node_id) is not str:
+                _check_id(node_id, "node_id", source, i)
             if node_id in node_positions:
                 raise InputError(f"{source}: feature {i}: duplicate node_id {shown(node_id)}")
             node_positions[node_id] = points[0]
@@ -262,9 +270,13 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                 raise InputError(
                     f"{source}: feature {i}: LineString needs edge_id, source_node, target_node"
                 )
-            _check_id(edge_id, "edge_id", source, i)
-            _check_id(src, "source_node", source, i)
-            _check_id(dst, "target_node", source, i)
+            # a string is an id; only other values need ``_check_id``
+            if type(edge_id) is not str:
+                _check_id(edge_id, "edge_id", source, i)
+            if type(src) is not str:
+                _check_id(src, "source_node", source, i)
+            if type(dst) is not str:
+                _check_id(dst, "target_node", source, i)
             if edge_id in edge_feature_index:
                 raise InputError(
                     f"{source}: duplicate edge_id {shown(edge_id)} in features "
@@ -278,7 +290,8 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
             edges[edge_id] = (src, dst, line)
             opposite = properties.get("opposite_id")
             if opposite is not None:
-                _check_id(opposite, "opposite_id", source, i)
+                if type(opposite) is not str:
+                    _check_id(opposite, "opposite_id", source, i)
                 opposite_pairs.append((edge_id, opposite))
         else:
             raise InputError(f"{source}: feature {i}: unsupported geometry type {shown(kind)}")
@@ -377,15 +390,15 @@ def rules_document(result: DerivationResult) -> dict:
         if isinstance(rule, NoWayRule):
             family, entry = "no_way", {"edge": rule.banned_edge}
         elif isinstance(rule, OneWayRule):
-            banned = sorted(rule.banned_edges, key=id_sort_key)
+            banned = sorted_ids(rule.banned_edges)
             family, entry = "one_way", {"chosen": rule.chosen, "banned": banned}
         else:
-            banned = sorted(rule.banned_to, key=id_sort_key)
+            banned = sorted_ids(rule.banned_to)
             family, entry = "no_turn", {"from": rule.from_edge, "banned_to": banned}
         document[family].append(dict(entry, sign=record.sign_id, score=record.score))
     for family, (first, *_) in RULE_FIELDS.items():
         document[family].sort(key=lambda e: (id_sort_key(e[first]), id_sort_key(e["sign"])))
-    document["unreached"] = sorted(result.unreached_edges, key=id_sort_key)
+    document["unreached"] = sorted_ids(result.unreached_edges)
     return document
 
 
@@ -502,6 +515,10 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
     """GeoJSON overlay: edges colored by status, signs with their rule linkage.
 
     Coordinates are emitted in the local planar frame the derivation ran in.
+    The ``features`` member is an iterator that builds each feature once,
+    lazily, as it is read, so ``dump_json`` writes the overlay without ever
+    holding all of its features; it can be read once (``list()`` it to keep
+    them).
     """
     banned, _ = derived_rule_sets(rules)
     unreached = set(rules["unreached"])
@@ -511,16 +528,15 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
             linked = {field: entry[field] for field in fields if field != "sign"}
             rule_by_sign[entry["sign"]] = dict(linked, kind=kind)
 
-    features = []
-    for edge_id, edge in graph.edges.items():
-        if edge_id in banned:
-            status = "banned"
-        elif edge_id in unreached:
-            status = "unreached"
-        else:
-            status = "visited"
-        features.append(
-            {
+    def features() -> Iterator[dict]:
+        for edge_id, edge in graph.edges.items():
+            if edge_id in banned:
+                status = "banned"
+            elif edge_id in unreached:
+                status = "unreached"
+            else:
+                status = "visited"
+            yield {
                 "type": "Feature",
                 "geometry": {
                     "type": "LineString",
@@ -528,11 +544,9 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
                 },
                 "properties": {"edge_id": edge_id, "status": status},
             }
-        )
-    for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
-        linked = rule_by_sign.get(sign.id)
-        features.append(
-            {
+        for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
+            linked = rule_by_sign.get(sign.id)
+            yield {
                 "type": "Feature",
                 "geometry": {"type": "Point", "coordinates": [sign.position.x, sign.position.y]},
                 "properties": {
@@ -543,11 +557,11 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
                     "score": linked["score"] if linked else None,
                 },
             }
-        )
+
     return {
         "type": "FeatureCollection",
         "coordinate_system": PLANAR_MARKER,
-        "features": features,
+        "features": features(),
     }
 
 

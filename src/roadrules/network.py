@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .errors import GraphError, shown
 from .geometry import LocalProjection, Point, Polyline, distance
-from .ids import Identifier, id_sort_key
+from .ids import Identifier, sorted_ids
 
 NodeId = Identifier
 EdgeId = Identifier
@@ -71,7 +71,7 @@ def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
     if len(a.vertices) != len(b.vertices):
         return False
     return all(
-        distance(p, q) <= tol for p, q in zip(a.vertices, reversed(b.vertices))
+        p == q or distance(p, q) <= tol for p, q in zip(a.vertices, reversed(b.vertices))
     )
 
 
@@ -90,17 +90,25 @@ def build_graph(
     an edge paired with itself; when it is None, opposites are auto-detected
     as the unique other edge with swapped endpoints and reversed geometry.
     """
-    node_map = {node_id: Node(node_id, position) for node_id, position in nodes.items()}
-    edge_map: dict[EdgeId, DirectedEdge] = {}
+    # Endpoints are checked in input order, so the first bad edge read is the
+    # one reported; an exactly equal pair is within the tolerance.
     for edge_id, (source, destination, geometry) in edges.items():
         for endpoint in (source, destination):
-            if endpoint not in node_map:
+            if endpoint not in nodes:
                 raise GraphError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
-        if distance(geometry.vertices[0], node_map[source].position) > ENDPOINT_TOLERANCE:
+        start, position = geometry.vertices[0], nodes[source]
+        if start != position and distance(start, position) > ENDPOINT_TOLERANCE:
             raise GraphError(f"edge {shown(edge_id)} geometry does not start at node {shown(source)}")
-        if distance(geometry.vertices[-1], node_map[destination].position) > ENDPOINT_TOLERANCE:
+        end, position = geometry.vertices[-1], nodes[destination]
+        if end != position and distance(end, position) > ENDPOINT_TOLERANCE:
             raise GraphError(f"edge {shown(edge_id)} geometry does not end at node {shown(destination)}")
+
+    node_map = {node_id: Node(node_id, nodes[node_id]) for node_id in sorted_ids(nodes)}
+    edge_map: dict[EdgeId, DirectedEdge] = {}
+    for edge_id in sorted_ids(edges):
+        source, destination, geometry = edges[edge_id]
         edge_map[edge_id] = DirectedEdge(edge_id, source, destination, geometry)
+        node_map[source].outgoing.append(edge_id)
 
     if opposite_pairs is None:
         _autodetect_opposites(edge_map)
@@ -122,19 +130,15 @@ def build_graph(
                 raise GraphError(f"opposite edges {shown(a)} and {shown(b)} have mismatched geometry")
             ea.opposite = b
             eb.opposite = a
-
-    ordered_nodes = {nid: node_map[nid] for nid in sorted(node_map, key=id_sort_key)}
-    ordered_edges = {eid: edge_map[eid] for eid in sorted(edge_map, key=id_sort_key)}
-    for edge in ordered_edges.values():
-        ordered_nodes[edge.source].outgoing.append(edge.id)
-    return RoadGraph(ordered_nodes, ordered_edges, projection)
+    return RoadGraph(node_map, edge_map, projection)
 
 
 def _autodetect_opposites(edge_map: dict[EdgeId, DirectedEdge]) -> None:
+    """Pair each edge, in the id order of ``edge_map``, with its unique opposite."""
     by_endpoints: dict[tuple[NodeId, NodeId], list[DirectedEdge]] = {}
     for edge in edge_map.values():
         by_endpoints.setdefault((edge.source, edge.destination), []).append(edge)
-    for edge in sorted(edge_map.values(), key=lambda e: id_sort_key(e.id)):
+    for edge in edge_map.values():
         if edge.opposite is not None:
             continue
         candidates = [
@@ -145,7 +149,7 @@ def _autodetect_opposites(edge_map: dict[EdgeId, DirectedEdge]) -> None:
             and _reversed_match(edge.geometry, other.geometry, ENDPOINT_TOLERANCE)
         ]
         if len(candidates) > 1:
-            ids = sorted((c.id for c in candidates), key=id_sort_key)
+            ids = sorted_ids([c.id for c in candidates])
             raise GraphError(f"ambiguous opposite for edge {shown(edge.id)}: candidates {shown(ids)}")
         if candidates:
             edge.opposite = candidates[0].id

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .geometry import angle, heading, normalize
-from .ids import id_sort_key
+from .ids import id_sort_key, sorted_ids
 from .network import DirectedEdge, EdgeId, Node, NodeId, RoadGraph
 from .signs import Sign, SignId, SignType
 
@@ -104,7 +104,7 @@ class DerivationState:
         Edges whose last ban disappears are unbanned, and the ones not yet
         visited are marked visited and pushed so the run can still reach them.
         """
-        for edge_id in sorted(global_bans(rule), key=id_sort_key):
+        for edge_id in sorted_ids(global_bans(rule)):
             self.bans[edge_id] -= 1
             if self.bans[edge_id] <= 0:
                 del self.bans[edge_id]

@@ -28,6 +28,7 @@ from roadrules.navigator import DerivationResult, RuleRecord, derive_rules
 from roadrules.network import build_graph
 from roadrules.rules import NoTurnRule, NoWayRule, OneWayRule
 from roadrules.scenarios import TEMPLATES, generate_scenario, write_scenario
+from roadrules.signs import SignIndex
 
 from conftest import load_scenario
 
@@ -240,7 +241,8 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match="feature 0"):
             network_from_document(doc)
 
-    @pytest.mark.parametrize("value", UNHASHABLE)
+    # also the hashable values that are not ids: true, NaN and ±inf
+    @pytest.mark.parametrize("value", UNHASHABLE + [True, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["edge_id", "source_node", "target_node", "opposite_id"])
     def test_unhashable_edge_ids_rejected(self, name, value):
         props = {"edge_id": "ab", "source_node": "A", "target_node": "B", "opposite_id": "ba"}
@@ -262,7 +264,7 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match="feature 1: node_id must be"):
             network_from_document(doc)
 
-    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf, True])
     def test_non_finite_number_node_id_rejected(self, value):
         doc = planar_network(
             geo_feature("Point", [0, 0], node_id="A"),
@@ -714,6 +716,15 @@ class TestOutputEncoding:
             ']}\n'
         )
 
+    @pytest.mark.parametrize("elements", [[], [{"b": 1, "a": [2]}], [1, "x", None]])
+    def test_iterator_member_is_written_as_its_list(self, elements):
+        def produced():
+            yield from elements
+
+        text = dumped({"features": produced(), "type": "x"})
+        assert text == dumped({"features": elements, "type": "x"})
+        assert json.loads(text) == {"features": elements, "type": "x"}
+
     def test_nested_features_key_is_encoded_whole(self):
         document = {
             "features": [{"features": [1, 2], "type": "x"}, {"features": []}],
@@ -753,7 +764,9 @@ class TestOutputEncoding:
         assert json.loads((tmp_path / "rules.json").read_text(encoding="utf-8")) == rules
         render_overlay(rules, graph, index, tmp_path / "overlay.geojson")
         overlay = json.loads((tmp_path / "overlay.geojson").read_text(encoding="utf-8"))
-        assert overlay == overlay_document(graph, index, rules)
+        expected_overlay = overlay_document(graph, index, rules)
+        expected_overlay["features"] = list(expected_overlay["features"])
+        assert overlay == expected_overlay
         truth = GroundTruth(
             frozenset(expected["one_way_banned_edges"]),
             frozenset(map(tuple, expected["turn_restrictions"])),
@@ -843,10 +856,10 @@ class TestOverlay:
     def test_statuses_and_rule_linkage(self, tmp_path):
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
-        doc = overlay_document(graph, index, rules_document(result))
+        features = list(overlay_document(graph, index, rules_document(result))["features"])
         by_edge = {
             f["properties"]["edge_id"]: f["properties"]["status"]
-            for f in doc["features"]
+            for f in features
             if "edge_id" in f["properties"]
         }
         assert by_edge["N10->N00"] == "banned"
@@ -854,7 +867,7 @@ class TestOverlay:
         assert by_edge["N00->N01"] == "unreached"
         by_sign = {
             f["properties"]["sign_id"]: f["properties"]
-            for f in doc["features"]
+            for f in features
             if "sign_id" in f["properties"]
         }
         assert by_sign["s1"]["rule"]["kind"] == "no_way"
@@ -871,7 +884,27 @@ class TestOverlay:
     def test_empty_graph_yields_empty_collection(self):
         graph = build_graph({}, {})
         doc = overlay_document(graph, [], rules_document(empty_result()))
-        assert doc["type"] == "FeatureCollection" and doc["features"] == []
+        assert doc["type"] == "FeatureCollection" and list(doc["features"]) == []
+
+    def test_render_never_holds_every_feature(self, tmp_path):
+        graph = network_from_document(as_lonlat(grid_network(40, 40)))
+        signs = signs_from_document(as_lonlat(sign_inventory(40, 40)), network=graph)
+        rules = rules_document(derive_rules(graph, SignIndex(signs), cover_all=True))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            features = list(overlay_document(graph, signs, rules)["features"])
+            size = tracemalloc.get_traced_memory()[0] - before
+            del features
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            render_overlay(rules, graph, signs, tmp_path / "overlay.geojson")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert size > 1_000_000
+        # the features are built and written one at a time
+        assert peak <= size // 10, (peak, size)
 
     def test_render_is_deterministic(self, tmp_path):
         graph, index, expected = load_scenario("sample-town")

@@ -48,7 +48,8 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="does not start"):
             build_graph(nodes, bad)
 
-    @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False)])
+    # -0.0 equals 0.0 exactly, so that endpoint matches its node
+    @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False), (-0.0, True)])
     @pytest.mark.parametrize("end", ["start", "end"])
     def test_endpoint_tolerance_is_one_millimeter(self, end, offset, ok):
         start, stop = (Point(0, offset), B) if end == "start" else (A, Point(100, offset))
@@ -59,7 +60,7 @@ class TestBuildGraph:
             with pytest.raises(GraphError, match=f"does not {end}"):
                 build_graph({"A": A, "B": B}, edges)
 
-    @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False)])
+    @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False), (0.0, True)])
     @pytest.mark.parametrize("explicit", [True, False])
     def test_opposite_geometry_tolerance_is_one_millimeter(self, explicit, offset, ok):
         bend = Point(50, 30)
@@ -146,6 +147,25 @@ class TestInvariants:
         for edge in graph.edges.values():
             assert edge.opposite is not None
             assert graph.edges[edge.opposite].opposite == edge.id
+
+    def test_mixed_int_and_string_ids_iterate_numbers_first(self):
+        # numbers in numeric order, then strings in code-point order
+        b, c = Point(100, 0), Point(0, 100)
+        nodes = {"b": A, 10: b, 2: c, "a": Point(100, 100)}
+        edges = dict([
+            straight_edge("z", "b", 10, A, b),
+            straight_edge(7, "b", 2, A, c),
+            straight_edge(3.5, "b", "a", A, Point(100, 100)),
+            straight_edge(12, 10, "b", b, A),
+            straight_edge("e", 2, "b", c, A),
+            straight_edge(-1, "a", "b", Point(100, 100), A),
+        ])
+        graph = build_graph(nodes, edges)
+        assert list(graph.nodes) == [2, 10, "a", "b"]
+        assert list(graph.edges) == [-1, 3.5, 7, 12, "e", "z"]
+        assert graph.nodes["b"].outgoing == [3.5, 7, "z"]
+        assert [e.id for e in graph.outgoing_edges(10)] == [12]
+        assert [graph.edges[e].opposite for e in graph.edges] == [3.5, -1, "e", "z", 7, 12]
 
     def test_iteration_order_is_input_order_independent(self):
         nodes, edges = two_way_street()
