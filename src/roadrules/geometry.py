@@ -73,7 +73,9 @@ class Polyline:
     """Directed polyline addressed by arc length from its first vertex.
 
     Zero-length segments are rejected at construction so cumulative lengths
-    increase strictly; total length is always positive.
+    increase strictly; total length is always positive. The cumulative
+    lengths are computed on first use, so a line that is never measured
+    (every line of a sign-free run) never computes them.
     """
 
     __slots__ = ("vertices", "_cumulative")
@@ -82,40 +84,48 @@ class Polyline:
         points = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
         if len(points) < 2:
             raise ValueError("polyline needs at least two vertices")
-        cumulative = [0.0]
-        for i, (a, b) in enumerate(zip(points, points[1:])):
-            step = distance(a, b)
-            if step == 0.0:
+        # for finite coordinates, equal points are exactly the zero-length
+        # segments: a difference of unequal floats underflows gradually, never to 0
+        for i in range(len(points) - 1):
+            if points[i] == points[i + 1]:
                 raise ValueError(f"zero-length segment at vertex {i}")
-            cumulative.append(cumulative[-1] + step)
         self.vertices: tuple[Point, ...] = tuple(points)
-        self._cumulative: tuple[float, ...] = tuple(cumulative)
+        self._cumulative: tuple[float, ...] | None = None
+
+    def _measure(self) -> tuple[float, ...]:
+        """Fill in the arc length from the start to each vertex."""
+        cumulative = [0.0]
+        for a, b in zip(self.vertices, self.vertices[1:]):
+            cumulative.append(cumulative[-1] + distance(a, b))
+        self._cumulative = tuple(cumulative)
+        return self._cumulative
 
     @property
     def length(self) -> float:
         """Total arc length in meters."""
-        return self._cumulative[-1]
+        return (self._cumulative or self._measure())[-1]
 
     def project(self, d: float) -> Point:
         """Point at arc length ``d`` from the start; ``d`` is clamped to [0, length]."""
+        cumulative = self._cumulative or self._measure()
         if d <= 0.0:
             return self.vertices[0]
-        if d >= self.length:
+        if d >= cumulative[-1]:
             return self.vertices[-1]
-        i = bisect_right(self._cumulative, d) - 1
+        i = bisect_right(cumulative, d) - 1
         a, b = self.vertices[i], self.vertices[i + 1]
-        t = (d - self._cumulative[i]) / (self._cumulative[i + 1] - self._cumulative[i])
+        t = (d - cumulative[i]) / (cumulative[i + 1] - cumulative[i])
         return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
-    def _nearest(self, p: Point) -> tuple[float, float, Point]:
-        """(distance, arc length, point) of the closest point to ``p``.
+    def _nearest(self, p: Point) -> tuple[float, float]:
+        """(distance, arc length) of the closest point to ``p``.
 
         Equidistant candidates resolve to the smallest arc length because the
         scan improves only on strictly smaller distances.
         """
+        cumulative = self._cumulative or self._measure()
         best_d = math.inf
         best_arc = 0.0
-        best_point = self.vertices[0]
         for i in range(len(self.vertices) - 1):
             a, b = self.vertices[i], self.vertices[i + 1]
             abx, aby = b.x - a.x, b.y - a.y
@@ -129,9 +139,8 @@ class Polyline:
             d = math.hypot(q.x - p.x, q.y - p.y)
             if d < best_d:
                 best_d = d
-                best_arc = self._cumulative[i] + t * math.sqrt(seg2)
-                best_point = q
-        return best_d, best_arc, best_point
+                best_arc = cumulative[i] + t * math.sqrt(seg2)
+        return best_d, best_arc
 
     def index(self, p: Point) -> float:
         """Arc length from the start to ``p``.
@@ -140,10 +149,6 @@ class Polyline:
         several arc lengths are equally close the smallest one wins.
         """
         return self._nearest(p)[1]
-
-    def closest(self, p: Point) -> Point:
-        """The point on the line minimizing Euclidean distance to ``p``."""
-        return self._nearest(p)[2]
 
     def distance_to(self, p: Point) -> float:
         """Distance from ``p`` to the line."""

@@ -3,7 +3,8 @@ validation and debug overlays.
 
 Planar inputs mark themselves with a top-level ``"coordinate_system":
 "local-meters"`` member; without it, coordinates are treated as RFC 7946
-lon/lat and projected to local meters around the dataset centroid. All
+lon/lat and projected to local meters around the dataset centroid. A planar
+input file is streamed, one feature at a time, wherever its marker sits. All
 outputs are deterministic byte-for-byte for identical inputs.
 
 Every value read from a file is checked once, here, where it enters, and a
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,18 +38,138 @@ PLANAR_BOUND = 1e9  # meters; the largest planar coordinate a file may hold
 _FLOAT_MAX = sys.float_info.max
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_text(path: str | Path) -> str:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _parse_json(text: str, path: str | Path) -> Any:
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past the int-string digit limit
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    # ValueError: also an integer past the int-string digit limit;
+    # RecursionError: arrays or objects nested past the interpreter's depth
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{Path(path)}: malformed JSON: {exc}") from exc
+
+
+def _read_json(path: str | Path) -> Any:
+    return _parse_json(_read_text(path), path)
+
+
+class _Declined(Exception):
+    """The streamed reader cannot vouch for a file, which is then read whole."""
+
+
+_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
+_skip = json.decoder.WHITESPACE.match  # ``.end()`` is the index past the whitespace at one
+_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+
+
+def _member_name(text: str, i: int) -> tuple[str, int]:
+    """The name of the object member at ``i``, and the index of its value."""
+    if not text.startswith('"', i):
+        raise _Declined
+    name, i = _scan(text, i)
+    i = _skip(text, i).end()
+    if not text.startswith(":", i):
+        raise _Declined
+    return name, _skip(text, i + 1).end()
+
+
+def _closed(text: str, i: int, close: str) -> int:
+    """The index past ``close``, which must follow ``i`` after whitespace."""
+    i = _skip(text, i).end()
+    if not text.startswith(close, i):
+        raise _Declined
+    return i + 1
+
+
+def _planar_features(text: str) -> Iterator:
+    """The features of the planar FeatureCollection ``text``, each decoded as it is taken.
+
+    The first ``next()`` decodes the object's members up to ``features`` and
+    decides the frame: the ``coordinate_system`` read so far or, when none
+    was, a guess, the value after the last ``"coordinate_system"`` in the
+    text. Each later ``next()`` decodes one element of the array. After the
+    last, the members that follow are decoded and the guess confirmed: one
+    ``features`` member, ``type`` FeatureCollection, the planar marker, and
+    nothing after the object. Only then does the generator end, releasing
+    ``text``. Every other case raises ``_Declined``: a file that is not
+    planar, a wrong guess, a ``features`` that is not an array, and any JSON
+    this reader or ``json.loads`` would reject. Each value is decoded by the
+    scanner ``json.loads`` uses, so a file that is not declined reads exactly
+    as ``json.loads`` reads it.
+    """
+    try:
+        members: dict = {}
+        i = _closed(text, 0, "{")
+        name, i = _member_name(text, _skip(text, i).end())
+        while name != "features":
+            members[name], i = _scan(text, i)
+            comma = _comma(text, i)
+            if comma is None:  # the object ends without features
+                raise _Declined
+            name, i = _member_name(text, comma.end())
+        if "coordinate_system" in members:
+            marker = members["coordinate_system"]
+        else:
+            at = text.rfind('"coordinate_system"')
+            marker = _scan(text, _member_name(text, at)[1])[0] if at >= 0 else None
+        if marker != PLANAR_MARKER or not text.startswith("[", i):
+            raise _Declined
+        yield
+        i = _skip(text, i + 1).end()
+        if text.startswith("]", i):
+            i += 1
+        else:
+            while True:
+                feature, i = _scan(text, i)
+                yield feature
+                comma = _comma(text, i)
+                if comma is None:
+                    break
+                i = comma.end()
+            i = _closed(text, i, "]")
+        comma = _comma(text, i)
+        while comma is not None:
+            name, i = _member_name(text, comma.end())
+            if name == "features":  # ``json.loads`` keeps the last one
+                raise _Declined
+            members[name], i = _scan(text, i)
+            comma = _comma(text, i)
+        i = _closed(text, i, "}")
+    except (StopIteration, ValueError, RecursionError):
+        raise _Declined from None
+    if (
+        _skip(text, i).end() != len(text)
+        or members.get("type") != "FeatureCollection"
+        or members.get("coordinate_system") != PLANAR_MARKER
+    ):
+        raise _Declined
+
+
+def _read_collection(path: str | Path) -> tuple[Any, bool]:
+    """The document in the file at ``path``, and whether its features are streamed.
+
+    A file ``_planar_features`` accepts up to its features comes back as a
+    planar FeatureCollection whose ``features`` decode one at a time; only
+    that iterator refers to the file's text, so the text is freed once the
+    last feature has been taken and the file confirmed. Any other file is
+    parsed whole, from the text already read.
+    """
+    text = _read_text(path)
+    features = _planar_features(text)
+    try:
+        next(features)
+    except _Declined:
+        return _parse_json(text, path), False
+    planar = {"type": "FeatureCollection", "coordinate_system": PLANAR_MARKER, "features": features}
+    return planar, True
 
 
 # compact and key-sorted; ``encode`` is one-shot, so it runs in CPython's C encoder
@@ -94,14 +216,17 @@ def write_json(document: Any, path: str | Path) -> None:
         dump_json(document, handle)
 
 
-def _feature_collection(document: Any, path: str | Path) -> list[dict]:
-    """The features array, taken out of ``document``: a document is read once."""
+def _feature_collection(document: Any, path: str | Path) -> Iterator:
+    """The features, taken out of ``document`` (a document is read once) and
+    each dropped as it is taken."""
     if not isinstance(document, dict) or document.get("type") != "FeatureCollection":
         raise InputError(f"{path}: expected a GeoJSON FeatureCollection")
     features = document.pop("features", None)
-    if not isinstance(features, list):
-        raise InputError(f"{path}: FeatureCollection without a features array")
-    return features
+    if isinstance(features, list):
+        return _taken(features)
+    if isinstance(features, Iterator):  # ``_planar_features``
+        return features
+    raise InputError(f"{path}: FeatureCollection without a features array")
 
 
 def _is_planar(document: dict) -> bool:
@@ -198,24 +323,23 @@ def _taken(items: list) -> Iterator:
 
 
 def _read_features(
-    features: list, source: str | Path, planar: bool, projection: LocalProjection | None = None
+    features: Iterator, source: str | Path, planar: bool, projection: LocalProjection | None = None
 ) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
     """(geometry type, properties, planar points) of each feature, and the projection.
 
-    Each feature is dropped from ``features`` as it is read, so the parsed
-    document shrinks while the caller builds from it and a load never holds
-    both at once. Features are read as the caller iterates, except that
-    lon/lat ones without a ``projection`` are all read first, to center one
-    on the centroid of their positions, summed in feature order; each of
-    those readings is then dropped as it is projected.
+    ``features`` lets go of each feature as it is taken, and features are
+    read as the caller iterates, so a load never holds the parsed features
+    and what it builds from them at once. The exception is lon/lat features
+    without a ``projection``: they are all read first, to center one on the
+    centroid of their positions, summed in feature order, and each of those
+    readings is then dropped as it is projected.
     """
     if planar or projection is not None:
         point = Point if planar else projection.to_planar
-        read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(_taken(features)))
+        read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(features))
         return read, projection
     read = [
-        _read_feature(f, source, i, planar, lambda x, y: (x, y))
-        for i, f in enumerate(_taken(features))
+        _read_feature(f, source, i, planar, lambda x, y: (x, y)) for i, f in enumerate(features)
     ]
     positions = [p for _, _, points in read for p in points]
     if not positions:
@@ -240,7 +364,8 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     the graph is built in the memory the document frees, and the features
     array is gone afterwards, even when a feature is rejected. Reading the
     document again raises ``InputError``; a caller that reuses a document
-    passes a copy.
+    passes a copy. ``features`` may also be an iterator, as ``load_network``
+    passes for a planar file, whose features are decoded as they are read.
     """
     planar = _is_planar(document)
     features, projection = _read_features(_feature_collection(document, source), source, planar)
@@ -310,9 +435,21 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 def load_network(path: str | Path) -> RoadGraph:
     """Read a network GeoJSON file into a validated road graph.
 
-    The parsed document goes straight to ``network_from_document``, which
-    drops it feature by feature, so the load peaks at the JSON parse.
+    A planar file is streamed: each feature is decoded as the graph takes
+    it, and the file's text is freed before the graph is built, so the load
+    never holds the parsed document. Any other file, and any file that fails
+    to load that way, is parsed whole by ``json.loads`` and then consumed
+    feature by feature, so every graph and error is the one ``json.loads``
+    gives.
     """
+    document, streamed = _read_collection(path)
+    try:
+        return network_from_document(document, path)
+    except (_Declined, InputError):
+        if not streamed:
+            raise
+    # read whole, once the handler has let go of the streamed read and its text,
+    # so that the error reported is the one ``json.loads`` meets first
     return network_from_document(_read_json(path), path)
 
 
@@ -330,6 +467,18 @@ def signs_from_document(
     lon/lat signs are projected around their own centroid. The document's
     features are consumed, as by ``network_from_document``.
     """
+    skipped: list = []
+    try:
+        return _read_signs(document, source, network, skipped)
+    finally:
+        _warn_skipped(source, skipped)
+
+
+def _read_signs(
+    document: dict, source: str | Path, network: RoadGraph | None, skipped: list
+) -> list[Sign]:
+    """``signs_from_document``, with each unknown-type sign added to ``skipped``
+    instead of logged."""
     planar = _is_planar(document)
     projection = None
     if network is not None:
@@ -359,8 +508,7 @@ def signs_from_document(
         try:
             sign_type = SignType.from_code(code)
         except ValueError:
-            logger.warning("%s: feature %d: skipping sign %s with unknown type %s",
-                           source, i, shown(sign_id), shown(code))
+            skipped.append((i, sign_id, code))
             continue
         if not _is_finite(azimuth):
             raise InputError(f"{source}: feature {i}: bad azimuth {shown(azimuth)}")
@@ -368,9 +516,31 @@ def signs_from_document(
     return signs
 
 
+def _warn_skipped(source: str | Path, skipped: list) -> None:
+    for i, sign_id, code in skipped:
+        logger.warning("%s: feature %d: skipping sign %s with unknown type %s",
+                       source, i, shown(sign_id), shown(code))
+
+
 def load_signs(path: str | Path, network: RoadGraph | None = None) -> list[Sign]:
-    """Read a signs GeoJSON file; pass the network the signs belong to."""
-    return signs_from_document(_read_json(path), path, network)
+    """Read a signs GeoJSON file; pass the network the signs belong to.
+
+    Read as ``load_network`` reads a network: a planar file is streamed, and
+    its skipped signs are logged only once it has loaded, so a file that
+    fails to stream and is read whole warns once, as it would if read whole.
+    """
+    document, streamed = _read_collection(path)
+    if not streamed:
+        return signs_from_document(document, path, network)
+    skipped: list = []
+    try:
+        signs = _read_signs(document, path, network, skipped)
+    except (_Declined, InputError):
+        pass
+    else:
+        _warn_skipped(path, skipped)
+        return signs
+    return signs_from_document(_read_json(path), path, network)  # as in ``load_network``
 
 
 # The fields of each rule family's entries and the check each value passes;

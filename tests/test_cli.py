@@ -390,6 +390,28 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["network", "signs", "rules", "truth"])
+    def test_deeply_nested_json_exits_1(self, town, tmp_path, capsys, name):
+        # nested past the interpreter's recursion depth: json.loads raises
+        # RecursionError, which is malformed input like any other JSON error
+        rules = tmp_path / "rules.json"
+        assert main(derive_args(town, rules)) == 0
+        paths = {
+            "network": town / "network.geojson",
+            "signs": town / "signs.geojson",
+            "rules": rules,
+            "truth": town / "expected_rules.json",
+        }
+        paths[name].write_text("[" * 100_000, encoding="utf-8")
+        if name in ("network", "signs"):
+            code = main(derive_args(town, tmp_path / "r.json"))
+        else:
+            code = main(["validate", "--rules", str(rules), "--truth", str(paths["truth"])])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"{paths[name]}: malformed JSON" in err
+
+
 class TestScenarioCommand:
     def test_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "g"

@@ -109,6 +109,16 @@ class TestPolylineBasics:
         with pytest.raises(ValueError):
             Polyline([(0, 0), (0, 0), (1, 1)])
 
+    def test_zero_length_segment_is_named_by_its_vertex(self):
+        # 0.0 == -0.0: the segment has zero length even though the spellings differ
+        with pytest.raises(ValueError, match="^zero-length segment at vertex 1$"):
+            Polyline([(1, 1), (0.0, 5.0), (-0.0, 5.0)])
+
+    def test_lengths_filled_on_first_use(self):
+        line = Polyline([(0, 0), (3, 4)])
+        assert line._cumulative is None
+        assert line.length == 5.0 and line._cumulative == (0.0, 5.0)
+
 
 class TestProject:
     line = Polyline([(0, 0), (3, 0), (3, 4)])
@@ -145,19 +155,6 @@ class TestIndex:
         # last segment retraces the first: arc 5 and arc 35 are both at distance 0
         loop = Polyline([(0, 0), (10, 0), (10, 5), (0, 5), (0, 0), (10, 0)])
         assert loop.index(Point(5, 0)) == 5.0
-
-
-class TestClosest:
-    line = Polyline([(0, 0), (10, 0)])
-
-    def test_perpendicular_foot(self):
-        assert self.line.closest(Point(5, 3)) == Point(5, 0)
-
-    def test_endpoint_clamp(self):
-        assert self.line.closest(Point(12, 1)) == Point(10, 0)
-
-    def test_point_on_line(self):
-        assert self.line.closest(Point(5, 0)) == Point(5, 0)
 
 
 class TestDistance:
