@@ -241,19 +241,6 @@ def _bad_coordinates(source: str | Path, i: int, exc: Exception) -> InputError:
     return InputError(f"{source}: feature {i}: {detail}")
 
 
-def _feature_parts(feature: Any, source: str | Path, i: int) -> tuple[dict, dict]:
-    """A feature's geometry and properties objects; null or absent reads as empty."""
-    if not isinstance(feature, dict):
-        raise InputError(f"{source}: feature {i}: not a JSON object")
-    geometry = feature.get("geometry") or {}
-    properties = feature.get("properties") or {}
-    if not isinstance(geometry, dict):
-        raise InputError(f"{source}: feature {i}: geometry is not a JSON object")
-    if not isinstance(properties, dict):
-        raise InputError(f"{source}: feature {i}: properties is not a JSON object")
-    return geometry, properties
-
-
 def _is_finite(value: Any, bound: float = _FLOAT_MAX) -> bool:
     """True for a JSON number within ±``bound``.
 
@@ -302,8 +289,15 @@ def _positions(raw: Any, planar: bool, point: Callable[[Any, Any], Any]) -> list
 
 def _read_feature(feature: Any, source: str | Path, i: int, planar: bool, point) -> tuple:
     """A feature's geometry type, properties and the ``_positions`` of its
-    Point or LineString."""
-    geometry, properties = _feature_parts(feature, source, i)
+    Point or LineString; a null or absent geometry or properties reads as empty."""
+    if not isinstance(feature, dict):
+        raise InputError(f"{source}: feature {i}: not a JSON object")
+    geometry = feature.get("geometry") or {}
+    properties = feature.get("properties") or {}
+    if not isinstance(geometry, dict):
+        raise InputError(f"{source}: feature {i}: geometry is not a JSON object")
+    if not isinstance(properties, dict):
+        raise InputError(f"{source}: feature {i}: properties is not a JSON object")
     kind = geometry.get("type")
     points: list = []
     if kind in ("Point", "LineString"):
@@ -322,6 +316,28 @@ def _taken(items: list) -> Iterator:
         yield items.pop()
 
 
+def _shared_points(point: Callable[[Any, Any], Point]) -> Callable[[Any, Any], Point]:
+    """``point``, made once per exact position: a position read again gets
+    the Point made for it the first time.
+
+    Only a position of two non-zero floats is shared, because for those equal
+    means the same bits. Ints and zeros are made as read: ``1 == 1.0`` and
+    ``0 == 0.0 == -0.0``, but an output writes each back as it was read.
+    """
+    made: dict = {}
+
+    def shared_point(x: Any, y: Any) -> Point:
+        if type(x) is float and type(y) is float and x and y:
+            key = x, y
+            shared = made.get(key)
+            if shared is None:
+                shared = made[key] = point(x, y)
+            return shared
+        return point(x, y)
+
+    return shared_point
+
+
 def _read_features(
     features: Iterator, source: str | Path, planar: bool, projection: LocalProjection | None = None
 ) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
@@ -332,10 +348,11 @@ def _read_features(
     and what it builds from them at once. The exception is lon/lat features
     without a ``projection``: they are all read first, to center one on the
     centroid of their positions, summed in feature order, and each of those
-    readings is then dropped as it is projected.
+    readings is then dropped as it is projected. Equal exact positions are
+    one ``Point`` (see ``_shared_points``).
     """
     if planar or projection is not None:
-        point = Point if planar else projection.to_planar
+        point = _shared_points(Point if planar else projection.to_planar)
         read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(features))
         return read, projection
     read = [
@@ -345,7 +362,7 @@ def _read_features(
     if not positions:
         return read, None
     projection = LocalProjection.centered(positions)
-    to_planar = projection.to_planar
+    to_planar = _shared_points(projection.to_planar)
     projected = (
         (kind, props, [to_planar(x, y) for x, y in points]) for kind, props, points in _taken(read)
     )
@@ -366,6 +383,14 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     document again raises ``InputError``; a caller that reuses a document
     passes a copy. ``features`` may also be an iterator, as ``load_network``
     passes for a planar file, whose features are decoded as they are read.
+
+    The graph holds each id and each position once: an edge's ``source`` and
+    ``destination`` are its nodes' own ``id`` objects, its ``opposite`` is the
+    paired edge's ``id``, and a vertex at a node is that node's ``position``.
+    Only values that are the same bits are shared: string ids, and positions
+    of two non-zero floats. Numeric ids and positions with an int or a zero
+    are kept as read, since ``1 == 1.0`` and ``0 == 0.0 == -0.0`` but the
+    outputs write each as it was read.
     """
     planar = _is_planar(document)
     features, projection = _read_features(_feature_collection(document, source), source, planar)
@@ -374,19 +399,26 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 
     node_positions: dict = {}
     edges: dict[EdgeId, tuple[Any, Any, Polyline]] = {}
-    edge_feature_index: dict[EdgeId, int] = {}
-    opposite_pairs: list[tuple[EdgeId, EdgeId]] = []
+    opposites: dict[EdgeId, EdgeId] = {}
+    edge_ids: list = []  # by feature, None for a node: names a duplicate's first feature
+    # the string ids read so far: an equal one read later is replaced by the
+    # first, so the graph holds each id once (``_read_features`` does the same
+    # for positions). A numeric id is kept as read, since ``1 == 1.0``.
+    intern = {}.setdefault
 
     for i, (kind, properties, points) in enumerate(features):
         if kind == "Point":
             node_id = properties.get("node_id")
             if node_id is None:
                 raise InputError(f"{source}: feature {i}: Point without node_id")
-            if type(node_id) is not str:
+            if type(node_id) is str:
+                node_id = intern(node_id, node_id)
+            else:
                 _check_id(node_id, "node_id", source, i)
             if node_id in node_positions:
                 raise InputError(f"{source}: feature {i}: duplicate node_id {shown(node_id)}")
             node_positions[node_id] = points[0]
+            edge_ids.append(None)
         elif kind == "LineString":
             edge_id = properties.get("edge_id")
             src = properties.get("source_node")
@@ -396,30 +428,39 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                     f"{source}: feature {i}: LineString needs edge_id, source_node, target_node"
                 )
             # a string is an id; only other values need ``_check_id``
-            if type(edge_id) is not str:
+            if type(edge_id) is str:
+                edge_id = intern(edge_id, edge_id)
+            else:
                 _check_id(edge_id, "edge_id", source, i)
-            if type(src) is not str:
+            if type(src) is str:
+                src = intern(src, src)
+            else:
                 _check_id(src, "source_node", source, i)
-            if type(dst) is not str:
+            if type(dst) is str:
+                dst = intern(dst, dst)
+            else:
                 _check_id(dst, "target_node", source, i)
-            if edge_id in edge_feature_index:
+            if edge_id in edges:
                 raise InputError(
                     f"{source}: duplicate edge_id {shown(edge_id)} in features "
-                    f"{edge_feature_index[edge_id]} and {i}"
+                    f"{edge_ids.index(edge_id)} and {i}"
                 )
             try:
                 line = Polyline(points)
             except ValueError as exc:
                 raise _bad_coordinates(source, i, exc) from exc
-            edge_feature_index[edge_id] = i
             edges[edge_id] = (src, dst, line)
+            edge_ids.append(edge_id)
             opposite = properties.get("opposite_id")
             if opposite is not None:
-                if type(opposite) is not str:
+                if type(opposite) is str:
+                    opposite = intern(opposite, opposite)
+                else:
                     _check_id(opposite, "opposite_id", source, i)
-                opposite_pairs.append((edge_id, opposite))
+                opposites[edge_id] = opposite
         else:
             raise InputError(f"{source}: feature {i}: unsupported geometry type {shown(kind)}")
+    del intern, edge_ids  # before the graph is built in the memory they free
 
     # fall back to edge endpoints for nodes the Point features do not cover
     for src, dst, line in edges.values():
@@ -427,7 +468,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
         node_positions.setdefault(dst, line.vertices[-1])
 
     try:
-        return build_graph(node_positions, edges, opposite_pairs or None, projection=projection)
+        return build_graph(node_positions, edges, opposites.items() or None, projection=projection)
     except GraphError as exc:
         raise InputError(f"{source}: {exc}") from exc
 

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+import roadrules.io as roadrules_io
 from roadrules.cli import main
+from roadrules.errors import InputError
 from roadrules.navigator import derive_rules
 
 
@@ -123,6 +125,49 @@ class TestDerive:
         (town / f"{name}.geojson").write_text(json.dumps(document))
         assert main(derive_args(town, tmp_path / "r.json")) == 1
         assert f"feature {i}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("read", ["streamed", "whole"])
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("empty", "polyline needs at least two vertices"),
+            ("single", "polyline needs at least two vertices"),
+            ("repeated", "zero-length segment at vertex 0"),
+        ],
+    )
+    def test_degenerate_linestring_exits_1(self, town, tmp_path, monkeypatch, capsys,
+                                           read, shape, message):
+        path = town / "network.geojson"
+        document = json.loads(path.read_text())
+        i = next(i for i, f in enumerate(document["features"])
+                 if f["geometry"]["type"] == "LineString")
+        coordinates = document["features"][i]["geometry"]["coordinates"]
+        coordinates[:] = {"empty": [], "single": coordinates[:1],
+                          "repeated": coordinates[:1] + coordinates}[shape]
+        path.write_text(json.dumps(document))
+        read_document = roadrules_io.network_from_document
+        reads = []  # (streamed, message) of each attempt to read the network
+
+        def recorded(document, source):
+            streamed = not isinstance(document["features"], list)
+            try:
+                return read_document(document, source)
+            except InputError as exc:
+                reads.append((streamed, str(exc)))
+                raise
+
+        def declined(text):  # the streamed reader declines every file
+            raise roadrules_io._Declined
+            yield
+
+        monkeypatch.setattr(roadrules_io, "network_from_document", recorded)
+        if read == "whole":
+            monkeypatch.setattr(roadrules_io, "_planar_features", declined)
+        assert main(derive_args(town, tmp_path / "r.json")) == 1
+        error = f"{path}: feature {i}: {message}"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        # a streamed read that fails is read again whole, to report what ``json.loads`` meets
+        assert reads == [(True, error), (False, error)][read == "whole":]
 
     @pytest.mark.parametrize(
         "name, kind, part, value",
