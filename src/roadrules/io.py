@@ -8,9 +8,14 @@ input file is streamed, one feature at a time, wherever its marker sits. All
 outputs are deterministic byte-for-byte for identical inputs.
 
 Every value read from a file is checked once, here, where it enters, and a
-bad one is reported with the feature or entry that holds it: ``_position``
-checks each coordinate, and the loaders check ids and their uniqueness. The
-layers below (``geometry``, ``network``) take the checked values as given.
+bad one is reported with the feature or entry that holds it: ``_positions``
+checks each coordinate, and ``_read_id`` each id. A network and a signs file
+are read the same way (``_load``), and a fault gives one message in either:
+``feature <i>: bad or missing '<property>'`` for a missing or ill-typed id,
+sign ``type`` or ``azimuth`` (checked on a skipped sign too), ``duplicate
+<property> <id> in features <a> and <b>`` for any id read twice, and
+``feature <i>: unsupported geometry type <type>``. The layers below
+(``geometry``, ``network``) take the checked values as given.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -258,9 +263,28 @@ def _is_id_list(value: Any) -> bool:
     return isinstance(value, list) and all(map(_is_id, value))
 
 
-def _check_id(value: Any, name: str, source: str | Path, i: int) -> None:
-    if not _is_id(value):
-        raise InputError(f"{source}: feature {i}: {name} must be a string or a finite number")
+def _bad_property(source: str | Path, i: int, name: str) -> InputError:
+    return InputError(f"{source}: feature {i}: bad or missing {name!r}")
+
+
+def _read_id(properties: dict, name: str, intern: Callable, source: str | Path, i: int) -> Any:
+    """The id ``properties[name]``: a string, as ``intern(value, value)`` gives
+    it, or a finite JSON number, as read."""
+    value = properties.get(name)
+    if type(value) is str:  # the common case first: every string is an id
+        return intern(value, value)
+    if _is_finite(value):
+        return value
+    raise _bad_property(source, i, name)
+
+
+def _as_read(value: Any, _: Any) -> Any:
+    """An ``intern`` for ``_read_id`` that shares nothing."""
+    return value
+
+
+def _duplicate(source: str | Path, name: str, value: Any, first: int, i: int) -> InputError:
+    return InputError(f"{source}: duplicate {name} {shown(value)} in features {first} and {i}")
 
 
 def _positions(raw: Any, planar: bool, point: Callable[[Any, Any], Any]) -> list:
@@ -287,9 +311,11 @@ def _positions(raw: Any, planar: bool, point: Callable[[Any, Any], Any]) -> list
     return points
 
 
-def _read_feature(feature: Any, source: str | Path, i: int, planar: bool, point) -> tuple:
-    """A feature's geometry type, properties and the ``_positions`` of its
-    Point or LineString; a null or absent geometry or properties reads as empty."""
+def _read_feature(
+    feature: Any, source: str | Path, i: int, kinds: tuple, planar: bool, point
+) -> tuple:
+    """A feature's geometry type, one of ``kinds``, its properties and the
+    ``_positions`` of its geometry; null or absent properties read as empty."""
     if not isinstance(feature, dict):
         raise InputError(f"{source}: feature {i}: not a JSON object")
     geometry = feature.get("geometry") or {}
@@ -299,13 +325,13 @@ def _read_feature(feature: Any, source: str | Path, i: int, planar: bool, point)
     if not isinstance(properties, dict):
         raise InputError(f"{source}: feature {i}: properties is not a JSON object")
     kind = geometry.get("type")
-    points: list = []
-    if kind in ("Point", "LineString"):
-        try:
-            raw = geometry["coordinates"]
-            points = _positions([raw] if kind == "Point" else raw, planar, point)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise _bad_coordinates(source, i, exc) from exc
+    if kind not in kinds:
+        raise InputError(f"{source}: feature {i}: unsupported geometry type {shown(kind)}")
+    try:
+        raw = geometry["coordinates"]
+        points = _positions([raw] if kind == "Point" else raw, planar, point)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise _bad_coordinates(source, i, exc) from exc
     return kind, properties, points
 
 
@@ -339,7 +365,11 @@ def _shared_points(point: Callable[[Any, Any], Point]) -> Callable[[Any, Any], P
 
 
 def _read_features(
-    features: Iterator, source: str | Path, planar: bool, projection: LocalProjection | None = None
+    features: Iterator,
+    source: str | Path,
+    kinds: tuple,
+    planar: bool,
+    projection: LocalProjection | None = None,
 ) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
     """(geometry type, properties, planar points) of each feature, and the projection.
 
@@ -353,10 +383,11 @@ def _read_features(
     """
     if planar or projection is not None:
         point = _shared_points(Point if planar else projection.to_planar)
-        read = (_read_feature(f, source, i, planar, point) for i, f in enumerate(features))
+        read = (_read_feature(f, source, i, kinds, planar, point) for i, f in enumerate(features))
         return read, projection
     read = [
-        _read_feature(f, source, i, planar, lambda x, y: (x, y)) for i, f in enumerate(features)
+        _read_feature(f, source, i, kinds, planar, lambda x, y: (x, y))
+        for i, f in enumerate(features)
     ]
     positions = [p for _, _, points in read for p in points]
     if not positions:
@@ -393,74 +424,46 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     outputs write each as it was read.
     """
     planar = _is_planar(document)
-    features, projection = _read_features(_feature_collection(document, source), source, planar)
+    features, projection = _read_features(
+        _feature_collection(document, source), source, ("Point", "LineString"), planar
+    )
     if projection is None and not planar:
         raise InputError(f"{source}: no coordinates to center a projection on")
 
     node_positions: dict = {}
     edges: dict[EdgeId, tuple[Any, Any, Polyline]] = {}
     opposites: dict[EdgeId, EdgeId] = {}
-    edge_ids: list = []  # by feature, None for a node: names a duplicate's first feature
+    # each feature's node or edge id, and whether it is an edge: they name a
+    # duplicate's first feature, as a node and an edge may share an id
+    ids: list = []
+    is_edge = bytearray()
     # the string ids read so far: an equal one read later is replaced by the
     # first, so the graph holds each id once (``_read_features`` does the same
     # for positions). A numeric id is kept as read, since ``1 == 1.0``.
     intern = {}.setdefault
 
     for i, (kind, properties, points) in enumerate(features):
-        if kind == "Point":
-            node_id = properties.get("node_id")
-            if node_id is None:
-                raise InputError(f"{source}: feature {i}: Point without node_id")
-            if type(node_id) is str:
-                node_id = intern(node_id, node_id)
-            else:
-                _check_id(node_id, "node_id", source, i)
-            if node_id in node_positions:
-                raise InputError(f"{source}: feature {i}: duplicate node_id {shown(node_id)}")
-            node_positions[node_id] = points[0]
-            edge_ids.append(None)
-        elif kind == "LineString":
-            edge_id = properties.get("edge_id")
-            src = properties.get("source_node")
-            dst = properties.get("target_node")
-            if edge_id is None or src is None or dst is None:
-                raise InputError(
-                    f"{source}: feature {i}: LineString needs edge_id, source_node, target_node"
-                )
-            # a string is an id; only other values need ``_check_id``
-            if type(edge_id) is str:
-                edge_id = intern(edge_id, edge_id)
-            else:
-                _check_id(edge_id, "edge_id", source, i)
-            if type(src) is str:
-                src = intern(src, src)
-            else:
-                _check_id(src, "source_node", source, i)
-            if type(dst) is str:
-                dst = intern(dst, dst)
-            else:
-                _check_id(dst, "target_node", source, i)
-            if edge_id in edges:
-                raise InputError(
-                    f"{source}: duplicate edge_id {shown(edge_id)} in features "
-                    f"{edge_ids.index(edge_id)} and {i}"
-                )
-            try:
-                line = Polyline(points)
-            except ValueError as exc:
-                raise _bad_coordinates(source, i, exc) from exc
-            edges[edge_id] = (src, dst, line)
-            edge_ids.append(edge_id)
-            opposite = properties.get("opposite_id")
-            if opposite is not None:
-                if type(opposite) is str:
-                    opposite = intern(opposite, opposite)
-                else:
-                    _check_id(opposite, "opposite_id", source, i)
-                opposites[edge_id] = opposite
-        else:
-            raise InputError(f"{source}: feature {i}: unsupported geometry type {shown(kind)}")
-    del intern, edge_ids  # before the graph is built in the memory they free
+        edge = kind == "LineString"
+        name = "edge_id" if edge else "node_id"
+        feature_id = _read_id(properties, name, intern, source, i)
+        if feature_id in (edges if edge else node_positions):
+            first = next(j for j, x in enumerate(ids) if is_edge[j] == edge and x == feature_id)
+            raise _duplicate(source, name, feature_id, first, i)
+        ids.append(feature_id)
+        is_edge.append(edge)
+        if not edge:
+            node_positions[feature_id] = points[0]
+            continue
+        src = _read_id(properties, "source_node", intern, source, i)
+        dst = _read_id(properties, "target_node", intern, source, i)
+        try:
+            line = Polyline(points)
+        except ValueError as exc:
+            raise _bad_coordinates(source, i, exc) from exc
+        edges[feature_id] = (src, dst, line)
+        if properties.get("opposite_id") is not None:
+            opposites[feature_id] = _read_id(properties, "opposite_id", intern, source, i)
+    del intern, ids, is_edge  # before the graph is built in the memory they free
 
     # fall back to edge endpoints for nodes the Point features do not cover
     for src, dst, line in edges.values():
@@ -473,25 +476,39 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
         raise InputError(f"{source}: {exc}") from exc
 
 
+def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any:
+    """``read(document, path, skipped)`` of the file at ``path``, then a warning
+    for each sign ``read`` added to ``skipped``.
+
+    A planar file is streamed: each feature is decoded as ``read`` takes it,
+    and the file's text is freed once the last is taken. Any other file, and
+    any file that fails to load that way, is parsed whole by ``json.loads``
+    and then consumed feature by feature, so every result, error and warning
+    is the one reading the whole document gives.
+    """
+    document, streamed = _read_collection(path)
+    skipped: list = []
+    try:
+        if streamed:
+            try:
+                return read(document, path, skipped)
+            except (_Declined, InputError):
+                skipped.clear()  # the whole read finds them again
+            # read whole once the handler has let go of the streamed read and
+            # its text, so that the error reported is the one ``json.loads`` meets first
+            document = _read_json(path)
+        return read(document, path, skipped)
+    finally:
+        _warn_skipped(path, skipped)
+
+
 def load_network(path: str | Path) -> RoadGraph:
     """Read a network GeoJSON file into a validated road graph.
 
-    A planar file is streamed: each feature is decoded as the graph takes
-    it, and the file's text is freed before the graph is built, so the load
-    never holds the parsed document. Any other file, and any file that fails
-    to load that way, is parsed whole by ``json.loads`` and then consumed
-    feature by feature, so every graph and error is the one ``json.loads``
-    gives.
+    A planar file is streamed (see ``_load``), so the load never holds the
+    parsed document, and the file's text is freed before the graph is built.
     """
-    document, streamed = _read_collection(path)
-    try:
-        return network_from_document(document, path)
-    except (_Declined, InputError):
-        if not streamed:
-            raise
-    # read whole, once the handler has let go of the streamed read and its text,
-    # so that the error reported is the one ``json.loads`` meets first
-    return network_from_document(_read_json(path), path)
+    return _load(path, lambda document, source, _: network_from_document(document, source))
 
 
 def signs_from_document(
@@ -501,9 +518,9 @@ def signs_from_document(
 ) -> list[Sign]:
     """Parse sign Point features (properties sign_id, type, azimuth).
 
-    Unknown type codes are rejected with a logged warning instead of failing
-    the whole file; missing fields, and an azimuth that is not a finite JSON
-    number, are errors. With a ``network``, the signs must be in its
+    A sign whose type is a string that is no known code is skipped, with a
+    logged warning, instead of failing the whole file; its id, position and
+    azimuth are still checked. With a ``network``, the signs must be in its
     coordinate frame, and lon/lat signs reuse its projection; without one,
     lon/lat signs are projected around their own centroid. The document's
     features are consumed, as by ``network_from_document``.
@@ -529,30 +546,27 @@ def _read_signs(
                 f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
                 f"network is {'lon/lat' if planar else 'planar'}"
             )
-    features, _ = _read_features(_feature_collection(document, source), source, planar, projection)
+    features, _ = _read_features(
+        _feature_collection(document, source), source, ("Point",), planar, projection
+    )
     signs: list[Sign] = []
-    seen: dict = {}
-    for i, (kind, properties, points) in enumerate(features):
-        if kind != "Point":
-            raise InputError(f"{source}: feature {i}: signs must be Point features")
-        sign_id = properties.get("sign_id")
-        code = properties.get("type")
-        azimuth = properties.get("azimuth")
-        if sign_id is None or code is None or azimuth is None:
-            raise InputError(f"{source}: feature {i}: sign needs sign_id, type, azimuth")
-        _check_id(sign_id, "sign_id", source, i)
+    seen: dict = {}  # the feature of each sign id
+    for i, (_, properties, points) in enumerate(features):
+        sign_id = _read_id(properties, "sign_id", _as_read, source, i)
         if sign_id in seen:
-            raise InputError(
-                f"{source}: duplicate sign_id {shown(sign_id)} in features {seen[sign_id]} and {i}"
-            )
+            raise _duplicate(source, "sign_id", sign_id, seen[sign_id], i)
         seen[sign_id] = i
+        code = properties.get("type")
+        if type(code) is not str:
+            raise _bad_property(source, i, "type")
+        azimuth = properties.get("azimuth")
+        if not _is_finite(azimuth):
+            raise _bad_property(source, i, "azimuth")
         try:
             sign_type = SignType.from_code(code)
         except ValueError:
             skipped.append((i, sign_id, code))
             continue
-        if not _is_finite(azimuth):
-            raise InputError(f"{source}: feature {i}: bad azimuth {shown(azimuth)}")
         signs.append(Sign(sign_id, points[0], sign_type, azimuth))
     return signs
 
@@ -564,24 +578,10 @@ def _warn_skipped(source: str | Path, skipped: list) -> None:
 
 
 def load_signs(path: str | Path, network: RoadGraph | None = None) -> list[Sign]:
-    """Read a signs GeoJSON file; pass the network the signs belong to.
-
-    Read as ``load_network`` reads a network: a planar file is streamed, and
-    its skipped signs are logged only once it has loaded, so a file that
-    fails to stream and is read whole warns once, as it would if read whole.
-    """
-    document, streamed = _read_collection(path)
-    if not streamed:
-        return signs_from_document(document, path, network)
-    skipped: list = []
-    try:
-        signs = _read_signs(document, path, network, skipped)
-    except (_Declined, InputError):
-        pass
-    else:
-        _warn_skipped(path, skipped)
-        return signs
-    return signs_from_document(_read_json(path), path, network)  # as in ``load_network``
+    """Read a signs GeoJSON file, as ``load_network`` reads a network; pass
+    the network the signs belong to. Skipped signs are logged once, as
+    reading the whole document logs them."""
+    return _load(path, lambda doc, source, skipped: _read_signs(doc, source, network, skipped))
 
 
 # The fields of each rule family's entries and the check each value passes;
@@ -674,17 +674,7 @@ class AccuracyReport:
     turn: FamilyAccuracy
 
     def to_document(self) -> dict:
-        def family(f: FamilyAccuracy) -> dict:
-            return {
-                "total_mapped": f.total_mapped,
-                "incorrect": f.incorrect,
-                "accuracy": f.accuracy,
-            }
-
-        return {
-            "one_way_streets": family(self.one_way),
-            "turn_restrictions": family(self.turn),
-        }
+        return {"one_way_streets": asdict(self.one_way), "turn_restrictions": asdict(self.turn)}
 
 
 def derived_rule_sets(rules: DerivationResult | dict) -> tuple[frozenset, frozenset]:

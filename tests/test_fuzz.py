@@ -15,6 +15,7 @@ in-process on both rule documents.
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -206,7 +207,7 @@ def test_duplicated_id_exits_1(workdir, duplicate, capsys):
     code = _derive(workdir, files)
     err = capsys.readouterr().err
     assert code == 1, err
-    assert f"duplicate {path[-1]}" in err
+    assert re.search(rf"duplicate {path[-1]} .* in features \d+ and \d+\n", err), err
 
 
 def test_consumed_slots_reach_one_way_entries():

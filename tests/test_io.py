@@ -137,7 +137,7 @@ class TestLoadNetwork:
             geo_feature("Point", [0, 0], node_id="A"),
             geo_feature("Point", [100, 0], node_id="A"),
         )
-        with pytest.raises(InputError, match="feature 1: duplicate node_id 'A'"):
+        with pytest.raises(InputError, match="duplicate node_id 'A' in features 0 and 1"):
             network_from_document(doc)
 
     @pytest.mark.parametrize("named_by", [("ab", "ba"), ("ab",), ("ba",)])
@@ -256,7 +256,7 @@ class TestLoadNetwork:
                         edge_id="ba", source_node="B", target_node="A"),
             geo_feature("LineString", [[0, 0], [100, 0]], **props),
         )
-        with pytest.raises(InputError, match=f"feature 1: {name} must be"):
+        with pytest.raises(InputError, match=f"feature 1: bad or missing '{name}'"):
             network_from_document(doc)
 
     @pytest.mark.parametrize("value", UNHASHABLE)
@@ -265,7 +265,7 @@ class TestLoadNetwork:
             geo_feature("Point", [0, 0], node_id="A"),
             geo_feature("Point", [1, 1], node_id=value),
         )
-        with pytest.raises(InputError, match="feature 1: node_id must be"):
+        with pytest.raises(InputError, match="feature 1: bad or missing 'node_id'"):
             network_from_document(doc)
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf, True])
@@ -274,7 +274,7 @@ class TestLoadNetwork:
             geo_feature("Point", [0, 0], node_id="A"),
             geo_feature("Point", [1, 1], node_id=value),
         )
-        with pytest.raises(InputError, match="feature 1: node_id must be a string or a finite"):
+        with pytest.raises(InputError, match="feature 1: bad or missing 'node_id'"):
             network_from_document(doc)
 
     @pytest.mark.parametrize("planar", [True, False])
@@ -346,6 +346,24 @@ class TestLoadSigns:
         with pytest.raises(InputError, match="feature 1: coordinates"):
             signs_from_document(doc)
 
+    @pytest.mark.parametrize("code", ["R-500", "R-101"])
+    def test_azimuth_is_checked_whatever_the_type(self, tmp_path, caplog, code):
+        path = write_doc(tmp_path, "signs.geojson", self.signs_doc(
+            [geo_feature("Point", [0, 0], sign_id="s", type=code, azimuth="north")]
+        ))
+        with caplog.at_level(logging.WARNING, logger="roadrules"):
+            with pytest.raises(InputError, match="feature 0: bad or missing 'azimuth'"):
+                load_signs(path)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("code", [None, 101, True, ["R-101"]])
+    def test_type_that_is_not_a_string_rejected(self, code):
+        doc = self.signs_doc(
+            [geo_feature("Point", [0, 0], sign_id="s", type=code, azimuth=0)]
+        )
+        with pytest.raises(InputError, match="feature 0: bad or missing 'type'"):
+            signs_from_document(doc)
+
     def test_azimuth_wraps(self):
         doc = self.signs_doc(
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth=360)]
@@ -365,7 +383,7 @@ class TestLoadSigns:
                 geo_feature("Point", [0, 0], sign_id="b", type="R-101", azimuth=azimuth),
             ]
         )
-        with pytest.raises(InputError, match="feature 1: bad azimuth"):
+        with pytest.raises(InputError, match="feature 1: bad or missing 'azimuth'"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("value", UNHASHABLE)
@@ -376,7 +394,7 @@ class TestLoadSigns:
                 geo_feature("Point", [0, 0], sign_id=value, type="R-101", azimuth=0),
             ]
         )
-        with pytest.raises(InputError, match="feature 1: sign_id must be"):
+        with pytest.raises(InputError, match="feature 1: bad or missing 'sign_id'"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -387,7 +405,7 @@ class TestLoadSigns:
                 geo_feature("Point", [0, 0], sign_id=value, type="R-101", azimuth=0),
             ]
         )
-        with pytest.raises(InputError, match="feature 1: sign_id must be a string or a finite"):
+        with pytest.raises(InputError, match="feature 1: bad or missing 'sign_id'"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("planar", [True, False])
@@ -409,7 +427,7 @@ class TestLoadSigns:
         doc = self.signs_doc(
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth="north")]
         )
-        with pytest.raises(InputError, match="bad azimuth"):
+        with pytest.raises(InputError, match="feature 0: bad or missing 'azimuth'"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("azimuth", [math.nan, math.inf, "nan", "-inf"])
@@ -420,7 +438,7 @@ class TestLoadSigns:
                 geo_feature("Point", [0, 0], sign_id="b", type="R-101", azimuth=azimuth),
             ]
         )
-        with pytest.raises(InputError, match="feature 1: bad azimuth"):
+        with pytest.raises(InputError, match="feature 1: bad or missing 'azimuth'"):
             signs_from_document(doc)
 
     @pytest.mark.parametrize("planar", [True, False])
@@ -450,7 +468,7 @@ class TestLoadSigns:
         doc = self.signs_doc(
             [geo_feature("LineString", [[0, 0], [1, 1]], sign_id="s", type="R-101", azimuth=0)]
         )
-        with pytest.raises(InputError, match="Point"):
+        with pytest.raises(InputError, match="feature 0: unsupported geometry type 'LineString'"):
             signs_from_document(doc)
 
     @staticmethod
@@ -579,6 +597,68 @@ LOADERS = {
     "network": (load_network, network_from_document, graph_parts),
     "signs": (load_signs, signs_from_document, sign_parts),
 }
+
+
+# a feature of each kind that holds an id, by site: (file kind, id property, feature)
+FAULT_SITES = {
+    "network-point": ("network", "node_id", geo_feature("Point", [0, 0], node_id="x")),
+    "network-linestring": ("network", "edge_id", geo_feature(
+        "LineString", [[0, 0], [100, 0]], edge_id="x", source_node="A", target_node="B"
+    )),
+    "sign": ("signs", "sign_id", geo_feature("Point", [0, 0], sign_id="x", type="R-101",
+                                             azimuth=0)),
+}
+
+# how each fault changes a copy of a site's feature, and the message it gives
+# (``{name}`` is the site's id property) when that copy follows the feature
+ID_FAULTS = {
+    "missing-id": (lambda f, name: f["properties"].pop(name),
+                   "feature 1: bad or missing '{name}'"),
+    "true-id": (lambda f, name: f["properties"].update({name: True}),
+                "feature 1: bad or missing '{name}'"),
+    "nan-id": (lambda f, name: f["properties"].update({name: math.nan}),
+               "feature 1: bad or missing '{name}'"),
+    "list-id": (lambda f, name: f["properties"].update({name: ["x"]}),
+                "feature 1: bad or missing '{name}'"),
+    "duplicate-id": (lambda f, name: None, "duplicate {name} 'x' in features 0 and 1"),
+    "geometry": (lambda f, name: f.update(geometry={"type": "MultiPoint", "coordinates": []}),
+                 "feature 1: unsupported geometry type 'MultiPoint'"),
+}
+
+
+class TestOneMessagePerFault:
+    """A fault gives one message, in a network or a signs file, streamed or read whole."""
+
+    @pytest.mark.parametrize("site", FAULT_SITES)
+    @pytest.mark.parametrize("fault", ID_FAULTS)
+    def test_fault_reads_the_same_everywhere(self, tmp_path, site, fault):
+        kind, name, feature = FAULT_SITES[site]
+        change, message = ID_FAULTS[fault]
+        faulty = copy.deepcopy(feature)
+        change(faulty, name)
+        path = write_doc(tmp_path, f"{kind}.geojson", planar_network(feature, faulty))
+        _, from_document, _ = LOADERS[kind]
+        document, streamed = roadrules_io._read_collection(path)
+        assert streamed
+        messages = []
+        for read in (
+            lambda: from_document(document, path),  # streamed
+            lambda: from_document(json.loads(path.read_text()), path),  # whole
+        ):
+            with pytest.raises(InputError) as caught:
+                read()
+            messages.append(str(caught.value))
+        assert messages == [f"{path}: {message.format(name=name)}"] * 2
+
+    def test_duplicate_names_the_first_feature_of_its_own_kind(self):
+        # a node and an edge may share an id; a duplicate is named against its own kind
+        edge = geo_feature("LineString", [[0, 0], [100, 0]],
+                           edge_id="A", source_node="A", target_node="B")
+        node = geo_feature("Point", [0, 0], node_id="A")
+        with pytest.raises(InputError, match="duplicate node_id 'A' in features 1 and 2$"):
+            network_from_document(planar_network(edge, node, node))
+        with pytest.raises(InputError, match="duplicate edge_id 'A' in features 1 and 2$"):
+            network_from_document(planar_network(node, edge, edge))
 
 
 def member_text(document, marker_first, extras, dump):
