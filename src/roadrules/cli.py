@@ -3,7 +3,8 @@
 Subcommands: derive (run a derivation and write the rule document), validate
 (score a rule document against ground truth), scenario (emit a synthetic test
 scene) and render (write the inspection overlay). Exit codes: 0 success, 1
-input error, 2 internal invariant violation.
+input error (including an output that cannot be written), 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -96,30 +97,10 @@ def _detection_config(args: argparse.Namespace) -> DetectionConfig:
         raise InputError(str(exc)) from exc
 
 
-def _load_inputs(args: argparse.Namespace, index: bool):
-    """Load the network and its signs, as a ``SignIndex`` when ``index`` is set.
-
-    Parsing and graph building allocate millions of containers and none of
-    them forms a reference cycle, so each cyclic-GC pass during the load
-    would rescan the whole heap and free nothing. The collector is paused
-    for the load, and what was loaded is then frozen so that the collections
-    of the rest of the command skip it. The freeze is skipped when the caller
-    has frozen objects of its own, because ``main`` can only undo a freeze by
-    unfreezing everything.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        graph = load_network(args.network)
-        signs = load_signs(args.signs, graph)
-        if index:
-            signs = SignIndex(signs)
-    finally:
-        if enabled:
-            gc.enable()
-    if not gc.get_freeze_count():
-        gc.freeze()
-    return graph, signs
+def _load_inputs(args: argparse.Namespace) -> tuple[RoadGraph, SignIndex]:
+    """Load the network and index its signs."""
+    graph = load_network(args.network)
+    return graph, SignIndex(load_signs(args.signs, graph))
 
 
 def _edge_ids(graph: RoadGraph, names: list[str]) -> list:
@@ -138,7 +119,7 @@ def _edge_ids(graph: RoadGraph, names: list[str]) -> list:
 def _cmd_derive(args: argparse.Namespace) -> int:
     if not args.start_edge and not args.cover_all:
         raise InputError("derive needs --start-edge or --cover-all")
-    graph, index = _load_inputs(args, index=True)
+    graph, index = _load_inputs(args)
     result = derive_rules(
         graph, index, _detection_config(args), start_edges=_edge_ids(graph, args.start_edge),
         cover_all=args.cover_all,
@@ -179,15 +160,24 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    graph, signs = _load_inputs(args, index=False)
-    render_overlay(load_rules(args.rules), graph, signs, args.out)
+    graph, index = _load_inputs(args)
+    render_overlay(load_rules(args.rules), graph, index, args.out)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    A run allocates millions of small containers (the parsed features, the
+    graph, the sign index, the run state and the documents it writes) and
+    makes no cyclic garbage, so every pass of the cyclic garbage collector
+    would rescan them and free nothing. The collector is therefore off for
+    the whole command and restored to its previous state at the end.
+    """
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    frozen = gc.get_freeze_count()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InputError as exc:
@@ -200,8 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
     finally:
-        if not frozen:
-            gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

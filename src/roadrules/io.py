@@ -217,8 +217,11 @@ def dump_json(document: Any, stream: TextIO) -> None:
 
 
 def write_json(document: Any, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        dump_json(document, handle)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            dump_json(document, handle)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _feature_collection(document: Any, path: str | Path) -> Iterator:

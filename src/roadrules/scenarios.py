@@ -212,7 +212,10 @@ def generate_scenario(
 def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     """Write network.geojson, signs.geojson and expected_rules.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
     paths = {
         "network": out / "network.geojson",
         "signs": out / "signs.geojson",

@@ -267,31 +267,34 @@ class TestDerive:
 
 
 class TestCollectorState:
-    """The CLI pauses and freezes the collector while loading, then undoes both."""
+    """The CLI pauses the collector for the whole command, then restores it."""
 
     @staticmethod
     def collector_state():
         return gc.isenabled(), gc.get_freeze_count()
 
-    def test_paused_while_loading_and_frozen_for_derive(self, town, tmp_path, monkeypatch):
+    def test_paused_for_the_whole_command(self, town, tmp_path, monkeypatch):
         import roadrules.cli as cli
 
+        once = (
+            "load_network", "load_signs", "SignIndex", "derive_rules", "write_rules",
+            "render_overlay",
+        )
         seen = {}
 
         def spy(name, fn):
             def wrapper(*args, **kwargs):
-                seen[name] = self.collector_state()
+                seen[name] = gc.isenabled()
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for name in ("load_network", "load_signs", "SignIndex", "derive_rules"):
+        for name in once:
             monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
-        assert gc.get_freeze_count() == 0
-        assert main(derive_args(town, tmp_path / "r.json")) == 0
-        assert [seen[name][0] for name in ("load_network", "load_signs", "SignIndex")] == [False] * 3
-        enabled, frozen = seen["derive_rules"]
-        assert enabled and frozen > 0
+        before = self.collector_state()
+        assert main(derive_args(town, tmp_path / "r.json", tmp_path / "o.geojson")) == 0
+        assert seen == dict.fromkeys(once, False)
+        assert self.collector_state() == before
 
     def test_derive_with_overlay(self, town, tmp_path):
         before = self.collector_state()
@@ -455,6 +458,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1, err
         assert f"{paths[name]}: malformed JSON" in err
+
+    @pytest.mark.parametrize(
+        "command", ["derive --out", "derive --overlay", "validate --out", "render --out", "scenario"]
+    )
+    def test_unwritable_output_exits_1_naming_it(self, town, tmp_path, capsys, command):
+        rules, missing, file = tmp_path / "rules.json", tmp_path / "nodir" / "out.json", tmp_path / "f"
+        assert main(derive_args(town, rules)) == 0
+        file.write_text("", encoding="utf-8")
+        inputs = ["--network", str(town / "network.geojson"), "--signs", str(town / "signs.geojson")]
+        path, argv = {
+            "derive --out": (missing, derive_args(town, missing)),
+            "derive --overlay": (missing, derive_args(town, rules, missing)),
+            "validate --out": (missing, [
+                "validate", "--rules", str(rules), "--truth", str(town / "expected_rules.json"),
+                "--out", str(missing),
+            ]),
+            "render --out": ("/", ["render", "--rules", str(rules), *inputs, "--out", "/"]),
+            "scenario": (file, ["scenario", "--template", "grid", "--out-dir", str(file)]),
+        }[command]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"error: cannot write {path}: " in err
 
 
 class TestScenarioCommand:

@@ -1,13 +1,15 @@
 """Metamorphic tests: a planar result depends on the ids' order, not on the
-order of the input features or on how the ids are spelled.
+order of the input features or on how the ids are spelled, and a sign out
+of every detector's reach or a second, disconnected network changes nothing.
 
 Each seed writes a 7x7 planar grid with 150 random signs of all 8 types and
 runs ``derive --cover-all --overlay`` through the CLI on it, on a copy with
-the features of both files shuffled, and on copies whose ids are renamed in
-an order-preserving way. Lon/lat inputs are left out: their projection is
-centered on a left-to-right sum of the positions in feature order, so
-shuffling them can move the last bits of a score (README, "What a result
-depends on").
+the features of both files shuffled, on copies whose ids are renamed in an
+order-preserving way, on a copy with one sign out of every detector's reach
+and on a copy with a second, disconnected grid. Lon/lat inputs are left out:
+their projection is centered on a left-to-right sum of the positions in
+feature order, so shuffling them can move the last bits of a score (README,
+"What a result depends on").
 """
 
 import copy
@@ -23,11 +25,13 @@ from roadrules.scenarios import generate_scenario
 from roadrules.signs import SignType
 
 SEEDS = (1, 2, 3)
+ROWS = COLS = 7
+SPACING = 60.0
 
 
 def _inputs(seed):
     """The network and signs documents of one seeded scene."""
-    network = generate_scenario("grid", rows=7, cols=7, spacing=60.0).network
+    network = generate_scenario("grid", rows=ROWS, cols=COLS, spacing=SPACING).network
     rng = random.Random(seed)
     streets = [
         f["geometry"]["coordinates"] for f in network["features"]
@@ -167,3 +171,62 @@ def test_order_preserving_renaming_maps_back_to_identical_bytes(scene, tmp_path,
             if properties["rule"] is not None:
                 properties["rule"] = _named_back(properties["rule"], back)
     assert (_encoded(renamed_rules), _encoded(renamed_overlay)) == (rules, overlay)
+
+
+def test_sign_out_of_reach_changes_only_its_own_overlay_feature(scene, tmp_path):
+    network, signs, rules, overlay = scene
+    signs = copy.deepcopy(signs)
+    rng = random.Random(len(rules))
+    # within 10 m of a block's center: at least 20 m from every street and
+    # 28 m from every node, beyond the default 15 m node and 10 m edge radii
+    row, col = rng.randrange(ROWS - 1), rng.randrange(COLS - 1)
+    x, y = ((k + 0.5) * SPACING + rng.uniform(-10.0, 10.0) for k in (col, row))
+    signs["features"].append({
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [x, y]},
+        "properties": {
+            "sign_id": "s075x",  # sorts between two existing ids
+            "type": rng.choice(list(SignType)).code,
+            "azimuth": rng.uniform(0.0, 360.0),
+        },
+    })
+    far_rules, far_overlay = _derive(tmp_path / "far", network, signs)
+    assert far_rules == rules
+    far_overlay = json.loads(far_overlay)
+    far_sign = [
+        feature for feature in far_overlay["features"]
+        if feature["properties"].get("sign_id") == "s075x"
+    ]
+    assert [feature["properties"]["rule"] for feature in far_sign] == [None]
+    far_overlay["features"].remove(far_sign[0])
+    assert _encoded(far_overlay) == overlay
+
+
+def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
+    network, signs, rules, _ = scene
+    # a copy 10 km to the east whose ids each sort right after their original,
+    # so that --cover-all restarts alternate between the two components
+    copies, _ = _renamed((network, signs), lambda ids: {old: f"{old}'" for old in ids})
+    for document in copies:
+        for feature in document["features"]:
+            coordinates = feature["geometry"]["coordinates"]
+            for point in coordinates if isinstance(coordinates[0], list) else [coordinates]:
+                point[0] += 10_000.0
+    union = [
+        dict(original, features=original["features"] + copy_["features"])
+        for original, copy_ in zip((network, signs), copies)
+    ]
+    union_rules = json.loads(_derive(tmp_path / "union", *union)[0])
+
+    first_edges = {
+        f["properties"]["edge_id"] for f in network["features"] if "edge_id" in f["properties"]
+    }
+    first_signs = {f["properties"]["sign_id"] for f in signs["features"]}
+    first = {
+        family: [entry for entry in union_rules[family] if entry["sign"] in first_signs]
+        for family in ("no_way", "one_way", "no_turn")
+    }
+    first["unreached"] = [edge for edge in union_rules["unreached"] if edge in first_edges]
+    assert _encoded(first) == rules
+    # the copy derived rules of its own
+    assert len(union_rules["no_way"]) > len(first["no_way"])
