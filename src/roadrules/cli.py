@@ -3,16 +3,18 @@
 Subcommands: derive (run a derivation and write the rule document), validate
 (score a rule document against ground truth), scenario (emit a synthetic test
 scene) and render (write the inspection overlay). Exit codes: 0 success, 1
-input error (including an output that cannot be written), 2 internal
-invariant violation.
+input error (including an output file or stdout that cannot be written), 2
+internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import logging
+import os
 import sys
 
 from .detection import DetectionConfig
@@ -116,7 +118,7 @@ def _edge_ids(graph: RoadGraph, names: list[str]) -> list:
     return [name if name in graph.edges else numeric.get(name, name) for name in names]
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
+def _cmd_derive(args: argparse.Namespace) -> str:
     if not args.start_edge and not args.cover_all:
         raise InputError("derive needs --start-edge or --cover-all")
     graph, index = _load_inputs(args)
@@ -127,9 +129,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     rules = write_rules(result, args.out)
     if args.overlay:
         render_overlay(rules, graph, index, args.overlay)
-    print(
+    return (
         "derived {} no-way, {} one-way, {} no-turn rules; "
-        "{} edges visited, {} unreached".format(
+        "{} edges visited, {} unreached\n".format(
             len(rules["no_way"]),
             len(rules["one_way"]),
             len(rules["no_turn"]),
@@ -137,36 +139,34 @@ def _cmd_derive(args: argparse.Namespace) -> int:
             len(rules["unreached"]),
         )
     )
-    return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> str:
     report = validate(load_rules(args.rules), load_ground_truth(args.truth)).to_document()
     if args.out:
         write_json(report, args.out)
-    else:
-        dump_json(report, sys.stdout)
-    return 0
+        return ""
+    text = io.StringIO()
+    dump_json(report, text)
+    return text.getvalue()
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> str:
     scenario = generate_scenario(
         args.template, rows=args.rows, cols=args.cols, spacing=args.spacing
     )
     paths = write_scenario(scenario, args.out_dir)
-    for key in ("network", "signs", "expected"):
-        print(f"{key}: {paths[key]}")
-    return 0
+    return "".join(f"{key}: {paths[key]}\n" for key in ("network", "signs", "expected"))
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> str:
     graph, index = _load_inputs(args)
     render_overlay(load_rules(args.rules), graph, index, args.out)
-    return 0
+    return ""
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.
+    """Run one command, write what it prints to stdout, and return its exit code.
 
     A run allocates millions of small containers (the parsed features, the
     graph, the sign index, the run state and the documents it writes) and
@@ -179,7 +179,18 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        text = args.func(args)
+        try:
+            if text:  # a command that prints nothing leaves stdout alone
+                sys.stdout.write(text)
+                sys.stdout.flush()
+        except OSError as exc:
+            # drop the unwritten bytes, or the exit flush fails on them again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise InputError(f"cannot write stdout: {exc}") from exc
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -524,9 +524,9 @@ def signs_from_document(
     A sign whose type is a string that is no known code is skipped, with a
     logged warning, instead of failing the whole file; its id, position and
     azimuth are still checked. With a ``network``, the signs must be in its
-    coordinate frame, and lon/lat signs reuse its projection; without one,
-    lon/lat signs are projected around their own centroid. The document's
-    features are consumed, as by ``network_from_document``.
+    coordinate frame, and lon/lat signs reuse its projection; only planar
+    signs may be read without one. The document's features are consumed, as
+    by ``network_from_document``.
     """
     skipped: list = []
     try:
@@ -549,6 +549,8 @@ def _read_signs(
                 f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
                 f"network is {'lon/lat' if planar else 'planar'}"
             )
+    elif not planar:
+        raise InputError(f"{source}: lon/lat signs need the network they belong to")
     features, _ = _read_features(
         _feature_collection(document, source), source, ("Point",), planar, projection
     )

@@ -3,8 +3,8 @@
 The traversal mimics a driver exploring an unknown town: edges enter a FIFO
 frontier once, signs are read along every popped edge and at its end node on
 the run's first arrival there, and the resulting rules immediately constrain
-which exits may be taken next. U-turns are taken only when nothing else is
-legal.
+which of that node's ``outgoing`` edges may be taken next. U-turns are taken
+only when nothing else is legal.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .detection import DetectionConfig, detect_signs_along, detect_signs_from
-from .errors import InternalError
+from .errors import GraphError, InternalError, shown
 from .network import DirectedEdge, EdgeId, RoadGraph
 from .rules import DerivationState, Rule, analyze_signs
 from .signs import SignId, SignIndex
@@ -68,7 +68,7 @@ def is_navigation_forbidden(
     if state.is_turn_banned(current.id, candidate.id):
         return True
     if current.opposite is not None and candidate.id == current.opposite:
-        for other in state.graph.outgoing_edges(current.destination):
+        for other in state.graph.nodes[current.destination].outgoing:
             if other.id == candidate.id:
                 continue
             if other.id in state.bans or state.is_turn_banned(current.id, other.id):
@@ -92,7 +92,6 @@ def _navigate(
         if current.id in state.bans:
             raise InternalError(f"banned edge {current.id!r} reached the frontier pop")
         node = graph.nodes[current.destination]
-        outgoing = graph.outgoing_edges(node.id)
         signs = detect_signs_along(current, index, cfg)
         # Node signs are read on the first arrival only. Their candidates
         # depend on the sign, the node and its outgoing edges, never on the
@@ -102,8 +101,8 @@ def _navigate(
         if node.id not in state.read_nodes:
             state.read_nodes.add(node.id)
             signs += detect_signs_from(node, index, cfg)
-        analyze_signs(signs, current, node, outgoing, frontier, state)
-        for edge in outgoing:
+        analyze_signs(signs, current, node, node.outgoing, frontier, state)
+        for edge in node.outgoing:
             if edge.id not in visited and not is_navigation_forbidden(current, edge, state):
                 visited.add(edge.id)
                 frontier.push(edge.id)
@@ -128,20 +127,21 @@ def derive_rules(
 
     This is the one way to run a derivation. All run state lives in a fresh
     ``DerivationState``; ``graph`` and ``index`` are only read, so they can be
-    reused across calls. Start edges run sequentially on shared state; a
-    start already visited or banned by earlier rules is skipped. With
-    ``cover_all`` the run then restarts from the smallest-id unvisited
-    unbanned edge until none remain, so only edges banned until the very end
-    stay unreached.
+    reused across calls. Start edges run sequentially on shared state; an
+    unknown one raises ``GraphError``, and one already visited or banned by
+    earlier rules is skipped. With ``cover_all`` the run then restarts from
+    the smallest-id unvisited unbanned edge until none remain, so only edges
+    banned until the very end stay unreached.
     """
     if not start_edges and not cover_all:
         raise ValueError("need at least one start edge, or cover_all")
     cfg = cfg or DetectionConfig()
     state = DerivationState(graph)
     for edge_id in start_edges:
-        edge = graph.edge(edge_id)
-        if edge.id not in state.visited and edge.id not in state.bans:
-            _navigate(state, index, cfg, edge)
+        if edge_id not in graph.edges:
+            raise GraphError(f"unknown edge {shown(edge_id)}")
+        if edge_id not in state.visited and edge_id not in state.bans:
+            _navigate(state, index, cfg, graph.edges[edge_id])
     if cover_all:
         # One id-ordered pass finds every restart: an edge the pass has moved
         # past never becomes a valid start again, since visits are permanent

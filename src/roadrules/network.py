@@ -1,9 +1,9 @@
 """Directed road-network graph.
 
 Nodes are intersections; edges are one navigable direction of a street, so a
-two-way street contributes two edges paired through ``opposite``. A built
-graph is never written during a derivation, so one graph can serve any number
-of runs; what a run visits and bans lives in its ``DerivationState``.
+two-way street contributes two edges paired through ``opposite``. The graph is
+plain data that no derivation writes, so one graph can serve any number of
+runs; what a run visits and bans lives in its ``DerivationState``.
 
 ``build_graph`` checks how the parts fit together: endpoints, geometry and
 opposite pairs. Ids are unique because its inputs are keyed by id, and the
@@ -30,7 +30,7 @@ ENDPOINT_TOLERANCE = 1e-3  # meters
 class Node:
     id: NodeId
     position: Point
-    outgoing: list[EdgeId] = field(default_factory=list)
+    outgoing: list[DirectedEdge] = field(default_factory=list)  # the edges leaving, in id order
 
 
 @dataclass
@@ -42,29 +42,13 @@ class DirectedEdge:
     opposite: EdgeId | None = None
 
 
+@dataclass(eq=False)
 class RoadGraph:
     """Validated graph whose nodes and edges iterate in id order."""
 
-    def __init__(self, nodes: dict, edges: dict, projection: LocalProjection | None = None):
-        self.nodes: dict[NodeId, Node] = nodes
-        self.edges: dict[EdgeId, DirectedEdge] = edges
-        self.projection = projection
-
-    def node(self, node_id: NodeId) -> Node:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise GraphError(f"unknown node {shown(node_id)}") from None
-
-    def edge(self, edge_id: EdgeId) -> DirectedEdge:
-        try:
-            return self.edges[edge_id]
-        except KeyError:
-            raise GraphError(f"unknown edge {shown(edge_id)}") from None
-
-    def outgoing_edges(self, node_id: NodeId) -> list[DirectedEdge]:
-        """Edges leaving ``node_id`` in EdgeId order."""
-        return [self.edges[eid] for eid in self.node(node_id).outgoing]
+    nodes: dict[NodeId, Node]
+    edges: dict[EdgeId, DirectedEdge]
+    projection: LocalProjection | None = None
 
 
 def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
@@ -107,8 +91,8 @@ def build_graph(
     edge_map: dict[EdgeId, DirectedEdge] = {}
     for edge_id in sorted_ids(edges):
         source, destination, geometry = edges[edge_id]
-        edge_map[edge_id] = DirectedEdge(edge_id, source, destination, geometry)
-        node_map[source].outgoing.append(edge_id)
+        edge = edge_map[edge_id] = DirectedEdge(edge_id, source, destination, geometry)
+        node_map[source].outgoing.append(edge)
 
     if opposite_pairs is None:
         _autodetect_opposites(edge_map)

@@ -12,6 +12,8 @@ import random
 import numpy as np
 
 from roadrules.geometry import Point, Polyline
+from roadrules.network import RoadGraph, build_graph
+from roadrules.signs import Sign, SignIndex, SignType
 
 
 def brute_force_min_distance(line: Polyline, p: Point, step: float = 0.001) -> float:
@@ -71,3 +73,37 @@ def one_way_target_street(bearings: list[float], azimuth: float) -> int:
             d -= 360.0
         return abs(d)
     return min(range(len(bearings)), key=lambda i: deviation(bearings[i]))
+
+
+def short_block_scene(
+    seed: int, side: int = 12, spacing: float = 10.0, signs_per_edge: float = 0.3
+) -> tuple[RoadGraph, SignIndex]:
+    """A ``side`` x ``side`` two-way grid of short blocks, with random signs.
+
+    Each sign, of any of the 8 types and facing any way, stands within half a
+    block of the end of a random edge and just off it. On blocks this short
+    one sign is read from several approaches, so held rules get replaced.
+    Only ``random.Random(seed)`` is drawn from.
+    """
+    rng = random.Random(seed)
+    nodes = {(r, c): Point(c * spacing, r * spacing) for r in range(side) for c in range(side)}
+    ends = [(a, b) for a in nodes for b in ((a[0], a[1] + 1), (a[0] + 1, a[1])) if b in nodes]
+    ends += [(b, a) for a, b in ends]
+
+    def name(node: tuple[int, int]) -> str:
+        return f"n{node[0]:02d}_{node[1]:02d}"
+
+    edges = {
+        f"{name(a)}->{name(b)}": (name(a), name(b), Polyline([nodes[a], nodes[b]]))
+        for a, b in ends
+    }
+    graph = build_graph({name(n): p for n, p in nodes.items()}, edges)
+    edge_ids = sorted(edges)
+    signs = []
+    for i in range(round(signs_per_edge * len(edge_ids))):
+        a, b = edges[rng.choice(edge_ids)][2].vertices
+        ux, uy = (b.x - a.x) / spacing, (b.y - a.y) / spacing
+        back, off = rng.uniform(0.0, spacing / 2), rng.uniform(0.5, 3.0)
+        position = Point(b.x - ux * back + uy * off, b.y - uy * back - ux * off)
+        signs.append(Sign(f"s{i:03d}", position, rng.choice(list(SignType)), rng.uniform(0, 360)))
+    return graph, SignIndex(signs)

@@ -1,9 +1,14 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roadrules
 import roadrules.io as roadrules_io
 from roadrules.cli import main
 from roadrules.errors import InputError
@@ -482,6 +487,94 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1, err
         assert f"error: cannot write {path}: " in err
+
+
+def command_lines(town, rules, out):
+    """One command line per subcommand, naming every path it reads or writes."""
+    inputs = ["--network", str(town / "network.geojson"), "--signs", str(town / "signs.geojson")]
+    truth = ["--truth", str(town / "expected_rules.json")]
+    return {
+        "derive": ["derive", *inputs, "--cover-all", "--out", str(out / "rules.json"),
+                   "--overlay", str(out / "overlay.geojson")],
+        "validate": ["validate", "--rules", str(rules), *truth, "--out", str(out / "report.json")],
+        "scenario": ["scenario", "--template", "grid", "--out-dir", str(out / "scene")],
+        "render": ["render", "--rules", str(rules), *inputs, "--out", str(out / "o.geojson")],
+    }
+
+
+def faulty_path(tmp_path, fault):
+    """A path that cannot be read or written, made so by ``fault``."""
+    if fault == "a-directory":
+        (tmp_path / "dir").mkdir()
+        return tmp_path / "dir"
+    if fault == "not-utf8":
+        (tmp_path / "latin1.json").write_bytes(b'{"type": "FeatureCollection", "x": "\xe9"}')
+        return tmp_path / "latin1.json"
+    if fault == "unreadable":
+        (tmp_path / "secret.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "secret.json").chmod(0)
+        return tmp_path / "secret.json"
+    if fault == "directory-missing":
+        return tmp_path / "missing" / "out"
+    (tmp_path / "file").write_text("", encoding="utf-8")  # the directory is a file
+    return tmp_path / "file" / "out"
+
+
+INPUTS = ("derive --network", "derive --signs", "validate --rules", "validate --truth",
+          "render --rules", "render --network", "render --signs")
+OUTPUTS = ("derive --out", "derive --overlay", "validate --out", "render --out",
+           "scenario --out-dir")
+# scenario makes its missing output directory, as ``mkdir -p`` does
+FAULTS = [(site, fault) for site in INPUTS for fault in ("a-directory", "not-utf8", "unreadable")]
+FAULTS += [(site, fault) for site in OUTPUTS for fault in ("directory-missing", "directory-a-file")
+           if (site, fault) != ("scenario --out-dir", "directory-missing")]
+
+
+class TestEnvironmentFaults:
+    """A fault of the files or streams around a run exits 1 and names what failed."""
+
+    @pytest.mark.parametrize("site, fault", FAULTS)
+    def test_path_fault_exits_1_naming_the_path(self, town, tmp_path, capsys, site, fault):
+        if fault == "unreadable" and os.geteuid() == 0:
+            pytest.skip("permission bits do not bind root")
+        rules = tmp_path / "rules.json"
+        assert main(derive_args(town, rules)) == 0
+        command, flag = site.split()
+        argv = command_lines(town, rules, tmp_path)[command]
+        path = faulty_path(tmp_path, fault)
+        argv[argv.index(flag) + 1] = str(path)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("command", ["derive", "validate", "scenario", "render"])
+    def test_stdout_that_cannot_be_written_exits_1(self, town, tmp_path, command, unbuffered):
+        # a buffered stdout fails only when flushed, an unbuffered one at the
+        # write; either way the interpreter's own exit flush must not fail again
+        rules = tmp_path / "rules.json"
+        assert main(derive_args(town, rules)) == 0
+        argv = command_lines(town, rules, tmp_path)[command]
+        if command == "validate":
+            argv = argv[:argv.index("--out")]  # the report goes to stdout
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(roadrules.__file__).parents[1]), os.environ.get("PYTHONPATH")
+        ])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "roadrules.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        if command == "render":  # prints nothing, so it never touches stdout
+            assert (done.returncode, done.stderr) == (0, "")
+        else:
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith("error: cannot write stdout: ")
+            assert "Exception ignored" not in done.stderr
 
 
 class TestScenarioCommand:

@@ -66,7 +66,7 @@ def _turn_ban_sign(rng, graph, banned_edges, used_approaches, sign_id):
     bearing = heading(graph.nodes[approach.source].position, junction.position)
     target_bearing = (bearing + side) % 360.0
     target = None
-    for exit_edge in graph.outgoing_edges(junction.id):
+    for exit_edge in junction.outgoing:
         exit_bearing = heading(junction.position, exit_edge.geometry.project(10.0))
         if abs(math.remainder(exit_bearing - target_bearing, 360.0)) < 1.0:
             target = exit_edge

@@ -420,8 +420,9 @@ class TestLoadSigns:
             ],
             planar=planar,
         )
+        network = None if planar else self.geographic_network()
         with pytest.raises(InputError, match="feature 1: .*not a JSON object"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=network)
 
     def test_non_numeric_azimuth_rejected(self):
         doc = self.signs_doc(
@@ -451,8 +452,9 @@ class TestLoadSigns:
             ],
             planar=planar,
         )
+        network = None if planar else self.geographic_network()
         with pytest.raises(InputError, match="feature 1"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=network)
 
     def test_duplicate_ids_rejected(self):
         doc = self.signs_doc(
@@ -498,6 +500,27 @@ class TestLoadSigns:
         )
         with pytest.raises(InputError, match="signs are planar but the network is lon/lat"):
             signs_from_document(planar_doc, network=self.geographic_network())
+
+
+LONLAT_SIGN = geo_feature("Point", [-8.41, 43.362], sign_id="s", type="R-101", azimuth=0)
+
+
+@pytest.mark.parametrize(
+    "load, document, message",
+    [
+        # a lon/lat network with no coordinates has nothing to center on
+        (load_network, {"type": "FeatureCollection", "features": []},
+         "no coordinates to center a projection on"),
+        # signs never center on their own, or they would not line up with their network
+        (load_signs, {"type": "FeatureCollection", "features": [LONLAT_SIGN]},
+         "lon/lat signs need the network they belong to"),
+        (load_rules, [], "expected a rule document object"),
+    ],
+)
+def test_unusable_document_rejected(tmp_path, load, document, message):
+    path = write_doc(tmp_path, "document.json", document)
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}$"):
+        load(path)
 
 
 def as_lonlat(document):
@@ -581,7 +604,7 @@ def graph_parts(graph):
     """Everything a built graph holds, in its iteration order; ``repr`` tells
     1 from 1.0 and 0.0 from -0.0."""
     return repr((
-        [(n.id, n.position, n.outgoing) for n in graph.nodes.values()],
+        [(n.id, n.position, [e.id for e in n.outgoing]) for n in graph.nodes.values()],
         [(e.id, e.source, e.destination, e.geometry.vertices, e.opposite)
          for e in graph.edges.values()],
         graph.projection,
@@ -1284,6 +1307,7 @@ class TestValidate:
             ({"turn_restrictions": "ab"}, "pairs"),
             ({"turn_restrictions": [["a", "b", "c"]]}, "pairs"),
             ({"turn_restrictions": [["a", {}]]}, "pairs"),
+            ([], "expected a ground-truth object"),
         ],
     )
     def test_ground_truth_malformed_members(self, tmp_path, document, message):

@@ -122,23 +122,18 @@ class TestBuildGraph:
 class TestQueries:
     def test_outgoing_at_grid_center(self):
         graph, _, _ = load_scenario("grid", rows=3, cols=3, spacing=100.0)
-        center = graph.outgoing_edges("n001_001")
+        center = graph.nodes["n001_001"].outgoing
         assert len(center) == 4
         assert [e.id for e in center] == sorted(e.id for e in center)
         assert all(e.source == "n001_001" for e in center)
 
     def test_dead_end_has_single_outgoing(self):
         graph, _, _ = load_scenario("dead-end")
-        assert [e.id for e in graph.outgoing_edges("C")] == ["C->B"]
+        assert [e.id for e in graph.nodes["C"].outgoing] == ["C->B"]
 
     def test_isolated_node_has_no_outgoing(self):
         graph = build_graph({"A": A, "B": B, "X": Point(500, 500)}, two_way_street()[1])
-        assert graph.outgoing_edges("X") == []
-
-    def test_unknown_ids_raise(self):
-        graph = build_graph(*two_way_street())
-        with pytest.raises(GraphError):
-            graph.outgoing_edges("nope")
+        assert graph.nodes["X"].outgoing == []
 
 
 class TestInvariants:
@@ -163,8 +158,8 @@ class TestInvariants:
         graph = build_graph(nodes, edges)
         assert list(graph.nodes) == [2, 10, "a", "b"]
         assert list(graph.edges) == [-1, 3.5, 7, 12, "e", "z"]
-        assert graph.nodes["b"].outgoing == [3.5, 7, "z"]
-        assert [e.id for e in graph.outgoing_edges(10)] == [12]
+        assert [e.id for e in graph.nodes["b"].outgoing] == [3.5, 7, "z"]
+        assert [e.id for e in graph.nodes[10].outgoing] == [12]
         assert [graph.edges[e].opposite for e in graph.edges] == [3.5, -1, "e", "z", 7, 12]
 
     def test_iteration_order_is_input_order_independent(self):
@@ -176,6 +171,6 @@ class TestInvariants:
         g2 = build_graph(dict(nodes2), dict(edges2))
         assert list(g1.nodes) == list(g2.nodes)
         assert list(g1.edges) == list(g2.edges)
-        assert [e.id for e in g1.outgoing_edges("A")] == [
-            e.id for e in g2.outgoing_edges("A")
+        assert [e.id for e in g1.nodes["A"].outgoing] == [
+            e.id for e in g2.nodes["A"].outgoing
         ]

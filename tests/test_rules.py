@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 
+import roadrules.rules as rules
 from roadrules.geometry import Point
-from roadrules.navigator import Frontier
+from roadrules.navigator import Frontier, derive_rules
 from roadrules.rules import (
     DerivationState,
     NoTurnRule,
@@ -21,6 +23,7 @@ from roadrules.rules import (
 from roadrules.signs import Sign, SignType
 
 from conftest import loose_edge, loose_node, star_graph
+from helpers import short_block_scene
 
 NODE = loose_node("n", 0, 0)
 EAST = loose_edge("east", [(0, 0), (50, 0)])
@@ -245,7 +248,7 @@ class TestAnalyzeSigns:
         self.state = DerivationState(self.graph)
         self.frontier = FrontierSpy()
         self.node = self.graph.nodes["C"]
-        self.outgoing = self.graph.outgoing_edges("C")
+        self.outgoing = self.graph.nodes["C"].outgoing
         self.current = self.graph.edges["in2"]  # arriving northbound from S2
 
     def _run(self, *signs_):
@@ -283,7 +286,7 @@ class TestAnalyzeSigns:
         s = sign("R-101", 0, -10, azimuth=180.0)
         analyze_signs(
             [s], lonely.edges["in0"], lonely.nodes["C"],
-            lonely.outgoing_edges("C"), self.frontier, state,
+            lonely.nodes["C"].outgoing, self.frontier, state,
         )
         assert state.held == {}
 
@@ -293,7 +296,7 @@ class TestAnalyzeSigns:
         s = sign("R-400c", 0, 5, azimuth=0.0)
         analyze_signs(
             [s], lonely.edges["in0"], lonely.nodes["C"],
-            lonely.outgoing_edges("C"), self.frontier, state,
+            lonely.nodes["C"].outgoing, self.frontier, state,
         )
         assert state.held == {}
 
@@ -341,3 +344,43 @@ class TestAnalyzeSigns:
         state = Recorder(self.graph)
         analyze_signs([b, a], self.current, self.node, self.outgoing, self.frontier, state)
         assert seen == [NoWayRule("out0"), NoWayRule("out1")]
+
+
+class TestReplacementOnShortBlocks:
+    """On short blocks one sign is read from several approaches, so held rules
+    are replaced and revoked; the held rules and the ban counts must still be
+    what the readings imply."""
+
+    @pytest.mark.parametrize("one_start, cover_all", [(False, True), (True, False), (True, True)])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_held_rules_and_bans_follow_the_readings(self, monkeypatch, seed, one_start, cover_all):
+        graph, index = short_block_scene(seed)
+        readings, states = {}, set()
+
+        def spy(sign, candidate, score, frontier, state):
+            readings.setdefault(sign.id, []).append((candidate, score))
+            states.add(state)
+            associate_new_rule(sign, candidate, score, frontier, state)
+
+        monkeypatch.setattr(rules, "associate_new_rule", spy)
+        starts = [list(graph.edges)[97 * seed % len(graph.edges)]] if one_start else []
+        derive_rules(graph, index, start_edges=starts, cover_all=cover_all)
+        (state,) = states
+        replacements = 0
+        for sign_id, seen in readings.items():
+            positive = [reading for reading in seen if reading[1] > 0]
+            if not positive:
+                assert sign_id not in state.held
+                continue
+            best = max(score for _, score in positive)
+            # the first reading with the largest score holds: only a strictly
+            # higher score replaces
+            assert state.held[sign_id] == next(r for r in positive if r[1] == best)
+            scores = [score for _, score in positive]
+            replacements += sum(scores[i] > max(scores[:i]) for i in range(1, len(scores)))
+        assert set(state.held) <= set(readings)
+        held = [rule for rule, _ in state.held.values()]
+        assert state.bans == Counter(e for rule in held for e in global_bans(rule))
+        assert state._turn_counts == Counter(p for rule in held for p in turn_pairs(rule))
+        if cover_all:  # a single start may stay in a small corner
+            assert replacements > 0

@@ -32,7 +32,7 @@ class TestGridTemplate:
 class TestDeadEndTemplate:
     def test_terminal_node_has_only_the_return_edge(self):
         graph, _, _ = load_scenario("dead-end")
-        assert [e.id for e in graph.outgoing_edges("C")] == ["C->B"]
+        assert [e.id for e in graph.nodes["C"].outgoing] == ["C->B"]
 
 
 class TestTwinNodesTemplate:
