@@ -181,42 +181,38 @@ def _read_collection(path: str | Path) -> tuple[Any, bool]:
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":"))
 
 
-def dump_json(document: Any, stream: TextIO) -> None:
-    """Write ``document`` to ``stream`` in the one output encoding.
+def dump_json(document: dict, stream: TextIO) -> None:
+    """Write the object ``document``, keyed by strings, to ``stream`` in the
+    one output encoding.
 
     Compact JSON with sorted keys, ending in a newline. Each element of an
-    array member of a top-level object (whose keys are strings, as in every
-    document this package writes) goes on its own line, so a feature
-    collection or rule family is written one element at a time: the text of
-    the whole document is never held at once. (One ``encode`` of the whole
-    lonlat-overlay benchmark overlay, 4.1 MB, raises that run's peak RSS from
-    54 to 66 MB.) A member may also be an iterator, such as the features
-    ``overlay_document`` produces: it is written as the array of the
-    elements it yields, each encoded as it comes, and as ``[]`` when it
-    yields none, so the bytes are those of the same member as a list.
+    array member goes on its own line, so a feature collection or rule family
+    is written one element at a time: the text of the whole document is never
+    held at once. (One ``encode`` of the whole lonlat-overlay benchmark
+    overlay, 4.1 MB, raises that run's peak RSS from 54 to 66 MB.) A member
+    may also be an iterator, such as the features ``overlay_document``
+    produces: it is written as the array of the elements it yields, each
+    encoded as it comes, and as ``[]`` when it yields none, so the bytes are
+    those of the same member as a list.
     """
     encode = _ENCODER.encode
-    if not isinstance(document, dict):
-        stream.write(encode(document))
-    else:
-        stream.write("{")
-        for n, key in enumerate(sorted(document)):
-            value = document[key]
-            stream.write(f"{',' if n else ''}{encode(key)}:")
-            if isinstance(value, (list, Iterator)):
-                separator = "[\n"
-                for element in value:
-                    stream.write(separator)
-                    stream.write(encode(element))
-                    separator = ",\n"
-                stream.write("[]" if separator == "[\n" else "\n]")
-            else:
-                stream.write(encode(value))
-        stream.write("}")
-    stream.write("\n")
+    stream.write("{")
+    for n, key in enumerate(sorted(document)):
+        value = document[key]
+        stream.write(f"{',' if n else ''}{encode(key)}:")
+        if isinstance(value, (list, Iterator)):
+            separator = "[\n"
+            for element in value:
+                stream.write(separator)
+                stream.write(encode(element))
+                separator = ",\n"
+            stream.write("[]" if separator == "[\n" else "\n]")
+        else:
+            stream.write(encode(value))
+    stream.write("}\n")
 
 
-def write_json(document: Any, path: str | Path) -> None:
+def write_json(document: dict, path: str | Path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             dump_json(document, handle)
@@ -568,7 +564,7 @@ def _read_signs(
         if not _is_finite(azimuth):
             raise _bad_property(source, i, "azimuth")
         try:
-            sign_type = SignType.from_code(code)
+            sign_type = SignType(code)
         except ValueError:
             skipped.append((i, sign_id, code))
             continue
@@ -757,7 +753,7 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
                 "geometry": {"type": "Point", "coordinates": [sign.position.x, sign.position.y]},
                 "properties": {
                     "sign_id": sign.id,
-                    "type": sign.sign_type.code,
+                    "type": sign.sign_type.value,
                     "azimuth": sign.azimuth,
                     "rule": linked,
                     "score": linked["score"] if linked else None,

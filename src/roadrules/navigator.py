@@ -19,23 +19,11 @@ from .rules import DerivationState, Rule, analyze_signs
 from .signs import SignId, SignIndex
 
 
-class Frontier:
+class Frontier(deque):
     """FIFO queue of edges pending navigation."""
 
-    def __init__(self) -> None:
-        self._queue: deque[EdgeId] = deque()
-
-    def push(self, edge_id: EdgeId) -> None:
-        self._queue.append(edge_id)
-
-    def pop(self) -> EdgeId:
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
+    push = deque.append
+    pop = deque.popleft
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ def _navigate(
         if node.id not in state.read_nodes:
             state.read_nodes.add(node.id)
             signs += detect_signs_from(node, index, cfg)
-        analyze_signs(signs, current, node, node.outgoing, frontier, state)
+        analyze_signs(signs, current, node, frontier, state)
         for edge in node.outgoing:
             if edge.id not in visited and not is_navigation_forbidden(current, edge, state):
                 visited.add(edge.id)

@@ -153,9 +153,15 @@ _TURN_OFFSETS = {
 }
 
 
-def _best_turn_edge(
+def best_no_turn_edge(
     sign: Sign, current: DirectedEdge, node: Node, outgoing: list[DirectedEdge]
 ) -> ScoredEdge | None:
+    """Best candidate for the turn a restriction or mandatory-turn sign names.
+
+    The approach vector runs from the sign's projection on the current edge
+    to the node; each exit is probed 10 m in, offset by -90 (right) or +90
+    (left), and scored by how exactly it matches the named turn.
+    """
     geometry = current.geometry
     sign_proj = geometry.index(sign.position)
     if sign_proj >= geometry.length:
@@ -176,27 +182,8 @@ def _best_turn_edge(
     return best
 
 
-def best_no_turn_edge(
-    sign: Sign, current: DirectedEdge, node: Node, outgoing: list[DirectedEdge]
-) -> ScoredEdge | None:
-    """Best candidate for the turn a restriction sign forbids.
-
-    The approach vector runs from the sign's projection on the current edge
-    to the node; each exit is probed 10 m in, offset by -90 (right) or +90
-    (left), and scored by how exactly it matches the forbidden turn.
-    """
-    if sign.sign_type not in (SignType.R302, SignType.R303):
-        raise ValueError(f"not a turn-restriction sign: {sign.sign_type}")
-    return _best_turn_edge(sign, current, node, outgoing)
-
-
-def best_must_turn_edge(
-    sign: Sign, current: DirectedEdge, node: Node, outgoing: list[DirectedEdge]
-) -> ScoredEdge | None:
-    """Best candidate for the turn a mandatory-turn sign prescribes."""
-    if sign.sign_type not in (SignType.R400D, SignType.R400E):
-        raise ValueError(f"not a mandatory-turn sign: {sign.sign_type}")
-    return _best_turn_edge(sign, current, node, outgoing)
+# the same scorer, under the name mandatory-turn signs reach it by
+best_must_turn_edge = best_no_turn_edge
 
 
 _ONE_WAY_OFFSETS = {
@@ -245,16 +232,16 @@ def analyze_signs(
     signs: Iterable[Sign],
     current: DirectedEdge,
     node: Node,
-    outgoing: list[DirectedEdge],
     frontier: Frontier,
     state: DerivationState,
 ) -> None:
     """Turn the detected signs into rules held in ``state``.
 
     Signs are processed in id order. One-way and mandatory-turn signs expand
-    into the equivalent ban sets over the remaining exits; candidates whose
-    ban set would be empty are dropped.
+    into the equivalent ban sets over the node's other exits; candidates
+    whose ban set would be empty are dropped.
     """
+    outgoing = node.outgoing
     for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
         candidate: Rule | None = None
         scored: ScoredEdge | None = None

@@ -34,17 +34,6 @@ class SignType(Enum):
     R400D = "R-400d"  # mandatory right turn
     R400E = "R-400e"  # mandatory left turn
 
-    @property
-    def code(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_code(cls, code: str) -> "SignType":
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError(f"unknown sign type code {shown(code)}") from None
-
 
 # Signs read at an intersection versus signs read while driving an edge.
 NODE_SIGN_TYPES = frozenset({SignType.R101, SignType.R400A, SignType.R400B, SignType.R400C})

@@ -17,7 +17,7 @@ CFG = DetectionConfig()
 
 
 def sign(sign_id, x, y, code, azimuth) -> Sign:
-    return Sign(sign_id, Point(x, y), SignType.from_code(code), azimuth)
+    return Sign(sign_id, Point(x, y), SignType(code), azimuth)
 
 
 class TestConfig:

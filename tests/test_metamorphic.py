@@ -50,7 +50,7 @@ def _inputs(seed):
             },
             "properties": {
                 "sign_id": f"s{i:03d}",
-                "type": rng.choice(list(SignType)).code,
+                "type": rng.choice(list(SignType)).value,
                 "azimuth": rng.uniform(0.0, 360.0),
             },
         })
@@ -186,7 +186,7 @@ def test_sign_out_of_reach_changes_only_its_own_overlay_feature(scene, tmp_path)
         "geometry": {"type": "Point", "coordinates": [x, y]},
         "properties": {
             "sign_id": "s075x",  # sorts between two existing ids
-            "type": rng.choice(list(SignType)).code,
+            "type": rng.choice(list(SignType)).value,
             "azimuth": rng.uniform(0.0, 360.0),
         },
     })

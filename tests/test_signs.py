@@ -7,20 +7,20 @@ from roadrules.signs import CELL, Sign, SignIndex, SignType
 
 
 def sign(sign_id, x, y, code="R-101", azimuth=0.0) -> Sign:
-    return Sign(sign_id, Point(x, y), SignType.from_code(code), azimuth)
+    return Sign(sign_id, Point(x, y), SignType(code), azimuth)
 
 
 class TestSignType:
     def test_all_eight_codes(self):
         codes = {"R-101", "R-302", "R-303", "R-400a", "R-400b", "R-400c", "R-400d", "R-400e"}
-        assert {t.code for t in SignType} == codes
+        assert {t.value for t in SignType} == codes
 
     def test_from_code(self):
-        assert SignType.from_code("R-101") is SignType.R101
+        assert SignType("R-101") is SignType.R101
 
     def test_unknown_code(self):
-        with pytest.raises(ValueError, match="unknown sign type"):
-            SignType.from_code("R-500")
+        with pytest.raises(ValueError, match="R-500"):
+            SignType("R-500")
 
 
 class TestSign:
