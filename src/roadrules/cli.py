@@ -18,8 +18,9 @@ import os
 import sys
 
 from .detection import DetectionConfig
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, shown
 from .io import (
+    RULE_FIELDS,
     dump_json,
     load_ground_truth,
     load_network,
@@ -55,10 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep restarting from unvisited edges until the whole graph is covered",
     )
-    derive.add_argument("--node-radius", type=float, default=15.0, help="meters (default 15)")
-    derive.add_argument("--edge-radius", type=float, default=10.0, help="meters (default 10)")
-    derive.add_argument("--lookback", type=float, default=10.0, help="meters (default 10)")
-    derive.add_argument("--half-angle", type=float, default=80.0, help="degrees (default 80)")
+    thresholds = DetectionConfig()
+    for flag, value, unit in (
+        ("--node-radius", thresholds.node_radius, "meters"),
+        ("--edge-radius", thresholds.edge_radius, "meters"),
+        ("--lookback", thresholds.lookback, "meters"),
+        ("--half-angle", thresholds.visibility_half_angle, "degrees"),
+    ):
+        derive.add_argument(flag, type=float, default=value, help=unit + " (default %(default)g)")
     derive.add_argument("--out", required=True, help="output rule document (JSON)")
     derive.add_argument("--overlay", help="optional GeoJSON overlay output")
     derive.set_defaults(func=_cmd_derive)
@@ -156,12 +161,29 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
         args.template, rows=args.rows, cols=args.cols, spacing=args.spacing
     )
     paths = write_scenario(scenario, args.out_dir)
-    return "".join(f"{key}: {paths[key]}\n" for key in ("network", "signs", "expected"))
+    return "".join(f"{key}: {path}\n" for key, path in paths.items())
+
+
+def _check_rule_ids(path: str, rules: dict, graph: RoadGraph, index: SignIndex) -> None:
+    """Fail on a rule that names an edge the network or a sign the inventory lacks."""
+    signs = {sign.id for sign in index}
+    entries = [(f, i, entry) for f in RULE_FIELDS for i, entry in enumerate(rules[f])]
+    entries += [("unreached", i, {"edge": edge}) for i, edge in enumerate(rules["unreached"])]
+    for family, i, entry in entries:
+        where = f"{path}: {family} entry {i}"
+        edges = [entry[field] for field in ("edge", "chosen", "from") if field in entry]
+        for edge in edges + entry.get("banned", []) + entry.get("banned_to", []):
+            if edge not in graph.edges:
+                raise InputError(f"{where}: edge {shown(edge)} is not in the network")
+        if "sign" in entry and entry["sign"] not in signs:
+            raise InputError(f"{where}: sign {shown(entry['sign'])} is not in the sign inventory")
 
 
 def _cmd_render(args: argparse.Namespace) -> str:
     graph, index = _load_inputs(args)
-    render_overlay(load_rules(args.rules), graph, index, args.out)
+    rules = load_rules(args.rules)
+    _check_rule_ids(args.rules, rules, graph, index)
+    render_overlay(rules, graph, index, args.out)
     return ""
 
 

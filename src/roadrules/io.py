@@ -43,6 +43,17 @@ PLANAR_BOUND = 1e9  # meters; the largest planar coordinate a file may hold
 _FLOAT_MAX = sys.float_info.max
 
 
+def feature(kind: str, coordinates: list, **properties: Any) -> dict:
+    """A GeoJSON feature with a ``kind`` geometry (``Point``, ``LineString``)."""
+    geometry = {"type": kind, "coordinates": coordinates}
+    return {"type": "Feature", "geometry": geometry, "properties": properties}
+
+
+def planar_collection(features: list | Iterator) -> dict:
+    """A FeatureCollection of ``features`` (a list or an iterator) in the local planar frame."""
+    return {"type": "FeatureCollection", "coordinate_system": PLANAR_MARKER, "features": features}
+
+
 def _read_text(path: str | Path) -> str:
     path = Path(path)
     try:
@@ -173,8 +184,7 @@ def _read_collection(path: str | Path) -> tuple[Any, bool]:
         next(features)
     except _Declined:
         return _parse_json(text, path), False
-    planar = {"type": "FeatureCollection", "coordinate_system": PLANAR_MARKER, "features": features}
-    return planar, True
+    return planar_collection(features), True
 
 
 # compact and key-sorted; ``encode`` is one-shot, so it runs in CPython's C encoder
@@ -738,33 +748,21 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
                 status = "unreached"
             else:
                 status = "visited"
-            yield {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[v.x, v.y] for v in edge.geometry.vertices],
-                },
-                "properties": {"edge_id": edge_id, "status": status},
-            }
+            coordinates = [[v.x, v.y] for v in edge.geometry.vertices]
+            yield feature("LineString", coordinates, edge_id=edge_id, status=status)
         for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
             linked = rule_by_sign.get(sign.id)
-            yield {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [sign.position.x, sign.position.y]},
-                "properties": {
-                    "sign_id": sign.id,
-                    "type": sign.sign_type.value,
-                    "azimuth": sign.azimuth,
-                    "rule": linked,
-                    "score": linked["score"] if linked else None,
-                },
-            }
+            yield feature(
+                "Point",
+                [sign.position.x, sign.position.y],
+                sign_id=sign.id,
+                type=sign.sign_type.value,
+                azimuth=sign.azimuth,
+                rule=linked,
+                score=linked["score"] if linked else None,
+            )
 
-    return {
-        "type": "FeatureCollection",
-        "coordinate_system": PLANAR_MARKER,
-        "features": features(),
-    }
+    return planar_collection(features())
 
 
 def render_overlay(

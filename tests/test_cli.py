@@ -11,6 +11,7 @@ import pytest
 import roadrules
 import roadrules.io as roadrules_io
 from roadrules.cli import main
+from roadrules.detection import DetectionConfig
 from roadrules.errors import InputError
 from roadrules.navigator import derive_rules
 
@@ -271,6 +272,20 @@ class TestDerive:
         assert doc["unreached"] == ["N10->N00"]
 
 
+    def test_thresholds_default_to_detection_config(self, town, tmp_path, monkeypatch):
+        import roadrules.cli as cli
+
+        configs = []
+
+        def spy(graph, index, config, **kwargs):
+            configs.append(config)
+            return derive_rules(graph, index, config, **kwargs)
+
+        monkeypatch.setattr(cli, "derive_rules", spy)
+        assert main(derive_args(town, tmp_path / "r.json")) == 0
+        assert configs == [DetectionConfig()]
+
+
 class TestCollectorState:
     """The CLI pauses the collector for the whole command, then restores it."""
 
@@ -412,6 +427,37 @@ class TestRenderCommand:
         assert main(derive) == 0
         assert main(["render", "--rules", str(rules), *inputs, "--out", str(rendered)]) == 0
         assert derived.read_bytes() == rendered.read_bytes()
+
+    # sample-town from N00->N10 derives one no_way and one no_turn rule, no
+    # one_way rule and six unreached edges; each case edits or appends one entry
+    @pytest.mark.parametrize(
+        "family,change,message",
+        [
+            ("no_way", {"edge": "ZZZ"}, "no_way entry 0: edge 'ZZZ' is not in the network"),
+            ("no_way", {"sign": "s9"}, "no_way entry 0: sign 's9' is not in the sign inventory"),
+            ("no_turn", {"from": 7}, "no_turn entry 0: edge 7 is not in the network"),
+            ("no_turn", {"banned_to": ["N11->N21", "ZZZ"]}, "no_turn entry 0: edge 'ZZZ' is"),
+            ("one_way", {"chosen": "ZZZ", "banned": [], "sign": "s1", "score": 1.0},
+             "one_way entry 0: edge 'ZZZ' is not in the network"),
+            ("one_way", {"chosen": "N00->N10", "banned": ["ZZZ"], "sign": "s1", "score": 1.0},
+             "one_way entry 0: edge 'ZZZ' is not in the network"),
+            ("unreached", "ZZZ", "unreached entry 6: edge 'ZZZ' is not in the network"),
+        ],
+        ids=["edge", "sign", "from", "banned_to", "chosen", "banned", "unreached"],
+    )
+    def test_rules_of_other_inputs_exit_1(self, town, tmp_path, capsys, family, change, message):
+        rules, out = tmp_path / "rules.json", tmp_path / "o.geojson"
+        assert main(derive_args(town, rules)) == 0
+        document = json.loads(rules.read_text())
+        if family in ("no_way", "no_turn"):
+            document[family][0].update(change)
+        else:
+            document[family].append(change)
+        rules.write_text(json.dumps(document))
+        inputs = ["--network", str(town / "network.geojson"), "--signs", str(town / "signs.geojson")]
+        assert main(["render", "--rules", str(rules), *inputs, "--out", str(out)]) == 1
+        assert f"error: {rules}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

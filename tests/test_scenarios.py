@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from roadrules.errors import InputError
 from roadrules.geometry import distance
-from roadrules.scenarios import generate_scenario
+from roadrules.io import network_from_document
+from roadrules.scenarios import TEMPLATES, generate_scenario, write_scenario
 
 from conftest import load_scenario
 
@@ -65,3 +68,78 @@ class TestSampleTownTemplate:
 def test_unknown_template():
     with pytest.raises(InputError, match="unknown template"):
         generate_scenario("motorway")
+
+
+# sha256 of network.geojson, signs.geojson and expected_rules.json as the
+# scenes were first written; a rewrite of the generator must keep every byte,
+# feature order included
+NO_SIGNS = "0d7e9b9ff63beb3d3cc72d17f4aa5a82624058bc2e844a6da41f95d8f9721381"
+GRID_EXPECTED = "0ab282fd5f30ea91b98847642ebe0141a4eca8b4a7bbbf497eadeadcf08e721d"
+PINNED = [
+    (
+        "grid",
+        {},
+        [
+            "33e8ca4c9ae02da457803088102569a1e27a0503709fc958d4fbfbc4c79dbb5f",
+            NO_SIGNS,
+            GRID_EXPECTED,
+        ],
+    ),
+    (
+        "grid",
+        {"rows": 4, "cols": 7, "spacing": 33.5},
+        [
+            "f23983199132b5f833cc587535b9d2ac5b6587e48abf17a354c7c8ae66fa2179",
+            NO_SIGNS,
+            GRID_EXPECTED,
+        ],
+    ),
+    (
+        "dead-end",
+        {},
+        [
+            "ae9dc773d83bf514a338a88fd5ebdf9bf5c02f68f5a3237f57dac2607cf8c13b",
+            NO_SIGNS,
+            "25511891288f4d5508a994ac59830b92ccfed6078b18bb655194ca2838d03370",
+        ],
+    ),
+    (
+        "twin-nodes",
+        {},
+        [
+            "3085f3af850bf2dccc96a696954429f3a3f49df4a4119bfea9e0c5e5bfc2421d",
+            "3ba5843b7fafe31cf9d30f036cd4a6278f99985de85d39f0212641e38f0c3541",
+            "877729bcc5167332a0e9451d5d433041b4066822ef0477103333864254548119",
+        ],
+    ),
+    (
+        "sample-town",
+        {},
+        [
+            "b3f4b69ee6882aec6a52809d899384d089b7e9f80a5633c9027dfc00f83e4310",
+            "66dd5ae9bbe397052db656dd3ade5fd1b785a62a95a622182947969283e0ccba",
+            "cfbfe0d3fd6ba799564c380dd7bd4f08db35477a2d6ebc030fa6e5b11c3ef12a",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "template,params,digests",
+    PINNED,
+    ids=["grid", "grid-4x7-33.5m", "dead-end", "twin-nodes", "sample-town"],
+)
+def test_written_files_keep_their_bytes(tmp_path, template, params, digests):
+    paths = write_scenario(generate_scenario(template, **params), tmp_path)
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()] == digests
+
+
+def test_every_template_is_pinned():
+    assert {template for template, _, _ in PINNED} == set(TEMPLATES)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_each_call_returns_fresh_documents(template):
+    first, second = generate_scenario(template), generate_scenario(template)
+    network_from_document(first.network)  # takes the features out of the document
+    assert "features" not in first.network and second.network["features"]
