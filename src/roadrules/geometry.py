@@ -72,10 +72,11 @@ def angle(tip1: Point, tail: Point, tip2: Point) -> float:
 class Polyline:
     """Directed polyline addressed by arc length from its first vertex.
 
-    Zero-length segments are rejected at construction so cumulative lengths
-    increase strictly; total length is always positive. The cumulative
-    lengths are computed on first use, so a line that is never measured
-    (every line of a sign-free run) never computes them.
+    Zero-length segments are rejected at construction, so total length is
+    always positive and cumulative lengths never decrease (a segment too short
+    to change the running sum repeats it). The cumulative lengths are computed
+    on first use, so a line that is never measured (every line of a sign-free
+    run) never computes them.
     """
 
     __slots__ = ("vertices", "_cumulative")
@@ -84,8 +85,8 @@ class Polyline:
         points = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
         if len(points) < 2:
             raise ValueError("polyline needs at least two vertices")
-        # for finite coordinates, equal points are exactly the zero-length
-        # segments: a difference of unequal floats underflows gradually, never to 0
+        # for finite coordinates, equal points are exactly the zero-length segments. A
+        # segment under about 1.5e-162 m still has a squared length of 0.0: see nearest
         for i in range(len(points) - 1):
             if points[i] == points[i + 1]:
                 raise ValueError(f"zero-length segment at vertex {i}")
@@ -117,7 +118,7 @@ class Polyline:
         t = (d - cumulative[i]) / (cumulative[i + 1] - cumulative[i])
         return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
-    def _nearest(self, p: Point) -> tuple[float, float]:
+    def nearest(self, p: Point) -> tuple[float, float]:
         """(distance, arc length) of the closest point to ``p``.
 
         Equidistant candidates resolve to the smallest arc length because the
@@ -130,7 +131,7 @@ class Polyline:
             a, b = self.vertices[i], self.vertices[i + 1]
             abx, aby = b.x - a.x, b.y - a.y
             seg2 = abx * abx + aby * aby
-            t = ((p.x - a.x) * abx + (p.y - a.y) * aby) / seg2
+            t = ((p.x - a.x) * abx + (p.y - a.y) * aby) / seg2 if seg2 else 0.0
             if t < 0.0:
                 t = 0.0
             elif t > 1.0:
@@ -148,11 +149,11 @@ class Polyline:
         Off-line points are measured at their closest point on the line; when
         several arc lengths are equally close the smallest one wins.
         """
-        return self._nearest(p)[1]
+        return self.nearest(p)[1]
 
     def distance_to(self, p: Point) -> float:
         """Distance from ``p`` to the line."""
-        return self._nearest(p)[0]
+        return self.nearest(p)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polyline({len(self.vertices)} vertices, {self.length:.3f} m)"

@@ -1,4 +1,4 @@
-"""Classified traffic signs and the table of 50 m cells that finds them by position.
+"""Classified traffic signs and the row bands that find them by position.
 
 A sign's azimuth is the compass travel direction of the traffic it addresses;
 its face points against that direction, toward the oncoming driver. Signs and
@@ -9,6 +9,7 @@ in the run's ``DerivationState``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -19,7 +20,7 @@ from .ids import Identifier, id_sort_key
 
 SignId = Identifier
 
-CELL = 50.0  # side of one square cell of the sign table, in meters
+CELL = 50.0  # height of one row band of the sign table, in meters
 
 
 class SignType(Enum):
@@ -38,6 +39,8 @@ class SignType(Enum):
 # Signs read at an intersection versus signs read while driving an edge.
 NODE_SIGN_TYPES = frozenset({SignType.R101, SignType.R400A, SignType.R400B, SignType.R400C})
 EDGE_SIGN_TYPES = frozenset({SignType.R302, SignType.R303, SignType.R400D, SignType.R400E})
+ALL_SIGN_TYPES = frozenset(SignType)
+Family = frozenset[SignType]  # the sign types one query reads
 
 
 @dataclass
@@ -57,11 +60,12 @@ class Sign:
 
 
 class SignIndex:
-    """Immutable sign inventory with radius queries over a table of square cells.
+    """Immutable sign inventory with radius queries over row bands.
 
-    Each sign is filed under the ``CELL``-meter cell that holds its position.
-    Query results are sorted by sign id and always equal what a linear scan
-    over the inventory would return.
+    Each ``CELL``-meter-high band of y holds the ``(x, y, rank)`` of its signs
+    sorted by x, and their xs; ``rank`` is the sign's place in the id-ordered
+    ``signs``. A query reads one family of sign types; its result is sorted by
+    id and always equals a linear scan over that family's signs.
     """
 
     def __init__(self, signs: Iterable[Sign]):
@@ -70,12 +74,13 @@ class SignIndex:
             if a.id == b.id:
                 raise ValueError(f"duplicate sign id {shown(a.id)}")
         self.signs: tuple[Sign, ...] = tuple(ordered)
-        # cell -> (x, y, sign) of each sign in it, in id order
-        self._cells: dict[tuple[int, int], list[tuple[float, float, Sign]]] = {}
-        for s in self.signs:
-            x, y = s.position
-            key = (math.floor(x / CELL), math.floor(y / CELL))
-            self._cells.setdefault(key, []).append((x, y, s))
+        rows: dict[int, list[tuple[float, float, int]]] = {}
+        for rank, s in enumerate(self.signs):
+            rows.setdefault(math.floor(s.position.y / CELL), []).append((*s.position, rank))
+        for row in rows.values():
+            row.sort()
+        # band -> (xs, (x, y, rank) of each sign in it), both sorted by x
+        self._bands = {j: ([x for x, _, _ in row], row) for j, row in rows.items()}
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -83,54 +88,53 @@ class SignIndex:
     def __iter__(self):
         return iter(self.signs)
 
-    def _in_box(self, min_x: float, min_y: float, max_x: float, max_y: float) -> list[Sign]:
-        """Signs inside the closed box, from the cells it touches.
+    def _in_box(self, x0: float, y0: float, x1: float, y1: float, types: Family) -> list[int]:
+        """Sorted ranks of the signs of ``types`` in the closed box [x0, x1] x [y0, y1].
 
-        A box that spans more cells than the table holds (a 2,000 km edge, a
-        radius of 1e308) takes one pass over the occupied cells instead of a
-        walk over its mostly empty ones.
+        A box taller than the table's bands (a 2,000 km edge, a radius of 1e308)
+        takes one pass over the occupied bands, not a walk over mostly empty ones.
         """
-        cells = self._cells
-        if ((max_x - min_x) / CELL + 1.0) * ((max_y - min_y) / CELL + 1.0) > len(cells):
-            touched = cells.values()
+        bands, signs = self._bands, self.signs
+        if (y1 - y0) / CELL + 1.0 > len(bands):
+            rows = [row for _, row in bands.values()]
         else:
-            # floor is monotone, so every sign inside the box is in these cells
-            x0, x1 = math.floor(min_x / CELL), math.floor(max_x / CELL)
-            y0, y1 = math.floor(min_y / CELL), math.floor(max_y / CELL)
-            touched = [cells.get((i, j), ()) for i in range(x0, x1 + 1) for j in range(y0, y1 + 1)]
-        return [
-            s
-            for cell in touched
-            for x, y, s in cell
-            if min_x <= x <= max_x and min_y <= y <= max_y
-        ]
+            # floor is monotone, so every sign inside the box is in these bands
+            rows = []
+            for j in range(math.floor(y0 / CELL), math.floor(y1 / CELL) + 1):
+                if band := bands.get(j):
+                    rows.append(band[1][bisect_left(band[0], x0):bisect_right(band[0], x1)])
+        ranks = []
+        for row in rows:
+            for x, y, rank in row:
+                if x0 <= x <= x1 and y0 <= y <= y1 and signs[rank].sign_type in types:
+                    ranks.append(rank)
+        return sorted(ranks)
 
-    def signs_within(self, p: Point, r: float) -> list[Sign]:
-        """Signs at distance <= r from ``p``, sorted by id."""
+    def signs_within(self, p: Point, r: float, types: Family = ALL_SIGN_TYPES) -> list[Sign]:
+        """Signs of ``types`` at distance <= r from ``p``, sorted by id."""
         if r <= 0:
             raise ValueError("radius must be positive")
         if not self.signs:
             return []
-        hits = [
-            s
-            for s in self._in_box(p.x - r, p.y - r, p.x + r, p.y + r)
-            if distance(s.position, p) <= r
-        ]
-        hits.sort(key=lambda s: id_sort_key(s.id))
-        return hits
+        signs = self.signs
+        ranks = self._in_box(p.x - r, p.y - r, p.x + r, p.y + r, types)
+        return [signs[rank] for rank in ranks if distance(signs[rank].position, p) <= r]
 
-    def signs_within_line(self, line: Polyline, r: float) -> list[Sign]:
-        """Signs at distance <= r from ``line``, sorted by id."""
+    def signs_within_line(
+        self, line: Polyline, r: float, types: Family = ALL_SIGN_TYPES
+    ) -> list[tuple[Sign, float]]:
+        """``(sign, arc)`` of the signs of ``types`` at distance <= r from ``line``, by id.
+
+        ``arc`` is ``line.index(sign.position)``, from the projection that gave the distance.
+        """
         if r <= 0:
             raise ValueError("radius must be positive")
         if not self.signs:
             return []
-        xs = [v.x for v in line.vertices]
-        ys = [v.y for v in line.vertices]
-        hits = [
-            s
-            for s in self._in_box(min(xs) - r, min(ys) - r, max(xs) + r, max(ys) + r)
-            if line.distance_to(s.position) <= r
-        ]
-        hits.sort(key=lambda s: id_sort_key(s.id))
+        signs, hits = self.signs, []
+        xs, ys = zip(*line.vertices)
+        for rank in self._in_box(min(xs) - r, min(ys) - r, max(xs) + r, max(ys) + r, types):
+            d, arc = line.nearest(signs[rank].position)
+            if d <= r:
+                hits.append((signs[rank], arc))
         return hits

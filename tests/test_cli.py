@@ -222,6 +222,41 @@ class TestDerive:
         assert main(derive_args(tmp_path, tmp_path / "r.json", start="aa")) == 1
         assert "edge 'aa' is named as its own opposite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code", ["R-302", "R-101"])
+    def test_segment_whose_square_underflows(self, tmp_path, capsys, code):
+        # B is 1e-200 m from A: the segment's squared length underflows to 0.0
+        nodes = {"A": [0.0, 0.0], "B": [1e-200, 0.0], "C": [100.0, 0.0]}
+        network = [
+            {"type": "Feature", "geometry": {"type": "Point", "coordinates": position},
+             "properties": {"node_id": node}}
+            for node, position in nodes.items()
+        ]
+        for a, b in (("A", "B"), ("B", "C")):
+            network += [
+                {"type": "Feature",
+                 "geometry": {"type": "LineString", "coordinates": [nodes[u], nodes[v]]},
+                 "properties": {"edge_id": f"{u}{v}", "source_node": u, "target_node": v,
+                                "opposite_id": f"{v}{u}"}}
+                for u, v in ((a, b), (b, a))
+            ]
+        sign = {"type": "Feature", "geometry": {"type": "Point", "coordinates": [-2.0, -3.0]},
+                "properties": {"sign_id": "s", "type": code, "azimuth": 90.0}}
+        for name, features in (("network", network), ("signs", [sign])):
+            document = {"type": "FeatureCollection", "coordinate_system": "local-meters",
+                        "features": features}
+            (tmp_path / f"{name}.geojson").write_text(json.dumps(document))
+        args = [
+            "derive",
+            "--network", str(tmp_path / "network.geojson"),
+            "--signs", str(tmp_path / "signs.geojson"),
+            "--cover-all",
+            "--out", str(tmp_path / "r.json"),
+        ]
+        assert main(args) == 0, capsys.readouterr().err
+        assert "4 edges visited" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["unreached"] == []
+
     @pytest.mark.parametrize("name", ["network", "signs"])
     def test_integer_past_digit_limit_exit_1(self, town, tmp_path, capsys, name):
         path = town / f"{name}.geojson"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -166,6 +167,35 @@ class TestDistance:
 
     def test_zero(self):
         assert distance(Point(1, 1), Point(1, 1)) == 0.0
+
+
+class TestSegmentWhoseSquareUnderflows:
+    """A 1e-200 m segment is not zero-length, but its squared length is 0.0."""
+
+    line = Polyline([(0, 0), (1e-200, 0), (100, 0)])
+
+    def test_measured_at_its_start(self):
+        assert self.line.distance_to(Point(-2, -3)) == math.hypot(2, 3)
+        assert self.line.index(Point(-2, -3)) == 0.0
+        assert self.line.distance_to(Point(5e-201, 1)) == 1.0
+        assert self.line.index(Point(5e-201, 1)) == 0.0
+
+    def test_next_segment_unaffected(self):
+        assert self.line.distance_to(Point(50, 4)) == 4.0
+        assert self.line.index(Point(50, 4)) == 50.0
+
+    def test_cumulative_length_repeated(self):
+        # 100.0 + 1e-200 == 100.0: two vertices share one cumulative length
+        line = Polyline([(0, 0), (100, 0), (100, 1e-200), (100, 50)])
+        assert line.project(100.0) == Point(100, 1e-200)
+        assert line.project(120.0) == Point(100, 20)
+        assert line.index(Point(101, 1e-200)) == 100.0
+
+    def test_line_of_one_such_segment(self):
+        line = Polyline([(0, 0), (0, 1e-200)])
+        assert line.length == 1e-200
+        assert line.distance_to(Point(3, 4)) == 5.0
+        assert line.index(Point(3, 4)) == 0.0
 
 
 class TestRoundTrip:

@@ -3,11 +3,29 @@ import math
 import pytest
 
 from roadrules.geometry import Point, Polyline, distance
-from roadrules.signs import CELL, Sign, SignIndex, SignType
+from roadrules.signs import (
+    ALL_SIGN_TYPES,
+    CELL,
+    EDGE_SIGN_TYPES,
+    NODE_SIGN_TYPES,
+    Sign,
+    SignIndex,
+    SignType,
+)
 
 
 def sign(sign_id, x, y, code="R-101", azimuth=0.0) -> Sign:
     return Sign(sign_id, Point(x, y), SignType(code), azimuth)
+
+
+def line_hit_ids(index, line, r, types=ALL_SIGN_TYPES):
+    """Ids of a line query's hits, once each hit's arc is checked.
+
+    Every arc must be ``line.index`` of the sign's position, bit for bit.
+    """
+    hits = index.signs_within_line(line, r, types)
+    assert [arc.hex() for _, arc in hits] == [line.index(s.position).hex() for s, _ in hits]
+    return [s.id for s, _ in hits]
 
 
 class TestSignType:
@@ -59,7 +77,7 @@ class TestSignIndex:
     def test_line_query_perpendicular_hit(self):
         line = Polyline([(0, 0), (100, 0)])
         index = SignIndex([sign("mid", 50, 3)])
-        assert [s.id for s in index.signs_within_line(line, 10.0)] == ["mid"]
+        assert line_hit_ids(index, line, 10.0) == ["mid"]
 
     def test_line_query_excludes_beyond_radius(self):
         line = Polyline([(0, 0), (100, 0)])
@@ -69,7 +87,7 @@ class TestSignIndex:
     def test_line_query_vertex_hit(self):
         line = Polyline([(0, 0), (50, 0), (50, 50)])
         index = SignIndex([sign("atv", 50, 0)])
-        assert [s.id for s in index.signs_within_line(line, 10.0)] == ["atv"]
+        assert line_hit_ids(index, line, 10.0) == ["atv"]
 
     def test_results_sorted_by_id(self):
         index = SignIndex([sign("b", 1, 0), sign("a", 2, 0), sign("c", 0, 1)])
@@ -77,7 +95,7 @@ class TestSignIndex:
 
 
 class TestIndexScanEquivalence:
-    """Looking signs up by cell must never change a query result."""
+    """Looking signs up by row band must never change a query result."""
 
     def _random_inventory(self, rng, count):
         return [
@@ -107,11 +125,11 @@ class TestIndexScanEquivalence:
             expected = sorted(
                 (s.id for s in signs if line.distance_to(s.position) <= r)
             )
-            assert [s.id for s in index.signs_within_line(line, r)] == expected
+            assert line_hit_ids(index, line, r) == expected
 
 
 class TestCellTable:
-    """Corner cases of the cell table, each checked against a linear scan."""
+    """Corner cases of the row bands, each checked against a linear scan."""
 
     @staticmethod
     def assert_scans_equal(signs, queries):
@@ -120,7 +138,7 @@ class TestCellTable:
             if isinstance(query[0], Polyline):
                 line, r = query
                 expected = sorted(s.id for s in signs if line.distance_to(s.position) <= r)
-                assert [s.id for s in index.signs_within_line(line, r)] == expected
+                assert line_hit_ids(index, line, r) == expected
             else:
                 p, r = query
                 expected = sorted(s.id for s in signs if distance(s.position, p) <= r)
@@ -171,3 +189,26 @@ class TestCellTable:
         queries = [(Point(0.0, 0.0), 1e308), (Point(1e9, -1e9), 1e308),
                    (Polyline([(0.0, 0.0), (1.0, 0.0)]), 1e308)]
         self.assert_scans_equal(signs, queries)
+
+    def test_families_match_filtered_linear_scan(self, rng):
+        # every type, negative coordinates, and a third of the signs exactly on
+        # a band edge (y = k * CELL)
+        codes = [t.value for t in SignType]
+        signs = []
+        for i in range(600):
+            y = rng.randint(-8, 8) * CELL if i % 3 == 0 else rng.uniform(-400.0, 400.0)
+            signs.append(sign(f"s{i:03d}", rng.uniform(-400.0, 400.0), y, rng.choice(codes)))
+        assert {s.sign_type for s in signs} == ALL_SIGN_TYPES
+        index = SignIndex(signs)
+        families = [NODE_SIGN_TYPES, EDGE_SIGN_TYPES, ALL_SIGN_TYPES, frozenset({SignType.R302})]
+        for _ in range(60):
+            p = Point(rng.uniform(-450.0, 450.0), rng.choice([rng.randint(-8, 8) * CELL,
+                                                              rng.uniform(-450.0, 450.0)]))
+            r = rng.choice([CELL, rng.uniform(1.0, 120.0)])
+            line = Polyline([p, (p.x + rng.uniform(-150.0, 150.0), rng.randint(-8, 8) * CELL)])
+            for types in families:
+                family = [s for s in signs if s.sign_type in types]
+                expected = sorted(s.id for s in family if distance(s.position, p) <= r)
+                assert [s.id for s in index.signs_within(p, r, types)] == expected
+                expected = sorted(s.id for s in family if line.distance_to(s.position) <= r)
+                assert line_hit_ids(index, line, r, types) == expected
