@@ -4,8 +4,9 @@ validation and debug overlays.
 Planar inputs mark themselves with a top-level ``"coordinate_system":
 "local-meters"`` member; without it, coordinates are treated as RFC 7946
 lon/lat and projected to local meters around the dataset centroid. A planar
-input file is streamed, one feature at a time, wherever its marker sits. All
-outputs are deterministic byte-for-byte for identical inputs.
+input file is streamed, one feature at a time from text read a chunk at a
+time, wherever its marker sits. All outputs are deterministic byte-for-byte
+for identical inputs.
 
 Every value read from a file is checked once, here, where it enters, and a
 bad one is reported with the feature or entry that holds it: ``_positions``
@@ -81,110 +82,135 @@ class _Declined(Exception):
     """The streamed reader cannot vouch for a file, which is then read whole."""
 
 
+_CHUNK = 64 * 1024  # characters the streamed reader reads at a time
+_TAIL = 64 * 1024  # bytes at the end of a file searched for the frame's marker
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 _skip = json.decoder.WHITESPACE.match  # ``.end()`` is the index past the whitespace at one
 _comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 
 
 def _member_name(text: str, i: int) -> tuple[str, int]:
-    """The name of the object member at ``i``, and the index of its value."""
+    """The name of the object member at ``i``, and the index past its colon."""
     if not text.startswith('"', i):
         raise _Declined
     name, i = _scan(text, i)
     i = _skip(text, i).end()
     if not text.startswith(":", i):
         raise _Declined
-    return name, _skip(text, i + 1).end()
+    return name, i + 1
 
 
-def _closed(text: str, i: int, close: str) -> int:
-    """The index past ``close``, which must follow ``i`` after whitespace."""
-    i = _skip(text, i).end()
-    if not text.startswith(close, i):
-        raise _Declined
-    return i + 1
+def _token(text: str, i: int) -> tuple[str, int]:
+    return text[i], i
 
 
-def _planar_features(text: str) -> Iterator:
-    """The features of the planar FeatureCollection ``text``, each decoded as it is taken.
+def _step(read: Callable, handle: TextIO, text: str, i: int) -> tuple[Any, str, int]:
+    """(value, text, end) of ``read(text, j)`` at the ``j`` past the whitespace
+    at ``i``. While the read raises or ends at the end of ``text`` (a number
+    may go on), it is tried again on the text from ``i`` and as much again of
+    ``handle``, at least ``_CHUNK``; at the end of the file, it declines."""
+    eof = False
+    while True:
+        try:
+            value, end = read(text, _skip(text, i).end())
+            if end < len(text) or eof:
+                return value, text, end
+        except (StopIteration, IndexError, ValueError, _Declined):
+            if eof:
+                raise _Declined from None
+        chunk = handle.read(max(_CHUNK, len(text) - i))
+        text, i, eof = text[i:] + chunk, 0, not chunk
+
+
+def _tail_marker(path: str | Path) -> Any:
+    """The value after the last ``"coordinate_system"`` in the file's last ``_TAIL`` bytes."""
+    with open(path, "rb") as handle:
+        handle.seek(max(0, handle.seek(0, 2) - _TAIL))
+        tail = handle.read().decode("utf-8", "replace")
+    at = tail.rfind('"coordinate_system"')
+    return _scan(tail, _skip(tail, _member_name(tail, at)[1]).end())[0] if at >= 0 else None
+
+
+def _planar_features(path: str | Path) -> Iterator:
+    """The features of the planar FeatureCollection in the file at ``path``, each
+    decoded as it is taken from text read ``_CHUNK`` characters at a time.
 
     The first ``next()`` decodes the object's members up to ``features`` and
     decides the frame: the ``coordinate_system`` read so far or, when none
     was, a guess, the value after the last ``"coordinate_system"`` in the
-    text. Each later ``next()`` decodes one element of the array. After the
-    last, the members that follow are decoded and the guess confirmed: one
-    ``features`` member, ``type`` FeatureCollection, the planar marker, and
-    nothing after the object. Only then does the generator end, releasing
-    ``text``. Every other case raises ``_Declined``: a file that is not
-    planar, a wrong guess, a ``features`` that is not an array, and any JSON
-    this reader or ``json.loads`` would reject. Each value is decoded by the
-    scanner ``json.loads`` uses, so a file that is not declined reads exactly
-    as ``json.loads`` reads it.
+    file's last ``_TAIL`` bytes. Each later ``next()`` decodes one element of
+    the array. After the last, the members that follow are decoded and the
+    guess confirmed: one ``features`` member, ``type`` FeatureCollection, the
+    planar marker, and nothing after the object. Only then does the generator
+    end. Every other case raises ``_Declined``: a file that is not planar or
+    not UTF-8, a missing or wrong guess, a ``features`` that is not an array,
+    and any JSON this reader or ``json.loads`` would reject. Each value is
+    decoded by the scanner ``json.loads`` uses, so a file that is not
+    declined reads exactly as ``json.loads`` reads it.
     """
     try:
-        members: dict = {}
-        i = _closed(text, 0, "{")
-        name, i = _member_name(text, _skip(text, i).end())
-        while name != "features":
-            members[name], i = _scan(text, i)
-            comma = _comma(text, i)
-            if comma is None:  # the object ends without features
+        with open(path, encoding="utf-8") as handle:
+            members: dict = {}
+            char, text, i = _step(_token, handle, "", 0)
+            if char != "{":
                 raise _Declined
-            name, i = _member_name(text, comma.end())
-        if "coordinate_system" in members:
-            marker = members["coordinate_system"]
-        else:
-            at = text.rfind('"coordinate_system"')
-            marker = _scan(text, _member_name(text, at)[1])[0] if at >= 0 else None
-        if marker != PLANAR_MARKER or not text.startswith("[", i):
-            raise _Declined
-        yield
-        i = _skip(text, i + 1).end()
-        if text.startswith("]", i):
-            i += 1
-        else:
-            while True:
-                feature, i = _scan(text, i)
+            name, text, i = _step(_member_name, handle, text, i + 1)
+            while name != "features":
+                members[name], text, i = _step(_scan, handle, text, i)
+                char, text, i = _step(_token, handle, text, i)
+                if char != ",":  # the object ends without features
+                    raise _Declined
+                name, text, i = _step(_member_name, handle, text, i + 1)
+            marker = members.get("coordinate_system") or _tail_marker(path)
+            char, text, i = _step(_token, handle, text, i)
+            if marker != PLANAR_MARKER or char != "[":
+                raise _Declined
+            yield
+            char, text, i = _step(_token, handle, text, i + 1)
+            while char != "]":
+                try:
+                    feature, end = _scan(text, i)
+                    comma = _comma(text, end)
+                except (StopIteration, ValueError):
+                    comma = None
+                if comma is None:  # the last feature, or one the chunk cuts
+                    feature, text, i = _step(_scan, handle, text, i)
+                    char, text, i = _step(_token, handle, text, i)
+                    if char == ",":
+                        i = _skip(text, i + 1).end()
+                    elif char != "]":
+                        raise _Declined
+                else:
+                    i = comma.end()
                 yield feature
-                comma = _comma(text, i)
-                if comma is None:
-                    break
-                i = comma.end()
-            i = _closed(text, i, "]")
-        comma = _comma(text, i)
-        while comma is not None:
-            name, i = _member_name(text, comma.end())
-            if name == "features":  # ``json.loads`` keeps the last one
+            char, text, i = _step(_token, handle, text, i + 1)
+            while char == ",":
+                name, text, i = _step(_member_name, handle, text, i + 1)
+                if name == "features":  # ``json.loads`` keeps the last one
+                    raise _Declined
+                members[name], text, i = _step(_scan, handle, text, i)
+                char, text, i = _step(_token, handle, text, i)
+            if char != "}" or _skip(text, i + 1).end() != len(text):
                 raise _Declined
-            members[name], i = _scan(text, i)
-            comma = _comma(text, i)
-        i = _closed(text, i, "}")
-    except (StopIteration, ValueError, RecursionError):
+            for rest in iter(lambda: handle.read(_CHUNK), ""):  # only whitespace may follow
+                if _skip(rest, 0).end() != len(rest):
+                    raise _Declined
+    except (StopIteration, ValueError, RecursionError, OSError):  # ValueError: also not UTF-8
         raise _Declined from None
-    if (
-        _skip(text, i).end() != len(text)
-        or members.get("type") != "FeatureCollection"
-        or members.get("coordinate_system") != PLANAR_MARKER
-    ):
-        raise _Declined
+    if members.get("type") != "FeatureCollection" or members.get("coordinate_system") != marker:
+        raise _Declined  # the guess was wrong
 
 
 def _read_collection(path: str | Path) -> tuple[Any, bool]:
-    """The document in the file at ``path``, and whether its features are streamed.
-
-    A file ``_planar_features`` accepts up to its features comes back as a
-    planar FeatureCollection whose ``features`` decode one at a time; only
-    that iterator refers to the file's text, so the text is freed once the
-    last feature has been taken and the file confirmed. Any other file is
-    parsed whole, from the text already read.
-    """
-    text = _read_text(path)
-    features = _planar_features(text)
+    """The document in the file at ``path``, and whether its features are streamed
+    (``_planar_features``) or the file was read again, whole, by ``json.loads``."""
+    features = _planar_features(path)
     try:
         next(features)
+        return planar_collection(features), True
     except _Declined:
-        return _parse_json(text, path), False
-    return planar_collection(features), True
+        pass  # read whole once the handler has let go of the streamed read
+    return _read_json(path), False
 
 
 # compact and key-sorted; ``encode`` is one-shot, so it runs in CPython's C encoder
@@ -489,8 +515,8 @@ def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any
     """``read(document, path, skipped)`` of the file at ``path``, then a warning
     for each sign ``read`` added to ``skipped``.
 
-    A planar file is streamed: each feature is decoded as ``read`` takes it,
-    and the file's text is freed once the last is taken. Any other file, and
+    A planar file is streamed (``_planar_features``): each feature is decoded
+    as ``read`` takes it. Any other file, and
     any file that fails to load that way, is parsed whole by ``json.loads``
     and then consumed feature by feature, so every result, error and warning
     is the one reading the whole document gives.
@@ -499,12 +525,15 @@ def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any
     skipped: list = []
     try:
         if streamed:
+            features = document["features"]
             try:
                 return read(document, path, skipped)
             except (_Declined, InputError):
                 skipped.clear()  # the whole read finds them again
-            # read whole once the handler has let go of the streamed read and
-            # its text, so that the error reported is the one ``json.loads`` meets first
+            finally:
+                features.close()  # the file and its text, on every path
+            # read whole once the handler has let go of the streamed read, so
+            # that the error reported is the one ``json.loads`` meets first
             document = _read_json(path)
         return read(document, path, skipped)
     finally:
@@ -515,7 +544,7 @@ def load_network(path: str | Path) -> RoadGraph:
     """Read a network GeoJSON file into a validated road graph.
 
     A planar file is streamed (see ``_load``), so the load never holds the
-    parsed document, and the file's text is freed before the graph is built.
+    parsed document or the file's whole text.
     """
     return _load(path, lambda document, source, _: network_from_document(document, source))
 

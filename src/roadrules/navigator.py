@@ -101,7 +101,8 @@ def _collect(state: DerivationState, index: SignIndex) -> DerivationResult:
         RuleRecord(sign.id, *state.held[sign.id]) for sign in index.signs if sign.id in state.held
     )
     visited = frozenset(state.visited)
-    return DerivationResult(records, visited, frozenset(state.graph.edges) - visited)
+    unreached = frozenset(edge_id for edge_id in state.graph.edges if edge_id not in visited)
+    return DerivationResult(records, visited, unreached)
 
 
 def derive_rules(

@@ -26,14 +26,14 @@ EdgeId = Identifier
 ENDPOINT_TOLERANCE = 1e-3  # meters
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: NodeId
     position: Point
     outgoing: list[DirectedEdge] = field(default_factory=list)  # the edges leaving, in id order
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectedEdge:
     id: EdgeId
     source: NodeId

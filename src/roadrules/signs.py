@@ -43,7 +43,7 @@ ALL_SIGN_TYPES = frozenset(SignType)
 Family = frozenset[SignType]  # the sign types one query reads
 
 
-@dataclass
+@dataclass(slots=True)
 class Sign:
     id: SignId
     position: Point

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -177,7 +178,12 @@ class TestDeriveRules:
         # one graph and index serve every run, and each run equals a run on
         # freshly loaded objects: no state leaks from one run to the next
         graph, index, expected = load_scenario(template)
-        snapshot = [dict(vars(e)) for e in graph.edges.values()] + [dict(vars(s)) for s in index]
+
+        def records():  # every field of every edge and sign, as a value
+            records = [*graph.edges.values(), *index]
+            return [{f.name: getattr(r, f.name) for f in dataclasses.fields(r)} for r in records]
+
+        snapshot = records()
         edge_ids = list(graph.edges)
         runs = [
             {"start_edges": expected["start_edges"][:1]},
@@ -189,9 +195,7 @@ class TestDeriveRules:
             assert derive_rules(graph, index, **kwargs) == derive_rules(
                 fresh_graph, fresh_index, **kwargs
             )
-        assert [dict(vars(e)) for e in graph.edges.values()] + [
-            dict(vars(s)) for s in index
-        ] == snapshot
+        assert records() == snapshot
 
 
 class TestRuleDerivationScenes:
