@@ -3,15 +3,18 @@ validation and debug overlays.
 
 Planar inputs mark themselves with a top-level ``"coordinate_system":
 "local-meters"`` member; without it, coordinates are treated as RFC 7946
-lon/lat and projected to local meters around the dataset centroid. A planar
-input file is streamed, one feature at a time from text read a chunk at a
-time, wherever its marker sits. All outputs are deterministic byte-for-byte
-for identical inputs.
+lon/lat and projected to local meters around the dataset centroid. All
+outputs are deterministic byte-for-byte for identical inputs.
 
-Every value read from a file is checked once, here, where it enters, and a
-bad one is reported with the feature or entry that holds it: ``_positions``
-checks each coordinate, and ``_read_id`` each id. A network and a signs file
-are read the same way (``_load``), and a fault gives one message in either:
+A file enters through one loader and one JSON reader. A network or a signs
+file goes through ``_load``, which streams a planar file, one feature at a
+time from text read a chunk at a time, wherever its marker sits, and hands
+any other file to ``_read_json``, the one reader of a whole file, which also
+reads each rule document and ground truth. Every value read from a file is
+checked once, here, where it enters, and a bad one is reported with the
+feature or entry that holds it: ``_positions`` checks each coordinate, and
+``_read_id`` each id. A fault in a network or a signs file, streamed or read
+whole, gives one message:
 ``feature <i>: bad or missing '<property>'`` for a missing or ill-typed id,
 sign ``type`` or ``azimuth`` (checked on a skipped sign too), ``duplicate
 <property> <id> in features <a> and <b>`` for any id read twice, and
@@ -55,27 +58,18 @@ def planar_collection(features: list | Iterator) -> dict:
     return {"type": "FeatureCollection", "coordinate_system": PLANAR_MARKER, "features": features}
 
 
-def _read_text(path: str | Path) -> str:
+def _read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # before ValueError, its base class
         raise InputError(f"{path}: not UTF-8: {exc}") from exc
-
-
-def _parse_json(text: str, path: str | Path) -> Any:
-    try:
-        return json.loads(text)
     # ValueError: also an integer past the int-string digit limit;
     # RecursionError: arrays or objects nested past the interpreter's depth
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"{Path(path)}: malformed JSON: {exc}") from exc
-
-
-def _read_json(path: str | Path) -> Any:
-    return _parse_json(_read_text(path), path)
+        raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
 class _Declined(Exception):
@@ -84,6 +78,9 @@ class _Declined(Exception):
 
 _CHUNK = 64 * 1024  # characters the streamed reader reads at a time
 _TAIL = 64 * 1024  # bytes at the end of a file searched for the frame's marker
+# characters: a token the end of the text cuts errs at most about 9 before it
+# (``-Infinity``, a ``\\uXXXX`` escape, a number cut after ``.``, ``e`` or ``-``)
+_NEAR_END = 16
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 _skip = json.decoder.WHITESPACE.match  # ``.end()`` is the index past the whitespace at one
 _comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
@@ -91,11 +88,11 @@ _comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 
 def _member_name(text: str, i: int) -> tuple[str, int]:
     """The name of the object member at ``i``, and the index past its colon."""
-    if not text.startswith('"', i):
+    if text[i] != '"':
         raise _Declined
     name, i = _scan(text, i)
     i = _skip(text, i).end()
-    if not text.startswith(":", i):
+    if text[i] != ":":
         raise _Declined
     return name, i + 1
 
@@ -108,15 +105,18 @@ def _step(read: Callable, handle: TextIO, text: str, i: int) -> tuple[Any, str, 
     """(value, text, end) of ``read(text, j)`` at the ``j`` past the whitespace
     at ``i``. While the read raises or ends at the end of ``text`` (a number
     may go on), it is tried again on the text from ``i`` and as much again of
-    ``handle``, at least ``_CHUNK``; at the end of the file, it declines."""
+    ``handle``, at least ``_CHUNK``. It declines at the end of the file, where
+    ``read`` does, and at an error more than ``_NEAR_END`` before the end of
+    ``text``, which no more text mends (a cut string errs at its start)."""
     eof = False
     while True:
         try:
             value, end = read(text, _skip(text, i).end())
             if end < len(text) or eof:
                 return value, text, end
-        except (StopIteration, IndexError, ValueError, _Declined):
-            if eof:
+        except (StopIteration, IndexError, ValueError) as exc:
+            at = exc.value if isinstance(exc, StopIteration) else getattr(exc, "pos", len(text))
+            if eof or at < len(text) - _NEAR_END and not str(exc).startswith("Unterminated"):
                 raise _Declined from None
         chunk = handle.read(max(_CHUNK, len(text) - i))
         text, i, eof = text[i:] + chunk, 0, not chunk
@@ -199,18 +199,6 @@ def _planar_features(path: str | Path) -> Iterator:
         raise _Declined from None
     if members.get("type") != "FeatureCollection" or members.get("coordinate_system") != marker:
         raise _Declined  # the guess was wrong
-
-
-def _read_collection(path: str | Path) -> tuple[Any, bool]:
-    """The document in the file at ``path``, and whether its features are streamed
-    (``_planar_features``) or the file was read again, whole, by ``json.loads``."""
-    features = _planar_features(path)
-    try:
-        next(features)
-        return planar_collection(features), True
-    except _Declined:
-        pass  # read whole once the handler has let go of the streamed read
-    return _read_json(path), False
 
 
 # compact and key-sorted; ``encode`` is one-shot, so it runs in CPython's C encoder
@@ -512,30 +500,29 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 
 
 def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any:
-    """``read(document, path, skipped)`` of the file at ``path``, then a warning
-    for each sign ``read`` added to ``skipped``.
+    """``read(document, path, skipped)`` of the network or signs file at
+    ``path``, then a warning for each sign ``read`` added to ``skipped``.
 
-    A planar file is streamed (``_planar_features``): each feature is decoded
-    as ``read`` takes it. Any other file, and
-    any file that fails to load that way, is parsed whole by ``json.loads``
-    and then consumed feature by feature, so every result, error and warning
-    is the one reading the whole document gives.
+    The one loader of a feature file. The file is first streamed
+    (``_planar_features``): each feature is decoded as ``read`` takes it.
+    When the streamed read declines the file (any file that is not planar,
+    and any malformed one) or ``read`` rejects it, the file is read again,
+    whole, by ``_read_json`` and consumed feature by feature, so every
+    result, error and warning is the one reading the whole document gives.
     """
-    document, streamed = _read_collection(path)
     skipped: list = []
+    features = _planar_features(path)
     try:
-        if streamed:
-            features = document["features"]
-            try:
-                return read(document, path, skipped)
-            except (_Declined, InputError):
-                skipped.clear()  # the whole read finds them again
-            finally:
-                features.close()  # the file and its text, on every path
-            # read whole once the handler has let go of the streamed read, so
-            # that the error reported is the one ``json.loads`` meets first
-            document = _read_json(path)
-        return read(document, path, skipped)
+        try:
+            next(features)
+            return read(planar_collection(features), path, skipped)
+        except (_Declined, InputError):
+            skipped.clear()  # the whole read finds them again
+        finally:
+            features.close()  # the file and its text, on every path
+        # read whole once the handler has let go of the streamed read, so
+        # that the error reported is the one ``json.loads`` meets first
+        return read(_read_json(path), path, skipped)
     finally:
         _warn_skipped(path, skipped)
 
@@ -717,10 +704,8 @@ class AccuracyReport:
         return {"one_way_streets": asdict(self.one_way), "turn_restrictions": asdict(self.turn)}
 
 
-def derived_rule_sets(rules: DerivationResult | dict) -> tuple[frozenset, frozenset]:
-    """(globally banned edges, banned turn pairs) from a result or rule document."""
-    if isinstance(rules, DerivationResult):
-        rules = rules_document(rules)
+def derived_rule_sets(rules: dict) -> tuple[frozenset, frozenset]:
+    """(globally banned edges, banned turn pairs) of a rule document."""
     banned = {entry["edge"] for entry in rules["no_way"]}
     for entry in rules["one_way"]:
         banned.update(entry["banned"])
@@ -738,8 +723,8 @@ def _family_accuracy(derived: frozenset, truth: frozenset) -> FamilyAccuracy:
     return FamilyAccuracy(total, incorrect, round(100.0 * (total - incorrect) / total, 2))
 
 
-def validate(rules: DerivationResult | dict, truth: GroundTruth) -> AccuracyReport:
-    """Accuracy of derived rules against ground truth.
+def validate(rules: dict, truth: GroundTruth) -> AccuracyReport:
+    """Accuracy of a rule document against ground truth.
 
     Derived one-way bans are compared as edge sets and turn restrictions as
     (from, to) pairs; only incorrectly derived rules count against accuracy
@@ -795,11 +780,7 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
 
 
 def render_overlay(
-    result: DerivationResult | dict,
-    graph: RoadGraph,
-    signs: Iterable[Sign] | SignIndex,
-    path: str | Path,
+    rules: dict, graph: RoadGraph, signs: Iterable[Sign] | SignIndex, path: str | Path
 ) -> None:
-    """Write the inspection overlay for a completed derivation."""
-    rules = rules_document(result) if isinstance(result, DerivationResult) else result
+    """Write the inspection overlay of a rule document on its network and signs."""
     write_json(overlay_document(graph, signs, rules), path)

@@ -18,6 +18,7 @@ from roadrules.io import (
     GroundTruth,
     derived_rule_sets,
     network_from_document,
+    rules_document,
     signs_from_document,
     validate,
 )
@@ -156,7 +157,7 @@ def test_criterion_4_one_way_equivalence():
                 "w", Point(5 * math.sin(rad), 5 * math.cos(rad)), SignType.R400A, azimuth
             )
             result_a = derive_rules(graph_a, SignIndex([one_way_sign]), start_edges=["in0"])
-            banned_a, _ = derived_rule_sets(result_a)
+            banned_a, _ = derived_rule_sets(rules_document(result_a))
 
             graph_b = star_graph(bearings)
             no_way_signs = []
@@ -166,7 +167,7 @@ def test_criterion_4_one_way_equivalence():
                 pos = graph_b.edges[f"out{i}"].geometry.project(8.0)
                 no_way_signs.append(Sign(f"s{i}", pos, SignType.R101, bearing))
             result_b = derive_rules(graph_b, SignIndex(no_way_signs), start_edges=["in0"])
-            banned_b, _ = derived_rule_sets(result_b)
+            banned_b, _ = derived_rule_sets(rules_document(result_b))
 
             expected = {f"out{i}" for i in range(len(bearings)) if i != target}
             assert banned_a == expected
@@ -305,7 +306,7 @@ def test_criterion_9_golden_scene_validates_at_100_percent():
         expected = scenario.expected
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
 
-        banned, pairs = derived_rule_sets(result)
+        banned, pairs = derived_rule_sets(rules_document(result))
         assert banned == frozenset(expected["one_way_banned_edges"])
         assert pairs == frozenset(tuple(p) for p in expected["turn_restrictions"])
 
@@ -313,7 +314,7 @@ def test_criterion_9_golden_scene_validates_at_100_percent():
             frozenset(expected["one_way_banned_edges"]),
             frozenset(tuple(p) for p in expected["turn_restrictions"]),
         )
-        report = validate(result, truth)
+        report = validate(rules_document(result), truth)
         assert report.one_way.accuracy == 100.0
         assert report.turn.accuracy == 100.0
         assert report.one_way.incorrect == 0 and report.turn.incorrect == 0

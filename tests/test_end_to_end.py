@@ -10,7 +10,7 @@ import math
 import random
 
 from roadrules.geometry import Point, Polyline, heading
-from roadrules.io import GroundTruth, derived_rule_sets, validate
+from roadrules.io import GroundTruth, derived_rule_sets, rules_document, validate
 from roadrules.navigator import derive_rules
 from roadrules.network import build_graph
 from roadrules.signs import Sign, SignIndex, SignType
@@ -130,11 +130,11 @@ def test_constructed_towns_validate_perfectly():
         assert len(result.rules) == len(signs)
         assert all(record.score > 0 for record in result.rules)
 
-        banned, derived_pairs = derived_rule_sets(result)
+        banned, derived_pairs = derived_rule_sets(rules_document(result))
         assert banned == expected_bans
         assert derived_pairs == expected_pairs
         assert result.unreached_edges <= expected_bans
 
-        report = validate(result, GroundTruth(expected_bans, expected_pairs))
+        report = validate(rules_document(result), GroundTruth(expected_bans, expected_pairs))
         assert report.one_way.accuracy == 100.0
         assert report.turn.accuracy in (100.0, None)  # None when no turn sign fit

@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 import math
+import random
 import re
 import tracemalloc
 import warnings
@@ -663,8 +664,9 @@ class TestOneMessagePerFault:
         change(faulty, name)
         path = write_doc(tmp_path, f"{kind}.geojson", planar_network(feature, faulty))
         _, from_document, _ = LOADERS[kind]
-        document, streamed = roadrules_io._read_collection(path)
-        assert streamed
+        features = roadrules_io._planar_features(path)
+        next(features)  # streamed
+        document = roadrules_io.planar_collection(features)
         messages = []
         for read in (
             lambda: from_document(document, path),  # streamed
@@ -839,7 +841,7 @@ class TestStreamedRead:
         def whole_read(*args):
             raise AssertionError("the file was read whole, not streamed")
 
-        monkeypatch.setattr(roadrules_io, "_parse_json", whole_read)
+        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
         monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
 
@@ -855,7 +857,7 @@ class TestStreamedRead:
         def whole_read(*args):
             raise AssertionError("the file was read whole, not streamed")
 
-        monkeypatch.setattr(roadrules_io, "_parse_json", whole_read)
+        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
         monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
 
@@ -870,13 +872,13 @@ class TestStreamedRead:
         except (ValueError, RecursionError) as exc:  # JSON the loaders report as malformed
             expected = "error", f"{path}: malformed JSON: {exc}"
         parsed = []
-        parse = roadrules_io._parse_json
+        parse = roadrules_io._read_json
 
         def whole_read(*args):
             parsed.append(args)
             return parse(*args)
 
-        monkeypatch.setattr(roadrules_io, "_parse_json", whole_read)
+        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
         monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
         assert parsed, "the file was not read whole"
@@ -934,6 +936,36 @@ class TestStreamedRead:
         expected = "error", f"{path}: malformed JSON: {caught.value}"
         assert self.streamed("network", path) == expected
         assert len(reads) <= 2 * math.log2(len(text)), (len(reads), len(text))
+
+    @pytest.mark.parametrize("fault", ["in-a-feature", "in-a-member-name"])
+    def test_syntax_error_declines_where_it_is_found(self, tmp_path, monkeypatch, fault):
+        # an error far before the end of the text read so far is no cut token:
+        # the streamed read declines there, not at the end of the file
+        text = json.dumps(grid_network(32, 32))
+        if fault == "in-a-feature":
+            at = text.index('"Feature", "g', 5000)
+            text = f"{text[:at]}\"Feature\" {text[at + 11:]}"
+        else:
+            assert text.startswith('{"type": ')
+            text = '{"type" ' + text[9:]
+        assert len(text) > 1_000_000
+        path = tmp_path / "network.geojson"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            json.loads(text)
+        reads = []
+
+        def counted_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            read = handle.read
+            handle.read = lambda *a: reads.append(a) or read(*a)
+            return handle
+
+        monkeypatch.setattr(roadrules_io, "open", counted_open, raising=False)
+        assert roadrules_io._CHUNK == 64 * 1024
+        expected = "error", f"{path}: malformed JSON: {caught.value}"
+        assert self.streamed("network", path) == expected
+        assert len(reads) <= 2, reads
 
     @pytest.mark.parametrize("kind", LOADERS)
     @pytest.mark.parametrize("case", ["completed", "declined-at-once", "declined-at-the-end",
@@ -1042,6 +1074,72 @@ class TestStreamedRead:
         assert peak < whole_peak, (peak, whole_peak)
 
 
+# the bytes a mutant inserts or writes over another: JSON structure, a space,
+# a number's parts, a letter, control characters and a byte that is not UTF-8
+MUTANT_BYTES = b'{}[],:"\\ 0-.e1x\n\r\t\x00\xff'
+# a feature file's members in orders that lead the streamed reader down each
+# path: the marker read before the features, or guessed from the file's tail
+# and confirmed after them, last or before ``type``
+MEMBER_ORDERS = [("coordinate_system", "type", "features"),
+                 ("type", "features", "coordinate_system"),
+                 ("features", "coordinate_system", "type")]
+
+
+def byte_mutants(data, rng, count):
+    """``count`` copies of ``data``, each with one byte deleted, inserted or
+    replaced, or cut short. Half are at a byte of the JSON structure, each
+    of ``{}[],:"`` as likely, and half anywhere, the end of ``data`` too."""
+    marks = [[at for at, byte in enumerate(data) if byte == mark] for mark in b'{}[],:"']
+    for _ in range(count):
+        if rng.random() < 0.5:
+            at = rng.choice(rng.choice(marks))
+        else:
+            at = rng.randrange(len(data) + 1)
+        byte = bytes([rng.choice(MUTANT_BYTES)])
+        yield rng.choice([data[:at] + data[at + 1:], data[:at] + byte + data[at:],
+                          data[:at] + byte + data[at + 1:], data[:at]])
+
+
+class TestByteMutants:
+    """A file one byte away from a valid one loads exactly as ``json.loads``
+    and the document reader read it, at any chunk of the streamed reader:
+    the same result or error message, and the same warnings."""
+
+    @pytest.mark.parametrize("layout", ["compact", "indented"])
+    @pytest.mark.parametrize("order", range(len(MEMBER_ORDERS)))
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_mutant_loads_as_the_whole_document(
+        self, tmp_path, monkeypatch, caplog, kind, order, layout
+    ):
+        scenario = generate_scenario("sample-town")
+        document = scenario.network if kind == "network" else scenario.signs
+        document = {name: document[name] for name in MEMBER_ORDERS[order]}
+        if layout == "compact":
+            data = json.dumps(document, separators=(",", ":")).encode("utf-8")
+        else:
+            data = json.dumps(document, indent=1).encode("utf-8")
+        load, from_document, parts = LOADERS[kind]
+        path = tmp_path / "input.geojson"
+        caplog.set_level(logging.WARNING, logger="roadrules")
+        for mutant in byte_mutants(data, random.Random(f"{kind} {order} {layout}"), 100):
+            path.write_bytes(mutant)
+            caplog.clear()
+            try:
+                document = json.loads(path.read_text(encoding="utf-8"))
+            except UnicodeDecodeError as exc:
+                expected = "error", f"{path}: not UTF-8: {exc}"
+            except ValueError as exc:
+                expected = "error", f"{path}: malformed JSON: {exc}"
+            else:
+                expected = outcome(lambda: parts(from_document(document, path)))
+            expected += (caplog.messages,)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
+                caplog.clear()
+                got = (*outcome(lambda: parts(load(path))), caplog.messages)
+                assert got == expected, (mutant, chunk)
+
+
 def off_axis_grid(rows, cols):
     """``grid_network`` moved by half a meter, so that every coordinate is a non-zero float."""
     document = grid_network(rows, cols)
@@ -1092,7 +1190,7 @@ class TestSharedValues:
             def whole_read(*args):
                 raise AssertionError("the file was read whole, not streamed")
 
-            monkeypatch.setattr(roadrules_io, "_parse_json", whole_read)
+            monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
         return load_network(write_doc(tmp_path, "network.geojson", document))
 
     @pytest.mark.parametrize("path_kind", ["streamed", "whole", "lonlat"])
@@ -1420,13 +1518,6 @@ class TestValidate:
         assert report.turn.accuracy is None
         assert report.to_document()["one_way_streets"]["accuracy"] is None
 
-    def test_derivation_result_accepted_directly(self):
-        graph, index, expected = load_scenario("twin-nodes")
-        result = derive_rules(graph, index, start_edges=["E1->N1"])
-        truth = GroundTruth(frozenset(expected["one_way_banned_edges"]), frozenset())
-        report = validate(result, truth)
-        assert report.one_way.accuracy == 100.0
-
     def test_ground_truth_loader(self, tmp_path):
         path = write_doc(
             tmp_path,
@@ -1519,6 +1610,7 @@ class TestOverlay:
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
         a, b = tmp_path / "a.geojson", tmp_path / "b.geojson"
-        render_overlay(result, graph, index, a)
-        render_overlay(rules_document(result), graph, index, b)
+        rules = rules_document(result)
+        render_overlay(rules, graph, index, a)
+        render_overlay(rules, graph, index, b)
         assert a.read_bytes() == b.read_bytes()

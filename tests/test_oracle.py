@@ -15,6 +15,9 @@ lattice so that scores tie exactly) and on short-block scenes, where one
 sign is read from several approaches and held rules get replaced.
 """
 
+from collections import deque
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from roadrules.detection import DetectionConfig
 from roadrules.geometry import Point, Polyline, distance, heading, normalize
 from roadrules.ids import id_sort_key
-from roadrules.navigator import derive_rules
+from roadrules.navigator import Frontier, derive_rules
 from roadrules.network import build_graph
 from roadrules.rules import (
     NoTurnRule,
@@ -182,11 +185,20 @@ def reference_derivation(graph, signs, cfg, start_edges, cover_all):
 
 
 def assert_agrees(graph, signs, cfg, start_edges, cover_all):
-    result = derive_rules(graph, SignIndex(signs), cfg, start_edges, cover_all)
+    popped = []
+
+    def pop(frontier):
+        popped.append(deque.popleft(frontier))
+        return popped[-1]
+
+    with patch.object(Frontier, "pop", pop):
+        result = derive_rules(graph, SignIndex(signs), cfg, start_edges, cover_all)
     records, visited = reference_derivation(graph, signs, cfg, start_edges, cover_all)
     assert [(r.sign_id, r.rule, r.score) for r in result.rules] == records
     assert result.visited_edges == visited
     assert result.unreached_edges == set(graph.edges) - visited
+    # an edge is marked visited as it is pushed, so each is popped at most once
+    assert len(popped) == len(result.visited_edges) <= len(graph.edges), popped
 
 
 @st.composite
