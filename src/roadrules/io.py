@@ -195,7 +195,8 @@ def _planar_features(path: str | Path) -> Iterator:
             for rest in iter(lambda: handle.read(_CHUNK), ""):  # only whitespace may follow
                 if _skip(rest, 0).end() != len(rest):
                     raise _Declined
-    except (StopIteration, ValueError, RecursionError, OSError):  # ValueError: also not UTF-8
+    # ValueError: also not UTF-8; IndexError: a file cut after the tail's marker name
+    except (StopIteration, IndexError, ValueError, RecursionError, OSError):
         raise _Declined from None
     if members.get("type") != "FeatureCollection" or members.get("coordinate_system") != marker:
         raise _Declined  # the guess was wrong

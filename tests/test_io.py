@@ -764,6 +764,11 @@ def declined_texts():
             "network", f'{head}"features": {network}, {marker}, '
                        f'"name": "{"x" * roadrules_io._TAIL}"}}'
         ),
+        # the frame's guess reads the tail's last marker, which this file ends on
+        "cut-after-the-marker-name": ("network", f'{head}"features": {network}, '
+                                                 '"coordinate_system"'),
+        "cut-after-the-marker-name-and-space": ("signs", f'{head}"features": {signs}, '
+                                                         '"coordinate_system" \n'),
     }
 
 
@@ -882,6 +887,21 @@ class TestStreamedRead:
         monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
         assert parsed, "the file was not read whole"
+
+    @pytest.mark.parametrize("case", ["cut-after-the-marker-name",
+                                      "cut-after-the-marker-name-and-space"])
+    def test_file_cut_after_the_marker_name_exits_1(self, tmp_path, capsys, case):
+        kind, text = DECLINED[case]
+        cut = tmp_path / "cut.geojson"
+        cut.write_text(text, encoding="utf-8")
+        whole = write_doc(tmp_path, "whole.geojson", planar_network())
+        with pytest.raises(ValueError) as caught:
+            json.loads(text)
+        network, signs = (cut, whole) if kind == "network" else (whole, cut)
+        argv = ["derive", "--network", str(network), "--signs", str(signs), "--cover-all",
+                "--out", str(tmp_path / "rules.json")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {cut}: malformed JSON: {caught.value}\n"
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("where", ["in-a-feature", "after-the-features"])

@@ -15,7 +15,6 @@ lattice so that scores tie exactly) and on short-block scenes, where one
 sign is read from several approaches and held rules get replaced.
 """
 
-from collections import deque
 from unittest.mock import patch
 
 import pytest
@@ -186,9 +185,10 @@ def reference_derivation(graph, signs, cfg, start_edges, cover_all):
 
 def assert_agrees(graph, signs, cfg, start_edges, cover_all):
     popped = []
+    original = Frontier.pop
 
     def pop(frontier):
-        popped.append(deque.popleft(frontier))
+        popped.append(original(frontier))
         return popped[-1]
 
     with patch.object(Frontier, "pop", pop):
