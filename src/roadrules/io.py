@@ -7,10 +7,11 @@ lon/lat and projected to local meters around the dataset centroid. All
 outputs are deterministic byte-for-byte for identical inputs.
 
 A file enters through one loader and one JSON reader. A network or a signs
-file goes through ``_load``, which streams a planar file, one feature at a
-time from text read a chunk at a time, wherever its marker sits, and hands
-any other file to ``_read_json``, the one reader of a whole file, which also
-reads each rule document and ground truth. Every value read from a file is
+file goes through ``_load``, which streams it (``stream``), one feature at a
+time from text read a chunk at a time, planar or lon/lat, wherever its
+``coordinate_system`` sits, and hands any file the streamed reader declines
+to ``_read_json``, the one reader of a whole file, which also reads each
+rule document and ground truth. Every value read from a file is
 checked once, here, where it enters, and a bad one is reported with the
 feature or entry that holds it: ``_positions`` checks each coordinate, and
 ``_read_id`` each id. A fault in a network or a signs file, streamed or read
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import sys
+from array import array
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -39,6 +41,7 @@ from .navigator import DerivationResult
 from .network import EdgeId, RoadGraph, build_graph
 from .rules import NoWayRule, OneWayRule
 from .signs import Sign, SignIndex, SignType
+from .stream import _Declined, _streamed_features
 
 logger = logging.getLogger("roadrules")
 
@@ -70,136 +73,6 @@ def _read_json(path: str | Path) -> Any:
     # RecursionError: arrays or objects nested past the interpreter's depth
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
-
-
-class _Declined(Exception):
-    """The streamed reader cannot vouch for a file, which is then read whole."""
-
-
-_CHUNK = 64 * 1024  # characters the streamed reader reads at a time
-_TAIL = 64 * 1024  # bytes at the end of a file searched for the frame's marker
-# characters: a token the end of the text cuts errs at most about 9 before it
-# (``-Infinity``, a ``\\uXXXX`` escape, a number cut after ``.``, ``e`` or ``-``)
-_NEAR_END = 16
-_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
-_skip = json.decoder.WHITESPACE.match  # ``.end()`` is the index past the whitespace at one
-_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
-
-
-def _member_name(text: str, i: int) -> tuple[str, int]:
-    """The name of the object member at ``i``, and the index past its colon."""
-    if text[i] != '"':
-        raise _Declined
-    name, i = _scan(text, i)
-    i = _skip(text, i).end()
-    if text[i] != ":":
-        raise _Declined
-    return name, i + 1
-
-
-def _token(text: str, i: int) -> tuple[str, int]:
-    return text[i], i
-
-
-def _step(read: Callable, handle: TextIO, text: str, i: int) -> tuple[Any, str, int]:
-    """(value, text, end) of ``read(text, j)`` at the ``j`` past the whitespace
-    at ``i``. While the read raises or ends at the end of ``text`` (a number
-    may go on), it is tried again on the text from ``i`` and as much again of
-    ``handle``, at least ``_CHUNK``. It declines at the end of the file, where
-    ``read`` does, and at an error more than ``_NEAR_END`` before the end of
-    ``text``, which no more text mends (a cut string errs at its start)."""
-    eof = False
-    while True:
-        try:
-            value, end = read(text, _skip(text, i).end())
-            if end < len(text) or eof:
-                return value, text, end
-        except (StopIteration, IndexError, ValueError) as exc:
-            at = exc.value if isinstance(exc, StopIteration) else getattr(exc, "pos", len(text))
-            if eof or at < len(text) - _NEAR_END and not str(exc).startswith("Unterminated"):
-                raise _Declined from None
-        chunk = handle.read(max(_CHUNK, len(text) - i))
-        text, i, eof = text[i:] + chunk, 0, not chunk
-
-
-def _tail_marker(path: str | Path) -> Any:
-    """The value after the last ``"coordinate_system"`` in the file's last ``_TAIL`` bytes."""
-    with open(path, "rb") as handle:
-        handle.seek(max(0, handle.seek(0, 2) - _TAIL))
-        tail = handle.read().decode("utf-8", "replace")
-    at = tail.rfind('"coordinate_system"')
-    return _scan(tail, _skip(tail, _member_name(tail, at)[1]).end())[0] if at >= 0 else None
-
-
-def _planar_features(path: str | Path) -> Iterator:
-    """The features of the planar FeatureCollection in the file at ``path``, each
-    decoded as it is taken from text read ``_CHUNK`` characters at a time.
-
-    The first ``next()`` decodes the object's members up to ``features`` and
-    decides the frame: the ``coordinate_system`` read so far or, when none
-    was, a guess, the value after the last ``"coordinate_system"`` in the
-    file's last ``_TAIL`` bytes. Each later ``next()`` decodes one element of
-    the array. After the last, the members that follow are decoded and the
-    guess confirmed: one ``features`` member, ``type`` FeatureCollection, the
-    planar marker, and nothing after the object. Only then does the generator
-    end. Every other case raises ``_Declined``: a file that is not planar or
-    not UTF-8, a missing or wrong guess, a ``features`` that is not an array,
-    and any JSON this reader or ``json.loads`` would reject. Each value is
-    decoded by the scanner ``json.loads`` uses, so a file that is not
-    declined reads exactly as ``json.loads`` reads it.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            members: dict = {}
-            char, text, i = _step(_token, handle, "", 0)
-            if char != "{":
-                raise _Declined
-            name, text, i = _step(_member_name, handle, text, i + 1)
-            while name != "features":
-                members[name], text, i = _step(_scan, handle, text, i)
-                char, text, i = _step(_token, handle, text, i)
-                if char != ",":  # the object ends without features
-                    raise _Declined
-                name, text, i = _step(_member_name, handle, text, i + 1)
-            marker = members.get("coordinate_system") or _tail_marker(path)
-            char, text, i = _step(_token, handle, text, i)
-            if marker != PLANAR_MARKER or char != "[":
-                raise _Declined
-            yield
-            char, text, i = _step(_token, handle, text, i + 1)
-            while char != "]":
-                try:
-                    feature, end = _scan(text, i)
-                    comma = _comma(text, end)
-                except (StopIteration, ValueError):
-                    comma = None
-                if comma is None:  # the last feature, or one the chunk cuts
-                    feature, text, i = _step(_scan, handle, text, i)
-                    char, text, i = _step(_token, handle, text, i)
-                    if char == ",":
-                        i = _skip(text, i + 1).end()
-                    elif char != "]":
-                        raise _Declined
-                else:
-                    i = comma.end()
-                yield feature
-            char, text, i = _step(_token, handle, text, i + 1)
-            while char == ",":
-                name, text, i = _step(_member_name, handle, text, i + 1)
-                if name == "features":  # ``json.loads`` keeps the last one
-                    raise _Declined
-                members[name], text, i = _step(_scan, handle, text, i)
-                char, text, i = _step(_token, handle, text, i)
-            if char != "}" or _skip(text, i + 1).end() != len(text):
-                raise _Declined
-            for rest in iter(lambda: handle.read(_CHUNK), ""):  # only whitespace may follow
-                if _skip(rest, 0).end() != len(rest):
-                    raise _Declined
-    # ValueError: also not UTF-8; IndexError: a file cut after the tail's marker name
-    except (StopIteration, IndexError, ValueError, RecursionError, OSError):
-        raise _Declined from None
-    if members.get("type") != "FeatureCollection" or members.get("coordinate_system") != marker:
-        raise _Declined  # the guess was wrong
 
 
 # compact and key-sorted; ``encode`` is one-shot, so it runs in CPython's C encoder
@@ -253,7 +126,7 @@ def _feature_collection(document: Any, path: str | Path) -> Iterator:
     features = document.pop("features", None)
     if isinstance(features, list):
         return _taken(features)
-    if isinstance(features, Iterator):  # ``_planar_features``
+    if isinstance(features, Iterator):  # ``_streamed_features``
         return features
     raise InputError(f"{path}: FeatureCollection without a features array")
 
@@ -372,7 +245,10 @@ def _shared_points(point: Callable[[Any, Any], Point]) -> Callable[[Any, Any], P
 
     Only a position of two non-zero floats is shared, because for those equal
     means the same bits. Ints and zeros are made as read: ``1 == 1.0`` and
-    ``0 == 0.0 == -0.0``, but an output writes each back as it was read.
+    ``0 == 0.0 == -0.0``, but an output writes each back as it was read. Lon/lat
+    positions held until the centroid is known are read back as floats, so
+    there ``10`` and ``10.0`` share, as both project to the same bits; a zero
+    still does not, as ``-0.0 - 0.0`` is ``-0.0`` but ``0.0 - 0.0`` is ``0.0``.
     """
     made: dict = {}
 
@@ -401,7 +277,9 @@ def _read_features(
     read as the caller iterates, so a load never holds the parsed features
     and what it builds from them at once. The exception is lon/lat features
     without a ``projection``: they are all read first, to center one on the
-    centroid of their positions, summed in feature order, and each of those
+    centroid of their positions, summed in feature order. Until then each
+    is held as its geometry type, its properties and its count of positions,
+    and every checked position as two floats of one array; each of those
     readings is then dropped as it is projected. Equal exact positions are
     one ``Point`` (see ``_shared_points``).
     """
@@ -409,17 +287,23 @@ def _read_features(
         point = _shared_points(Point if planar else projection.to_planar)
         read = (_read_feature(f, source, i, kinds, planar, point) for i, f in enumerate(features))
         return read, projection
-    read = [
-        _read_feature(f, source, i, kinds, planar, lambda x, y: (x, y))
-        for i, f in enumerate(features)
-    ]
-    positions = [p for _, _, points in read for p in points]
-    if not positions:
-        return read, None
-    projection = LocalProjection.centered(positions)
+    lonlat = array("d")  # the lon and the lat of each position, in feature order
+    held = []
+    for i, f in enumerate(features):
+        kind, properties, points = _read_feature(
+            f, source, i, kinds, planar, lambda x, y: lonlat.extend((x, y))
+        )
+        held.append((kind, properties, len(points)))
+    if not lonlat:
+        return (), None
+    values = iter(lonlat)
+    projection = LocalProjection.centered(zip(values, values))
     to_planar = _shared_points(projection.to_planar)
+    values = iter(lonlat)
+    positions = zip(values, values)
     projected = (
-        (kind, props, [to_planar(x, y) for x, y in points]) for kind, props, points in _taken(read)
+        (kind, properties, [to_planar(x, y) for x, y in islice(positions, count)])
+        for kind, properties, count in _taken(held)
     )
     return projected, projection
 
@@ -437,7 +321,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     array is gone afterwards, even when a feature is rejected. Reading the
     document again raises ``InputError``; a caller that reuses a document
     passes a copy. ``features`` may also be an iterator, as ``load_network``
-    passes for a planar file, whose features are decoded as they are read.
+    passes for a streamed file, whose features are decoded as they are read.
 
     The graph holds each id and each position once: an edge's ``source`` and
     ``destination`` are its nodes' own ``id`` objects, its ``opposite`` is the
@@ -447,10 +331,9 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     are kept as read, since ``1 == 1.0`` and ``0 == 0.0 == -0.0`` but the
     outputs write each as it was read.
     """
+    features = _feature_collection(document, source)
     planar = _is_planar(document)
-    features, projection = _read_features(
-        _feature_collection(document, source), source, ("Point", "LineString"), planar
-    )
+    features, projection = _read_features(features, source, ("Point", "LineString"), planar)
     if projection is None and not planar:
         raise InputError(f"{source}: no coordinates to center a projection on")
 
@@ -505,18 +388,20 @@ def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any
     ``path``, then a warning for each sign ``read`` added to ``skipped``.
 
     The one loader of a feature file. The file is first streamed
-    (``_planar_features``): each feature is decoded as ``read`` takes it.
-    When the streamed read declines the file (any file that is not planar,
-    and any malformed one) or ``read`` rejects it, the file is read again,
-    whole, by ``_read_json`` and consumed feature by feature, so every
-    result, error and warning is the one reading the whole document gives.
+    (``_streamed_features``): the document has the frame the streamed read
+    yields first, and each feature is decoded as ``read`` takes it. When the
+    streamed read declines the file (any malformed one, and one whose frame
+    was guessed wrong) or ``read`` rejects it, the file is read again, whole,
+    by ``_read_json`` and consumed feature by feature, so every result, error
+    and warning is the one reading the whole document gives.
     """
     skipped: list = []
-    features = _planar_features(path)
+    features = _streamed_features(path)
     try:
         try:
-            next(features)
-            return read(planar_collection(features), path, skipped)
+            frame = next(features)
+            document = dict(type="FeatureCollection", coordinate_system=frame, features=features)
+            return read(document, path, skipped)
         except (_Declined, InputError):
             skipped.clear()  # the whole read finds them again
         finally:
@@ -531,8 +416,8 @@ def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any
 def load_network(path: str | Path) -> RoadGraph:
     """Read a network GeoJSON file into a validated road graph.
 
-    A planar file is streamed (see ``_load``), so the load never holds the
-    parsed document or the file's whole text.
+    The file is streamed (see ``_load``), so the load never holds the parsed
+    document or the file's whole text.
     """
     return _load(path, lambda document, source, _: network_from_document(document, source))
 
@@ -563,6 +448,7 @@ def _read_signs(
 ) -> list[Sign]:
     """``signs_from_document``, with each unknown-type sign added to ``skipped``
     instead of logged."""
+    features = _feature_collection(document, source)
     planar = _is_planar(document)
     projection = None
     if network is not None:
@@ -574,9 +460,7 @@ def _read_signs(
             )
     elif not planar:
         raise InputError(f"{source}: lon/lat signs need the network they belong to")
-    features, _ = _read_features(
-        _feature_collection(document, source), source, ("Point",), planar, projection
-    )
+    features, _ = _read_features(features, source, ("Point",), planar, projection)
     signs: list[Sign] = []
     seen: dict = {}  # the feature of each sign id
     for i, (_, properties, points) in enumerate(features):

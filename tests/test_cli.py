@@ -168,7 +168,7 @@ class TestDerive:
 
         monkeypatch.setattr(roadrules_io, "network_from_document", recorded)
         if read == "whole":
-            monkeypatch.setattr(roadrules_io, "_planar_features", declined)
+            monkeypatch.setattr(roadrules_io, "_streamed_features", declined)
         assert main(derive_args(town, tmp_path / "r.json")) == 1
         error = f"{path}: feature {i}: {message}"
         assert capsys.readouterr().err == f"error: {error}\n"

@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import io
 import itertools
@@ -13,9 +14,10 @@ import warnings
 import pytest
 
 import roadrules.io as roadrules_io
+import roadrules.stream as roadrules_stream
 from roadrules.cli import main as cli_main
 from roadrules.errors import InputError
-from roadrules.geometry import Point, distance
+from roadrules.geometry import LocalProjection, Point, distance
 from roadrules.io import (
     GroundTruth,
     dump_json,
@@ -219,6 +221,22 @@ class TestLoadNetwork:
         assert graph.projection is not None
         step = distance(graph.nodes["A"].position, graph.nodes["B"].position)
         assert step == pytest.approx(111.3, abs=0.5)
+
+    def test_geographic_input_centers_on_its_positions_in_feature_order(self, tmp_path):
+        # the centroid of every position, summed left to right in feature
+        # order, is what every lon/lat output depends on to the last bit
+        features = as_lonlat(off_axis_grid(6, 6))["features"]
+        random.Random(1).shuffle(features)
+        positions = []
+        for feature in features:
+            geometry = feature["geometry"]
+            coordinates = geometry["coordinates"]
+            positions += [coordinates] if geometry["type"] == "Point" else coordinates
+        expected = LocalProjection.centered(positions)
+        assert LocalProjection.centered(positions[::-1]) != expected  # the order shows
+        path = write_doc(tmp_path, "network.geojson",
+                         {"type": "FeatureCollection", "features": features})
+        assert load_network(path).projection == expected
 
     @pytest.mark.parametrize("planar", [True, False])
     @pytest.mark.parametrize("position", BAD_POSITIONS)
@@ -518,6 +536,8 @@ LONLAT_SIGN = geo_feature("Point", [-8.41, 43.362], sign_id="s", type="R-101", a
         (load_signs, {"type": "FeatureCollection", "features": [LONLAT_SIGN]},
          "lon/lat signs need the network they belong to"),
         (load_rules, [], "expected a rule document object"),
+        (load_network, [], "expected a GeoJSON FeatureCollection"),
+        (load_signs, [LONLAT_SIGN], "expected a GeoJSON FeatureCollection"),
     ],
 )
 def test_unusable_document_rejected(tmp_path, load, document, message):
@@ -664,7 +684,7 @@ class TestOneMessagePerFault:
         change(faulty, name)
         path = write_doc(tmp_path, f"{kind}.geojson", planar_network(feature, faulty))
         _, from_document, _ = LOADERS[kind]
-        features = roadrules_io._planar_features(path)
+        features = roadrules_stream._streamed_features(path)
         next(features)  # streamed
         document = roadrules_io.planar_collection(features)
         messages = []
@@ -757,12 +777,14 @@ def declined_texts():
             "network", f'{head}{marker}, "features": {network[:-1]}, {deep}]}}'
         ),
         "features-not-an-array": ("network", f'{head}"features": {{}}, {marker}}}'),
+        # a frame that is not planar streams as lon/lat, but these planar
+        # meters are past its ±90° latitudes: the streamed read is rejected
         "marker-not-planar": ("network", f'{head}"features": {grid}, '
                                          '"coordinate_system": "wgs84"}'),
         # the frame is guessed from the file's tail only, so this planar file is read whole
         "marker-before-a-long-tail": (
             "network", f'{head}"features": {network}, {marker}, '
-                       f'"name": "{"x" * roadrules_io._TAIL}"}}'
+                       f'"name": "{"x" * roadrules_stream._TAIL}"}}'
         ),
         # the frame's guess reads the tail's last marker, which this file ends on
         "cut-after-the-marker-name": ("network", f'{head}"features": {network}, '
@@ -806,7 +828,7 @@ def unusual_texts():
 DECLINED = declined_texts()
 UNUSUAL = unusual_texts()
 # the streamed reader's chunk, and chunks that cut every token and character
-CHUNKS = [roadrules_io._CHUNK, 1, 7]
+CHUNKS = [roadrules_stream._CHUNK, 1, 7]
 
 
 class TestStreamedRead:
@@ -847,8 +869,37 @@ class TestStreamedRead:
             raise AssertionError("the file was read whole, not streamed")
 
         monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
-        monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("frame", ["absent", "before-features", "after-features"])
+    def test_lonlat_file_streams_as_the_whole_document(
+        self, tmp_path, monkeypatch, kind, layout, frame, chunk
+    ):
+        scenario = generate_scenario("sample-town")
+        document = as_lonlat(scenario.network if kind == "network" else scenario.signs)
+        if frame != "absent":  # a frame that is not planar reads as lon/lat, as none does
+            members = [("coordinate_system", "wgs84"), *document.items()]
+            document = dict(members if frame == "before-features" else members[1:] + members[:1])
+        path = tmp_path / "input.geojson"
+        path.write_text(LAYOUTS[layout](document), encoding="utf-8")
+        network = network_from_document(as_lonlat(scenario.network))
+        load, from_document, parts = LOADERS[kind]
+        if kind == "signs":  # lon/lat signs are read in their network's frame
+            load = functools.partial(load, network=network)
+            from_document = functools.partial(from_document, network=network)
+        expected = outcome(lambda: parts(from_document(json.loads(path.read_text()), path)))
+        assert expected[0] == "ok", expected
+
+        def whole_read(*args):
+            raise AssertionError("the file was read whole, not streamed")
+
+        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
+        assert outcome(lambda: parts(load(path))) == expected
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("case", UNUSUAL)
@@ -863,7 +914,7 @@ class TestStreamedRead:
             raise AssertionError("the file was read whole, not streamed")
 
         monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
-        monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -884,7 +935,7 @@ class TestStreamedRead:
             return parse(*args)
 
         monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
-        monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
         assert parsed, "the file was not read whole"
 
@@ -912,15 +963,15 @@ class TestStreamedRead:
         document = grid_network(12, 12)
         document["name"] = "town"
         text = json.dumps(document).encode("utf-8")
-        at = {"in-a-feature": text.index(b'"n010_', roadrules_io._CHUNK) + 1,
+        at = {"in-a-feature": text.index(b'"n010_', roadrules_stream._CHUNK) + 1,
               "after-the-features": text.index(b'"town"') + 1}[where]
-        assert at > roadrules_io._CHUNK
+        assert at > roadrules_stream._CHUNK
         network = tmp_path / "network.geojson"
         network.write_bytes(text[:at] + b"\xff" + text[at:])
         signs = write_doc(tmp_path, "signs.geojson", planar_network())
         with pytest.raises(UnicodeDecodeError) as caught:
             network.read_bytes().decode("utf-8")
-        monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         argv = ["derive", "--network", str(network), "--signs", str(signs), "--cover-all",
                 "--out", str(tmp_path / "rules.json")]
         assert cli_main(argv) == 1
@@ -950,9 +1001,9 @@ class TestStreamedRead:
                 reads.append(args)
                 return self.handle.read(*args)
 
-        monkeypatch.setattr(roadrules_io, "_CHUNK", 7)
-        monkeypatch.setattr(roadrules_io, "open", lambda *a, **k: CountedReads(open(*a, **k)),
-                            raising=False)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", 7)
+        monkeypatch.setattr(roadrules_stream, "open",
+                            lambda *a, **k: CountedReads(open(*a, **k)), raising=False)
         expected = "error", f"{path}: malformed JSON: {caught.value}"
         assert self.streamed("network", path) == expected
         assert len(reads) <= 2 * math.log2(len(text)), (len(reads), len(text))
@@ -981,8 +1032,8 @@ class TestStreamedRead:
             handle.read = lambda *a: reads.append(a) or read(*a)
             return handle
 
-        monkeypatch.setattr(roadrules_io, "open", counted_open, raising=False)
-        assert roadrules_io._CHUNK == 64 * 1024
+        monkeypatch.setattr(roadrules_stream, "open", counted_open, raising=False)
+        assert roadrules_stream._CHUNK == 64 * 1024
         expected = "error", f"{path}: malformed JSON: {caught.value}"
         assert self.streamed("network", path) == expected
         assert len(reads) <= 2, reads
@@ -993,8 +1044,8 @@ class TestStreamedRead:
     def test_streamed_load_leaves_no_file_open(self, tmp_path, monkeypatch, kind, case):
         scenario = generate_scenario("sample-town")
         document = scenario.network if kind == "network" else scenario.signs
-        if case == "declined-at-once":
-            document = as_lonlat(document)
+        if case == "declined-at-once":  # not an object: declined at its first character
+            document = document["features"]
         elif case == "failed-at-feature-1":
             document["features"][1]["properties"] = "x"
         path = write_doc(tmp_path, "input.geojson", document)
@@ -1006,7 +1057,7 @@ class TestStreamedRead:
             handles.append(open(*args, **kwargs))
             return handles[-1]
 
-        monkeypatch.setattr(roadrules_io, "open", tracked_open, raising=False)
+        monkeypatch.setattr(roadrules_stream, "open", tracked_open, raising=False)
         load, _, _ = LOADERS[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
@@ -1048,12 +1099,15 @@ class TestStreamedRead:
     # graph is built: the reader's frames and the feature in hand
     SLACK = 256 * 1024
 
+    @pytest.mark.parametrize("frame", ["planar", "lonlat"])
     def test_streamed_load_holds_neither_document_nor_text_while_building(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, frame
     ):
         document = grid_network(40, 40)
-        # the marker after the features, as the benchmark writes it: the frame is guessed
-        document["coordinate_system"] = document.pop("coordinate_system")
+        if frame == "lonlat":  # no marker: each position is held until the centroid is known
+            document = as_lonlat(document)
+        else:  # the marker after the features, as the benchmark writes it: the frame is guessed
+            document["coordinate_system"] = document.pop("coordinate_system")
         text = json.dumps(document)
         path = tmp_path / "network.geojson"
         path.write_text(text, encoding="utf-8")
@@ -1086,11 +1140,24 @@ class TestStreamedRead:
         assert len(text) > 1_000_000
         # the text is gone before the graph is built, as the document is on the whole path
         assert streamed_at_build <= whole_at_build + self.SLACK, (streamed_at_build, whole_at_build)
-        # the load holds at most the graph, what it is built from (the id and
-        # position tables, about 37% of the graph on Python 3.11), both held
-        # when the build returns, and a few chunks of the text, never all of it
-        assert peak <= built[1] + 4 * roadrules_io._CHUNK, (peak, built, size)
-        assert built[1] + 4 * roadrules_io._CHUNK < size + len(text), (built, size, len(text))
+        if frame == "planar":
+            # the load holds at most the graph, what it is built from (the id and
+            # position tables, about 37% of the graph on Python 3.11), both held
+            # when the build returns, and a few chunks of the text, never all of it
+            assert peak <= built[1] + 4 * roadrules_stream._CHUNK, (peak, built, size)
+            assert built[1] + 4 * roadrules_stream._CHUNK < size + len(text), (built, size)
+        else:
+            # until the centroid is known, the load holds each feature's
+            # properties and two floats a position: less than the parsed
+            # document (5.9 against 9.4 MB on Python 3.11)
+            tracemalloc.start()
+            try:
+                document = json.loads(text)
+                parsed = tracemalloc.get_traced_memory()[0]
+                del document
+            finally:
+                tracemalloc.stop()
+            assert peak < parsed, (peak, parsed)
         assert peak < whole_peak, (peak, whole_peak)
 
 
@@ -1127,18 +1194,20 @@ class TestByteMutants:
 
     @pytest.mark.parametrize("layout", ["compact", "indented"])
     @pytest.mark.parametrize("order", range(len(MEMBER_ORDERS)))
-    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("kind", [*LOADERS, "lonlat-network"])
     def test_mutant_loads_as_the_whole_document(
         self, tmp_path, monkeypatch, caplog, kind, order, layout
     ):
         scenario = generate_scenario("sample-town")
-        document = scenario.network if kind == "network" else scenario.signs
+        document = scenario.signs if kind == "signs" else scenario.network
+        if kind == "lonlat-network":  # a frame that is not planar reads as lon/lat
+            document = dict(as_lonlat(document), coordinate_system="wgs84")
         document = {name: document[name] for name in MEMBER_ORDERS[order]}
         if layout == "compact":
             data = json.dumps(document, separators=(",", ":")).encode("utf-8")
         else:
             data = json.dumps(document, indent=1).encode("utf-8")
-        load, from_document, parts = LOADERS[kind]
+        load, from_document, parts = LOADERS[kind.removeprefix("lonlat-")]
         path = tmp_path / "input.geojson"
         caplog.set_level(logging.WARNING, logger="roadrules")
         for mutant in byte_mutants(data, random.Random(f"{kind} {order} {layout}"), 100):
@@ -1154,7 +1223,7 @@ class TestByteMutants:
                 expected = outcome(lambda: parts(from_document(document, path)))
             expected += (caplog.messages,)
             for chunk in CHUNKS:
-                monkeypatch.setattr(roadrules_io, "_CHUNK", chunk)
+                monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
                 caplog.clear()
                 got = (*outcome(lambda: parts(load(path))), caplog.messages)
                 assert got == expected, (mutant, chunk)

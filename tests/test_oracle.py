@@ -27,6 +27,7 @@ from roadrules.ids import id_sort_key
 from roadrules.navigator import Frontier, derive_rules
 from roadrules.network import build_graph
 from roadrules.rules import (
+    DerivationState,
     NoTurnRule,
     NoWayRule,
     OneWayRule,
@@ -34,6 +35,7 @@ from roadrules.rules import (
     best_no_turn_edge,
     best_no_way_edge,
     best_one_way_edge,
+    global_bans,
 )
 from roadrules.signs import Sign, SignIndex, SignType
 
@@ -290,3 +292,20 @@ def test_short_block_scene_matches_the_reference(seed, cover_all):
     graph, index = short_block_scene(seed)
     start = list(graph.edges)[97 * seed % len(graph.edges)]
     assert_agrees(graph, list(index), DetectionConfig(), [start], cover_all)
+
+
+@pytest.mark.parametrize("cover_all", [False, True])
+def test_revoking_the_ban_of_a_visited_edge_matches_the_reference(cover_all):
+    # a replacement here lifts the last ban of an edge the run has already
+    # visited, so the pop count in ``assert_agrees`` fails a revoke that pushes it
+    graph, index = short_block_scene(82, side=3)
+    lifted = []
+    revoke = DerivationState.revoke
+
+    def recorded(state, rule, frontier):
+        lifted.extend(e for e in global_bans(rule) if state.bans[e] == 1 and e in state.visited)
+        revoke(state, rule, frontier)
+
+    with patch.object(DerivationState, "revoke", recorded):
+        assert_agrees(graph, list(index), DetectionConfig(), ["n00_01->n00_02"], cover_all)
+    assert lifted
