@@ -64,7 +64,10 @@ def planar_collection(features: list | Iterator) -> dict:
 def _read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        # a pass that keeps no object fails as the parse would, building nothing
+        json.loads(text, object_pairs_hook=lambda pairs: None)
+        return json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # before ValueError, its base class
@@ -176,7 +179,7 @@ def _read_id(properties: dict, name: str, intern: Callable, source: str | Path, 
 
 
 def _as_read(value: Any, _: Any) -> Any:
-    """An ``intern`` for ``_read_id`` that shares nothing."""
+    """An ``intern`` for ``_read_id`` and ``_read_features`` that shares nothing."""
     return value
 
 
@@ -270,6 +273,7 @@ def _read_features(
     kinds: tuple,
     planar: bool,
     projection: LocalProjection | None = None,
+    intern: Callable = _as_read,
 ) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
     """(geometry type, properties, planar points) of each feature, and the projection.
 
@@ -280,8 +284,10 @@ def _read_features(
     centroid of their positions, summed in feature order. Until then each
     is held as its geometry type, its properties and its count of positions,
     and every checked position as two floats of one array; each of those
-    readings is then dropped as it is projected. Equal exact positions are
-    one ``Point`` (see ``_shared_points``).
+    readings is then dropped as it is projected. Each held type, property key
+    and string property value is ``intern(s, s)``, as the scanner makes new
+    strings for every feature. Equal exact positions are one ``Point`` (see
+    ``_shared_points``).
     """
     if planar or projection is not None:
         point = _shared_points(Point if planar else projection.to_planar)
@@ -293,7 +299,9 @@ def _read_features(
         kind, properties, points = _read_feature(
             f, source, i, kinds, planar, lambda x, y: lonlat.extend((x, y))
         )
-        held.append((kind, properties, len(points)))
+        shared = {intern(k, k): intern(v, v) if type(v) is str else v
+                  for k, v in properties.items()}
+        held.append((intern(kind, kind), shared, len(points)))
     if not lonlat:
         return (), None
     values = iter(lonlat)
@@ -333,7 +341,12 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     """
     features = _feature_collection(document, source)
     planar = _is_planar(document)
-    features, projection = _read_features(features, source, ("Point", "LineString"), planar)
+    # the string ids (and held lon/lat strings) read so far: an equal one read
+    # later is replaced by the first, so the graph holds each id once (as it
+    # does each position). A numeric id is kept as read, since ``1 == 1.0``.
+    intern = {}.setdefault
+    kinds = ("Point", "LineString")
+    features, projection = _read_features(features, source, kinds, planar, intern=intern)
     if projection is None and not planar:
         raise InputError(f"{source}: no coordinates to center a projection on")
 
@@ -344,10 +357,6 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     # duplicate's first feature, as a node and an edge may share an id
     ids: list = []
     is_edge = bytearray()
-    # the string ids read so far: an equal one read later is replaced by the
-    # first, so the graph holds each id once (``_read_features`` does the same
-    # for positions). A numeric id is kept as read, since ``1 == 1.0``.
-    intern = {}.setdefault
 
     for i, (kind, properties, points) in enumerate(features):
         edge = kind == "LineString"

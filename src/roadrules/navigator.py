@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from .detection import DetectionConfig, detect_signs_along, detect_signs_from
 from .errors import GraphError, InternalError, shown
@@ -37,8 +38,11 @@ class RuleRecord:
 
 @dataclass(frozen=True)
 class DerivationResult:
+    """``visited_edges`` is the run's own visited set, not a copy: nothing
+    writes it after ``derive_rules`` returns, and a result cannot be hashed."""
+
     rules: tuple[RuleRecord, ...]
-    visited_edges: frozenset[EdgeId]
+    visited_edges: AbstractSet[EdgeId]
     unreached_edges: frozenset[EdgeId]
 
 
@@ -100,7 +104,7 @@ def _collect(state: DerivationState, index: SignIndex) -> DerivationResult:
     records = tuple(
         RuleRecord(sign.id, *state.held[sign.id]) for sign in index.signs if sign.id in state.held
     )
-    visited = frozenset(state.visited)
+    visited = state.visited
     unreached = frozenset(edge_id for edge_id in state.graph.edges if edge_id not in visited)
     return DerivationResult(records, visited, unreached)
 

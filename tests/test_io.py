@@ -6,6 +6,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -954,6 +955,35 @@ class TestStreamedRead:
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"error: {cut}: malformed JSON: {caught.value}\n"
 
+    def test_cut_file_fails_before_building_what_it_holds(self, tmp_path):
+        # the marker after ``features``, as the benchmark writes it: the half
+        # file has none left, streams as lon/lat until its meters fail the
+        # bounds, and is read whole, where a first parse that keeps no object
+        # meets the cut before any object is built
+        document = grid_network(40, 40)
+        document["coordinate_system"] = document.pop("coordinate_system")
+        text = json.dumps(document)
+        valid, cut = tmp_path / "valid.geojson", tmp_path / "cut.geojson"
+        valid.write_text(text, encoding="utf-8")
+        cut.write_text(text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            json.loads(text[: len(text) // 2])
+
+        def traced_load(path):
+            tracemalloc.start()
+            try:
+                load_network(path)
+            except InputError as exc:
+                return tracemalloc.get_traced_memory()[1], str(exc)
+            else:
+                return tracemalloc.get_traced_memory()[1], None
+            finally:
+                tracemalloc.stop()
+
+        (cut_peak, error), (valid_peak, no_error) = traced_load(cut), traced_load(valid)
+        assert (error, no_error) == (f"{cut}: malformed JSON: {caught.value}", None)
+        assert cut_peak < valid_peak, (cut_peak, valid_peak)
+
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("where", ["in-a-feature", "after-the-features"])
     def test_invalid_utf8_after_the_first_chunk_exits_1(
@@ -1295,6 +1325,35 @@ class TestSharedValues:
             assert edge.opposite is graph.edges[edge.opposite].id
             assert edge.geometry.vertices[0] is source.position
             assert edge.geometry.vertices[-1] is destination.position
+
+    def test_held_lonlat_readings_share_their_strings(self, tmp_path, monkeypatch):
+        # until the centroid is known each lon/lat feature is held, and the
+        # scanner makes new strings for every feature it decodes: the held
+        # keys, string values and geometry types come from the load's id table
+        path = write_doc(tmp_path, "network.geojson", as_lonlat(off_axis_grid(4, 5)))
+        held = []
+        read_features = roadrules_io._read_features
+
+        def kept_readings(*args, **kwargs):
+            readings, projection = read_features(*args, **kwargs)
+            return (held.append(reading) or reading for reading in readings), projection
+
+        def whole_read(*args):
+            raise AssertionError("the file was read whole, not streamed")
+
+        monkeypatch.setattr(roadrules_io, "_read_features", kept_readings)
+        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
+        load_network(path)
+        nodes = {p["node_id"]: p for kind, p, _ in held if kind == "Point"}
+        edges = [(kind, p) for kind, p, _ in held if kind == "LineString"]
+        assert len(nodes) == 4 * 5 and len(edges) == 2 * (4 * 4 + 3 * 5)
+        (line, first), *others = edges
+        for kind, properties in others:
+            assert kind is line
+            assert [*properties] == [*first]
+            assert all(map(operator.is_, properties, first))  # the keys
+            for name in ("source_node", "target_node"):
+                assert properties[name] is nodes[properties[name]]["node_id"]
 
     def test_equal_values_written_differently_are_kept_as_read(self):
         graph = network_from_document(as_read_network())

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -172,6 +174,21 @@ class TestDeriveRules:
         for start in ("n000_000->n000_001", "n002_002->n001_002", "n003_003->n003_002"):
             result = derive_rules(graph, index, start_edges=[start])
             assert result.visited_edges == all_edges
+
+    def test_result_holds_the_run_s_own_visited_set(self):
+        # no copy of the visited set is made: beyond what the result keeps,
+        # the run's peak holds the half-size table the set last grew from
+        # (both are live while it grows; 0.52 of the set here), never a whole
+        # second set (2.5 of it when the result held a frozenset copy)
+        graph, index, _ = load_scenario("grid", rows=20, cols=20, spacing=100.0)
+        tracemalloc.start()
+        try:
+            result = derive_rules(graph, index, cover_all=True)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.visited_edges) == len(graph.edges)
+        assert peak - retained < sys.getsizeof(result.visited_edges), (peak, retained)
 
     @pytest.mark.parametrize("template", ["sample-town", "twin-nodes", "dead-end"])
     def test_graph_and_index_are_reusable(self, template):
