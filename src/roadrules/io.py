@@ -30,7 +30,6 @@ import logging
 import sys
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -179,7 +178,7 @@ def _read_id(properties: dict, name: str, intern: Callable, source: str | Path, 
 
 
 def _as_read(value: Any, _: Any) -> Any:
-    """An ``intern`` for ``_read_id`` and ``_read_features`` that shares nothing."""
+    """An ``intern`` for ``_read_id`` that shares nothing."""
     return value
 
 
@@ -215,11 +214,12 @@ def _read_feature(
     feature: Any, source: str | Path, i: int, kinds: tuple, planar: bool, point
 ) -> tuple:
     """A feature's geometry type, one of ``kinds``, its properties and the
-    ``_positions`` of its geometry; null or absent properties read as empty."""
+    ``_positions`` of its geometry; a null or absent geometry or properties
+    reads as empty."""
     if not isinstance(feature, dict):
         raise InputError(f"{source}: feature {i}: not a JSON object")
-    geometry = feature.get("geometry") or {}
-    properties = feature.get("properties") or {}
+    geometry = {} if feature.get("geometry") is None else feature["geometry"]
+    properties = {} if feature.get("properties") is None else feature["properties"]
     if not isinstance(geometry, dict):
         raise InputError(f"{source}: feature {i}: geometry is not a JSON object")
     if not isinstance(properties, dict):
@@ -248,10 +248,7 @@ def _shared_points(point: Callable[[Any, Any], Point]) -> Callable[[Any, Any], P
 
     Only a position of two non-zero floats is shared, because for those equal
     means the same bits. Ints and zeros are made as read: ``1 == 1.0`` and
-    ``0 == 0.0 == -0.0``, but an output writes each back as it was read. Lon/lat
-    positions held until the centroid is known are read back as floats, so
-    there ``10`` and ``10.0`` share, as both project to the same bits; a zero
-    still does not, as ``-0.0 - 0.0`` is ``-0.0`` but ``0.0 - 0.0`` is ``0.0``.
+    ``0 == 0.0 == -0.0``, but an output writes each back as it was read.
     """
     made: dict = {}
 
@@ -265,55 +262,6 @@ def _shared_points(point: Callable[[Any, Any], Point]) -> Callable[[Any, Any], P
         return point(x, y)
 
     return shared_point
-
-
-def _read_features(
-    features: Iterator,
-    source: str | Path,
-    kinds: tuple,
-    planar: bool,
-    projection: LocalProjection | None = None,
-    intern: Callable = _as_read,
-) -> tuple[Iterable[tuple[Any, dict, list[Point]]], LocalProjection | None]:
-    """(geometry type, properties, planar points) of each feature, and the projection.
-
-    ``features`` lets go of each feature as it is taken, and features are
-    read as the caller iterates, so a load never holds the parsed features
-    and what it builds from them at once. The exception is lon/lat features
-    without a ``projection``: they are all read first, to center one on the
-    centroid of their positions, summed in feature order. Until then each
-    is held as its geometry type, its properties and its count of positions,
-    and every checked position as two floats of one array; each of those
-    readings is then dropped as it is projected. Each held type, property key
-    and string property value is ``intern(s, s)``, as the scanner makes new
-    strings for every feature. Equal exact positions are one ``Point`` (see
-    ``_shared_points``).
-    """
-    if planar or projection is not None:
-        point = _shared_points(Point if planar else projection.to_planar)
-        read = (_read_feature(f, source, i, kinds, planar, point) for i, f in enumerate(features))
-        return read, projection
-    lonlat = array("d")  # the lon and the lat of each position, in feature order
-    held = []
-    for i, f in enumerate(features):
-        kind, properties, points = _read_feature(
-            f, source, i, kinds, planar, lambda x, y: lonlat.extend((x, y))
-        )
-        shared = {intern(k, k): intern(v, v) if type(v) is str else v
-                  for k, v in properties.items()}
-        held.append((intern(kind, kind), shared, len(points)))
-    if not lonlat:
-        return (), None
-    values = iter(lonlat)
-    projection = LocalProjection.centered(zip(values, values))
-    to_planar = _shared_points(projection.to_planar)
-    values = iter(lonlat)
-    positions = zip(values, values)
-    projected = (
-        (kind, properties, [to_planar(x, y) for x, y in islice(positions, count)])
-        for kind, properties, count in _taken(held)
-    )
-    return projected, projection
 
 
 def network_from_document(document: dict, source: str | Path = "<network>") -> RoadGraph:
@@ -341,14 +289,24 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     """
     features = _feature_collection(document, source)
     planar = _is_planar(document)
-    # the string ids (and held lon/lat strings) read so far: an equal one read
-    # later is replaced by the first, so the graph holds each id once (as it
-    # does each position). A numeric id is kept as read, since ``1 == 1.0``.
+    # the string ids read so far: an equal one read later is replaced by the
+    # first, so the graph holds each id once (as it does each position). A
+    # numeric id is kept as read, since ``1 == 1.0``.
     intern = {}.setdefault
-    kinds = ("Point", "LineString")
-    features, projection = _read_features(features, source, kinds, planar, intern=intern)
-    if projection is None and not planar:
-        raise InputError(f"{source}: no coordinates to center a projection on")
+    if planar:
+        point = _shared_points(Point)
+    else:
+        # a lon/lat network is read as lon/lat points and projected once all
+        # are read, centered on their centroid: the lon and the lat of each
+        # position, in feature order, go into one array. Each point is made
+        # of floats, so ``10`` and ``10.0`` share one, as both project to the
+        # same bits; a zero still does not, as ``-0.0 - 0.0`` is ``-0.0``.
+        lonlat = array("d")
+        lonlat_point = _shared_points(Point)
+
+        def point(x: Any, y: Any) -> Point:
+            lonlat.extend((x, y))
+            return lonlat_point(float(x), float(y))
 
     node_positions: dict = {}
     edges: dict[EdgeId, tuple[Any, Any, Polyline]] = {}
@@ -358,13 +316,17 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     ids: list = []
     is_edge = bytearray()
 
-    for i, (kind, properties, points) in enumerate(features):
+    def first(edge: bool, feature_id: Any) -> int:
+        return next(j for j, x in enumerate(ids) if is_edge[j] == edge and x == feature_id)
+
+    kinds = ("Point", "LineString")
+    for i, f in enumerate(features):
+        kind, properties, points = _read_feature(f, source, i, kinds, planar, point)
         edge = kind == "LineString"
         name = "edge_id" if edge else "node_id"
         feature_id = _read_id(properties, name, intern, source, i)
         if feature_id in (edges if edge else node_positions):
-            first = next(j for j, x in enumerate(ids) if is_edge[j] == edge and x == feature_id)
-            raise _duplicate(source, name, feature_id, first, i)
+            raise _duplicate(source, name, feature_id, first(edge, feature_id), i)
         ids.append(feature_id)
         is_edge.append(edge)
         if not edge:
@@ -379,7 +341,22 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
         edges[feature_id] = (src, dst, line)
         if properties.get("opposite_id") is not None:
             opposites[feature_id] = _read_id(properties, "opposite_id", intern, source, i)
-    del intern, ids, is_edge  # before the graph is built in the memory they free
+
+    projection = None
+    if not planar:
+        if not lonlat:
+            raise InputError(f"{source}: no coordinates to center a projection on")
+        values = iter(lonlat)
+        projection = LocalProjection.centered(zip(values, values))
+        del lonlat, values, lonlat_point  # the lon/lat tables, before the planar one
+        point = _shared_points(projection.to_planar)
+        node_positions = {node: point(*p) for node, p in node_positions.items()}
+        for edge_id, (src, dst, line) in edges.items():
+            try:  # distinct lon/lat vertices may project to one point
+                edges[edge_id] = src, dst, Polyline([point(*v) for v in line.vertices])
+            except ValueError as exc:
+                raise _bad_coordinates(source, first(True, edge_id), exc) from exc
+    del intern, ids, is_edge, first, point  # before the graph is built in the memory they free
 
     # fall back to edge endpoints for nodes the Point features do not cover
     for src, dst, line in edges.values():
@@ -469,10 +446,11 @@ def _read_signs(
             )
     elif not planar:
         raise InputError(f"{source}: lon/lat signs need the network they belong to")
-    features, _ = _read_features(features, source, ("Point",), planar, projection)
+    point = _shared_points(Point if planar else projection.to_planar)
     signs: list[Sign] = []
     seen: dict = {}  # the feature of each sign id
-    for i, (_, properties, points) in enumerate(features):
+    for i, f in enumerate(features):
+        _, properties, points = _read_feature(f, source, i, ("Point",), planar, point)
         sign_id = _read_id(properties, "sign_id", _as_read, source, i)
         if sign_id in seen:
             raise _duplicate(source, "sign_id", sign_id, seen[sign_id], i)

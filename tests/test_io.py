@@ -6,7 +6,6 @@ import itertools
 import json
 import logging
 import math
-import operator
 import random
 import re
 import tracemalloc
@@ -238,6 +237,26 @@ class TestLoadNetwork:
         path = write_doc(tmp_path, "network.geojson",
                          {"type": "FeatureCollection", "features": features})
         assert load_network(path).projection == expected
+
+    def test_lonlat_segment_the_projection_collapses_rejected(self):
+        # nodes far east move the centroid away from an edge whose two
+        # distinct vertices, one float apart, then project to one point
+        east = [geo_feature("Point", [150.0 + k, 60.0], node_id=node)
+                for k, node in enumerate(["ab", "c", "d"])]
+        for lon in (1.0 + k / 64 for k in range(64)):
+            ends = [[lon, 60.0], [math.nextafter(lon, 180), 60.0]]
+            positions = [*(f["geometry"]["coordinates"] for f in east[:2]), *ends,
+                         east[2]["geometry"]["coordinates"]]
+            to_planar = LocalProjection.centered(positions).to_planar
+            if to_planar(*ends[0]) == to_planar(*ends[1]):
+                break
+        else:
+            pytest.fail("no longitude whose segment the projection collapses")
+        edge = geo_feature("LineString", ends, edge_id="ab", source_node="a", target_node="b")
+        doc = {"type": "FeatureCollection", "features": [*east[:2], edge, east[2]]}
+        # the edge's own feature, not that of the node with its id
+        with pytest.raises(InputError, match="feature 2: zero-length segment at vertex 0$"):
+            network_from_document(doc)
 
     @pytest.mark.parametrize("planar", [True, False])
     @pytest.mark.parametrize("position", BAD_POSITIONS)
@@ -670,7 +689,26 @@ ID_FAULTS = {
     "duplicate-id": (lambda f, name: None, "duplicate {name} 'x' in features 0 and 1"),
     "geometry": (lambda f, name: f.update(geometry={"type": "MultiPoint", "coordinates": []}),
                  "feature 1: unsupported geometry type 'MultiPoint'"),
+    # only null or an absent member reads as empty
+    **{f"{part}-{value!r}": (lambda f, name, part=part, value=value: f.update({part: value}),
+                             f"feature 1: {part} is not a JSON object")
+       for part in ("geometry", "properties") for value in (False, 0, "", [])},
 }
+
+
+def error_messages(path, from_document):
+    """The messages ``from_document`` raises for the file at ``path``, its
+    features streamed and read whole."""
+    features = roadrules_stream._streamed_features(path)
+    frame = next(features)
+    streamed = dict(type="FeatureCollection", coordinate_system=frame, features=features)
+    messages = []
+    for document in (streamed, json.loads(path.read_text())):
+        with pytest.raises(InputError) as caught:
+            from_document(document, path)
+        messages.append(str(caught.value))
+    features.close()
+    return messages
 
 
 class TestOneMessagePerFault:
@@ -685,18 +723,19 @@ class TestOneMessagePerFault:
         change(faulty, name)
         path = write_doc(tmp_path, f"{kind}.geojson", planar_network(feature, faulty))
         _, from_document, _ = LOADERS[kind]
-        features = roadrules_stream._streamed_features(path)
-        next(features)  # streamed
-        document = roadrules_io.planar_collection(features)
-        messages = []
-        for read in (
-            lambda: from_document(document, path),  # streamed
-            lambda: from_document(json.loads(path.read_text()), path),  # whole
-        ):
-            with pytest.raises(InputError) as caught:
-                read()
-            messages.append(str(caught.value))
-        assert messages == [f"{path}: {message.format(name=name)}"] * 2
+        assert error_messages(path, from_document) == [f"{path}: {message.format(name=name)}"] * 2
+
+    @pytest.mark.parametrize("frame", ["planar", "lonlat"])
+    def test_first_faulty_feature_is_reported_in_either_frame(self, tmp_path, frame):
+        # a bad id in feature 0, a position past its frame's bound in feature 1
+        out_of_bounds = [10.0, 95.0] if frame == "lonlat" else [0.0, 2e9]
+        document = planar_network(geo_feature("Point", [10.0, 50.0], node_id=None),
+                                  geo_feature("Point", out_of_bounds, node_id="b"))
+        if frame == "lonlat":
+            del document["coordinate_system"]
+        path = write_doc(tmp_path, "network.geojson", document)
+        message = f"{path}: feature 0: bad or missing 'node_id'"
+        assert error_messages(path, network_from_document) == [message] * 2
 
     def test_duplicate_names_the_first_feature_of_its_own_kind(self):
         # a node and an edge may share an id; a duplicate is named against its own kind
@@ -1134,7 +1173,7 @@ class TestStreamedRead:
         self, tmp_path, monkeypatch, frame
     ):
         document = grid_network(40, 40)
-        if frame == "lonlat":  # no marker: each position is held until the centroid is known
+        if frame == "lonlat":  # no marker: read as lon/lat points, projected after the read
             document = as_lonlat(document)
         else:  # the marker after the features, as the benchmark writes it: the frame is guessed
             document["coordinate_system"] = document.pop("coordinate_system")
@@ -1177,9 +1216,9 @@ class TestStreamedRead:
             assert peak <= built[1] + 4 * roadrules_stream._CHUNK, (peak, built, size)
             assert built[1] + 4 * roadrules_stream._CHUNK < size + len(text), (built, size)
         else:
-            # until the centroid is known, the load holds each feature's
-            # properties and two floats a position: less than the parsed
-            # document (5.9 against 9.4 MB on Python 3.11)
+            # until the centroid is known, the load holds the graph's ids and
+            # lon/lat points and two floats a position: less than the parsed
+            # document
             tracemalloc.start()
             try:
                 document = json.loads(text)
@@ -1326,34 +1365,19 @@ class TestSharedValues:
             assert edge.geometry.vertices[0] is source.position
             assert edge.geometry.vertices[-1] is destination.position
 
-    def test_held_lonlat_readings_share_their_strings(self, tmp_path, monkeypatch):
-        # until the centroid is known each lon/lat feature is held, and the
-        # scanner makes new strings for every feature it decodes: the held
-        # keys, string values and geometry types come from the load's id table
-        path = write_doc(tmp_path, "network.geojson", as_lonlat(off_axis_grid(4, 5)))
-        held = []
-        read_features = roadrules_io._read_features
-
-        def kept_readings(*args, **kwargs):
-            readings, projection = read_features(*args, **kwargs)
-            return (held.append(reading) or reading for reading in readings), projection
-
-        def whole_read(*args):
-            raise AssertionError("the file was read whole, not streamed")
-
-        monkeypatch.setattr(roadrules_io, "_read_features", kept_readings)
-        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
-        load_network(path)
-        nodes = {p["node_id"]: p for kind, p, _ in held if kind == "Point"}
-        edges = [(kind, p) for kind, p, _ in held if kind == "LineString"]
-        assert len(nodes) == 4 * 5 and len(edges) == 2 * (4 * 4 + 3 * 5)
-        (line, first), *others = edges
-        for kind, properties in others:
-            assert kind is line
-            assert [*properties] == [*first]
-            assert all(map(operator.is_, properties, first))  # the keys
-            for name in ("source_node", "target_node"):
-                assert properties[name] is nodes[properties[name]]["node_id"]
+    @pytest.mark.parametrize("path_kind", ["streamed", "whole"])
+    def test_lonlat_int_and_float_spellings_are_one_point(self, tmp_path, path_kind):
+        # both are read as floats, so both project to the same bits
+        document = {"type": "FeatureCollection", "features": [
+            geo_feature("Point", [10, 50], node_id="a"),
+            geo_feature("LineString", [[10.0, 50.0], [10.001, 50.001]],
+                        edge_id="ab", source_node="a", target_node="b"),
+        ]}
+        if path_kind == "whole":
+            graph = network_from_document(document)
+        else:
+            graph = load_network(write_doc(tmp_path, "network.geojson", document))
+        assert graph.edges["ab"].geometry.vertices[0] is graph.nodes["a"].position
 
     def test_equal_values_written_differently_are_kept_as_read(self):
         graph = network_from_document(as_read_network())
