@@ -11,7 +11,6 @@ operation is a pure function. Nothing here checks that a coordinate is finite:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -69,54 +68,53 @@ def angle(tip1: Point, tail: Point, tip2: Point) -> float:
     return normalize(heading(tail, tip1) - heading(tail, tip2))
 
 
-class Polyline:
+class Polyline(tuple[Point, ...]):
     """Directed polyline addressed by arc length from its first vertex.
 
-    Zero-length segments are rejected at construction, so total length is
-    always positive and cumulative lengths never decrease (a segment too short
-    to change the running sum repeats it). The cumulative lengths are computed
-    on first use, so a line that is never measured (every line of a sign-free
-    run) never computes them.
+    The line is the tuple of its vertices, ``Point``s in order, and holds
+    nothing else. Zero-length segments are rejected at construction, so total
+    length is always positive and the arc length from the start to each
+    vertex never decreases (a segment too short to change the running sum
+    repeats it). Arc lengths are summed from the start by each call that
+    needs them, left to right, and never stored.
     """
 
-    __slots__ = ("vertices", "_cumulative")
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Point | Sequence[float]]):
+    def __new__(cls, vertices: Iterable[Point | Sequence[float]]) -> Polyline:
         points = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
-        if len(points) < 2:
+        line = super().__new__(cls, points)
+        if len(line) < 2:
             raise ValueError("polyline needs at least two vertices")
         # for finite coordinates, equal points are exactly the zero-length segments. A
         # segment under about 1.5e-162 m still has a squared length of 0.0: see nearest
-        for i in range(len(points) - 1):
-            if points[i] == points[i + 1]:
+        for i in range(len(line) - 1):
+            if line[i] == line[i + 1]:
                 raise ValueError(f"zero-length segment at vertex {i}")
-        self.vertices: tuple[Point, ...] = tuple(points)
-        self._cumulative: tuple[float, ...] | None = None
-
-    def _measure(self) -> tuple[float, ...]:
-        """Fill in the arc length from the start to each vertex."""
-        cumulative = [0.0]
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            cumulative.append(cumulative[-1] + distance(a, b))
-        self._cumulative = tuple(cumulative)
-        return self._cumulative
+        return line
 
     @property
     def length(self) -> float:
         """Total arc length in meters."""
-        return (self._cumulative or self._measure())[-1]
+        total = 0.0
+        for a, b in zip(self, self[1:]):
+            total += distance(a, b)
+        return total
 
     def project(self, d: float) -> Point:
         """Point at arc length ``d`` from the start; ``d`` is clamped to [0, length]."""
-        cumulative = self._cumulative or self._measure()
         if d <= 0.0:
-            return self.vertices[0]
-        if d >= cumulative[-1]:
-            return self.vertices[-1]
-        i = bisect_right(cumulative, d) - 1
-        a, b = self.vertices[i], self.vertices[i + 1]
-        t = (d - cumulative[i]) / (cumulative[i + 1] - cumulative[i])
-        return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            return self[0]
+        start = 0.0
+        for a, b in zip(self, self[1:]):
+            end = start + distance(a, b)
+            # the first segment that ends past d: where several vertices share
+            # one sum, the last of them starts it
+            if end > d:
+                t = (d - start) / (end - start)
+                return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            start = end
+        return self[-1]
 
     def nearest(self, p: Point) -> tuple[float, float]:
         """(distance, arc length) of the closest point to ``p``.
@@ -124,11 +122,12 @@ class Polyline:
         Equidistant candidates resolve to the smallest arc length because the
         scan improves only on strictly smaller distances.
         """
-        cumulative = self._cumulative or self._measure()
         best_d = math.inf
-        best_arc = 0.0
-        for i in range(len(self.vertices) - 1):
-            a, b = self.vertices[i], self.vertices[i + 1]
+        best_arc = start = 0.0
+        for i in range(len(self) - 1):
+            a, b = self[i], self[i + 1]
+            if i:  # the arc length to a; a 2-vertex line never sums one
+                start += distance(self[i - 1], a)
             abx, aby = b.x - a.x, b.y - a.y
             seg2 = abx * abx + aby * aby
             t = ((p.x - a.x) * abx + (p.y - a.y) * aby) / seg2 if seg2 else 0.0
@@ -140,7 +139,7 @@ class Polyline:
             d = math.hypot(q.x - p.x, q.y - p.y)
             if d < best_d:
                 best_d = d
-                best_arc = cumulative[i] + t * math.sqrt(seg2)
+                best_arc = start + t * math.sqrt(seg2)
         return best_d, best_arc
 
     def index(self, p: Point) -> float:
@@ -156,7 +155,7 @@ class Polyline:
         return self.nearest(p)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Polyline({len(self.vertices)} vertices, {self.length:.3f} m)"
+        return f"Polyline({len(self)} vertices, {self.length:.3f} m)"
 
 
 @dataclass(frozen=True)

@@ -353,15 +353,15 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
         node_positions = {node: point(*p) for node, p in node_positions.items()}
         for edge_id, (src, dst, line) in edges.items():
             try:  # distinct lon/lat vertices may project to one point
-                edges[edge_id] = src, dst, Polyline([point(*v) for v in line.vertices])
+                edges[edge_id] = src, dst, Polyline([point(*v) for v in line])
             except ValueError as exc:
                 raise _bad_coordinates(source, first(True, edge_id), exc) from exc
     del intern, ids, is_edge, first, point  # before the graph is built in the memory they free
 
     # fall back to edge endpoints for nodes the Point features do not cover
     for src, dst, line in edges.values():
-        node_positions.setdefault(src, line.vertices[0])
-        node_positions.setdefault(dst, line.vertices[-1])
+        node_positions.setdefault(src, line[0])
+        node_positions.setdefault(dst, line[-1])
 
     try:
         return build_graph(node_positions, edges, opposites.items() or None, projection=projection)
@@ -634,7 +634,7 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
                 status = "unreached"
             else:
                 status = "visited"
-            coordinates = [[v.x, v.y] for v in edge.geometry.vertices]
+            coordinates = [[v.x, v.y] for v in edge.geometry]
             yield feature("LineString", coordinates, edge_id=edge_id, status=status)
         for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
             linked = rule_by_sign.get(sign.id)

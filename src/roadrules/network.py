@@ -52,11 +52,9 @@ class RoadGraph:
 
 
 def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
-    if len(a.vertices) != len(b.vertices):
+    if len(a) != len(b):
         return False
-    return all(
-        p == q or distance(p, q) <= tol for p, q in zip(a.vertices, reversed(b.vertices))
-    )
+    return all(p == q or distance(p, q) <= tol for p, q in zip(a, reversed(b)))
 
 
 def build_graph(
@@ -80,10 +78,10 @@ def build_graph(
         for endpoint in (source, destination):
             if endpoint not in nodes:
                 raise GraphError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
-        start, position = geometry.vertices[0], nodes[source]
+        start, position = geometry[0], nodes[source]
         if start != position and distance(start, position) > ENDPOINT_TOLERANCE:
             raise GraphError(f"edge {shown(edge_id)} geometry does not start at node {shown(source)}")
-        end, position = geometry.vertices[-1], nodes[destination]
+        end, position = geometry[-1], nodes[destination]
         if end != position and distance(end, position) > ENDPOINT_TOLERANCE:
             raise GraphError(f"edge {shown(edge_id)} geometry does not end at node {shown(destination)}")
 

@@ -132,7 +132,7 @@ class SignIndex:
         if not self.signs:
             return []
         signs, hits = self.signs, []
-        xs, ys = zip(*line.vertices)
+        xs, ys = zip(*line)
         for rank in self._in_box(min(xs) - r, min(ys) - r, max(xs) + r, max(ys) + r, types):
             d, arc = line.nearest(signs[rank].position)
             if d <= r:

@@ -18,8 +18,8 @@ from roadrules.signs import Sign, SignIndex, SignType
 
 def brute_force_min_distance(line: Polyline, p: Point, step: float = 0.001) -> float:
     """Minimum distance from p to the line, sampled every ``step`` meters."""
-    xs = np.array([v.x for v in line.vertices])
-    ys = np.array([v.y for v in line.vertices])
+    xs = np.array([v.x for v in line])
+    ys = np.array([v.y for v in line])
     seg = np.hypot(np.diff(xs), np.diff(ys))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     d = np.arange(0.0, cum[-1], step)
@@ -101,7 +101,7 @@ def short_block_scene(
     edge_ids = sorted(edges)
     signs = []
     for i in range(round(signs_per_edge * len(edge_ids))):
-        a, b = edges[rng.choice(edge_ids)][2].vertices
+        a, b = edges[rng.choice(edge_ids)][2]
         ux, uy = (b.x - a.x) / spacing, (b.y - a.y) / spacing
         back, off = rng.uniform(0.0, spacing / 2), rng.uniform(0.5, 3.0)
         position = Point(b.x - ux * back + uy * off, b.y - uy * back - ux * off)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given
@@ -115,10 +117,12 @@ class TestPolylineBasics:
         with pytest.raises(ValueError, match="^zero-length segment at vertex 1$"):
             Polyline([(1, 1), (0.0, 5.0), (-0.0, 5.0)])
 
-    def test_lengths_filled_on_first_use(self):
+    def test_is_the_tuple_of_its_points(self):
+        # the line holds its vertices and nothing else: no lengths, no __dict__
         line = Polyline([(0, 0), (3, 4)])
-        assert line._cumulative is None
-        assert line.length == 5.0 and line._cumulative == (0.0, 5.0)
+        assert line == (Point(0, 0), Point(3, 4))
+        assert sys.getsizeof(line) == sys.getsizeof(tuple(line))
+        assert not hasattr(line, "__dict__")
 
 
 class TestProject:
@@ -243,3 +247,95 @@ class TestLocalProjection:
         # a compensated sum (Python 3.12's sum()) gives exactly 1.0 here
         proj = LocalProjection.centered([(0.1, 0.1)] * 10)
         assert proj.lon0 == proj.lat0 == 0.9999999999999999 / 10
+
+
+def cumulative_table(line):
+    """The arc length from the start to each vertex, as a running left fold."""
+    cumulative = [0.0]
+    for a, b in zip(line, line[1:]):
+        cumulative.append(cumulative[-1] + distance(a, b))
+    return cumulative
+
+
+def reference_project(line, d):
+    """``Polyline.project`` by bisection of a cumulative table."""
+    cumulative = cumulative_table(line)
+    if d <= 0.0:
+        return line[0]
+    if d >= cumulative[-1]:
+        return line[-1]
+    i = bisect_right(cumulative, d) - 1
+    a, b = line[i], line[i + 1]
+    t = (d - cumulative[i]) / (cumulative[i + 1] - cumulative[i])
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def reference_nearest(line, p):
+    """``Polyline.nearest`` with each segment's start read from a cumulative table."""
+    cumulative = cumulative_table(line)
+    best_d = math.inf
+    best_arc = 0.0
+    for i in range(len(line) - 1):
+        a, b = line[i], line[i + 1]
+        abx, aby = b.x - a.x, b.y - a.y
+        seg2 = abx * abx + aby * aby
+        t = ((p.x - a.x) * abx + (p.y - a.y) * aby) / seg2 if seg2 else 0.0
+        t = min(max(t, 0.0), 1.0)
+        q = Point(a.x + t * abx, a.y + t * aby)
+        d = math.hypot(q.x - p.x, q.y - p.y)
+        if d < best_d:
+            best_d = d
+            best_arc = cumulative[i] + t * math.sqrt(seg2)
+    return best_d, best_arc
+
+
+class TestAgainstCumulativeTable:
+    """Lengths summed as they are used give the bits a stored table gave.
+
+    The reference keeps each line's cumulative lengths in a table and
+    bisects it; every result is compared by ``repr``, so 0.0 and -0.0 differ.
+    """
+
+    def check(self, line, distances, points):
+        cumulative = cumulative_table(line)
+        assert repr(line.length) == repr(cumulative[-1])
+        for d in [*distances, *cumulative, -1.0, 0.0, -0.0, cumulative[-1] * 2.0]:
+            assert repr(line.project(d)) == repr(reference_project(line, d)), d
+        for p in [*points, *line]:
+            assert repr(line.nearest(p)) == repr(reference_nearest(line, p)), p
+
+    def test_random_lines(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            line = random_monotone_polyline(rng)
+            distances = [rng.uniform(0.0, line.length) for _ in range(5)]
+            self.check(line, distances, [point_near_line(rng, line) for _ in range(5)])
+
+    def test_two_vertex_lines(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            a = Point(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            line = Polyline([a, (a.x + rng.uniform(-50.0, 50.0), a.y + rng.uniform(-50.0, 50.0))])
+            distances = [rng.uniform(0.0, line.length) for _ in range(3)]
+            self.check(line, distances, [point_near_line(rng, line) for _ in range(3)])
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0, 0), (1e-200, 0), (100, 0)],
+            [(0, 0), (100, 0), (100, 1e-200), (100, 50)],
+            [(0, 0), (0, 1e-200)],
+            [(0, 0), (100, 0), (100, 1e-200), (100, 2e-200), (0, 2e-200)],
+            [(0, 0), (1e-200, 0), (1e-200, 1e-200), (30, 30)],
+        ],
+    )
+    def test_tiny_segments_and_repeated_sums(self, vertices):
+        line = Polyline(vertices)
+        distances = [50.0, 100.0, 100.0 + 1e-13, 120.0, 1e-200, 5e-201, math.nextafter(100.0, 0.0)]
+        points = [Point(-2, -3), Point(5e-201, 1), Point(101, 1e-200), Point(50, 4), Point(3, 4)]
+        self.check(line, distances, points)
+
+    def test_self_overlapping_tie(self):
+        # the last segment retraces the first: arc 5 and arc 35 tie at distance 0
+        loop = Polyline([(0, 0), (10, 0), (10, 5), (0, 5), (0, 0), (10, 0)])
+        self.check(loop, [5.0, 30.0, 35.0], [Point(5, 0), Point(5, 2.5), Point(10, 2.5)])

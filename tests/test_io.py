@@ -94,7 +94,7 @@ class TestLoadNetwork:
             other = loaded.edges[eid]
             assert other.opposite == edge.opposite
             assert other.source == edge.source and other.destination == edge.destination
-            assert other.geometry.vertices == edge.geometry.vertices
+            assert other.geometry == edge.geometry
 
     def test_two_linestrings_pair_opposites(self):
         doc = {
@@ -648,7 +648,7 @@ def graph_parts(graph):
     1 from 1.0 and 0.0 from -0.0."""
     return repr((
         [(n.id, n.position, [e.id for e in n.outgoing]) for n in graph.nodes.values()],
-        [(e.id, e.source, e.destination, e.geometry.vertices, e.opposite)
+        [(e.id, e.source, e.destination, tuple(e.geometry), e.opposite)
          for e in graph.edges.values()],
         graph.projection,
     ))
@@ -1362,8 +1362,8 @@ class TestSharedValues:
             assert edge.source is source.id
             assert edge.destination is destination.id
             assert edge.opposite is graph.edges[edge.opposite].id
-            assert edge.geometry.vertices[0] is source.position
-            assert edge.geometry.vertices[-1] is destination.position
+            assert edge.geometry[0] is source.position
+            assert edge.geometry[-1] is destination.position
 
     @pytest.mark.parametrize("path_kind", ["streamed", "whole"])
     def test_lonlat_int_and_float_spellings_are_one_point(self, tmp_path, path_kind):
@@ -1377,7 +1377,7 @@ class TestSharedValues:
             graph = network_from_document(document)
         else:
             graph = load_network(write_doc(tmp_path, "network.geojson", document))
-        assert graph.edges["ab"].geometry.vertices[0] is graph.nodes["a"].position
+        assert graph.edges["ab"].geometry[0] is graph.nodes["a"].position
 
     def test_equal_values_written_differently_are_kept_as_read(self):
         graph = network_from_document(as_read_network())
@@ -1386,10 +1386,10 @@ class TestSharedValues:
         assert repr((seven.opposite, eight.opposite, list(graph.edges)[:2])) == "(8.0, 7, [7, 8])"
         assert repr(graph.nodes[1].position) == "Point(x=0, y=5)"
         assert repr(graph.nodes["m"].position) == "Point(x=-0.0, y=40.5)"
-        assert repr(up.geometry.vertices) == "(Point(x=0.0, y=5.0), Point(x=0.0, y=40.5))"
-        assert repr(down.geometry.vertices) == "(Point(x=-0.0, y=40.5), Point(x=0, y=5))"
+        assert repr(tuple(up.geometry)) == "(Point(x=0.0, y=5.0), Point(x=0.0, y=40.5))"
+        assert repr(tuple(down.geometry)) == "(Point(x=-0.0, y=40.5), Point(x=0, y=5))"
         assert repr(graph.nodes["z"].position) == "Point(x=30, y=40.5)"
-        assert repr(seven.geometry.vertices) == "(Point(x=0.0, y=40.5), Point(x=30.0, y=40.5))"
+        assert repr(tuple(seven.geometry)) == "(Point(x=0.0, y=40.5), Point(x=30.0, y=40.5))"
 
     def test_overlay_writes_equal_values_as_read(self, tmp_path):
         network = as_read_network()

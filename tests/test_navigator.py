@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from roadrules.scenarios import TEMPLATES
 from roadrules.signs import Sign, SignIndex, SignType
 
 from conftest import load_scenario, star_graph, straight_edge
+from helpers import short_block_scene
 
 
 class TestFrontier:
@@ -189,6 +191,30 @@ class TestDeriveRules:
             tracemalloc.stop()
         assert len(result.visited_edges) == len(graph.edges)
         assert peak - retained < sys.getsizeof(result.visited_edges), (peak, retained)
+
+    def test_a_derivation_leaves_the_graph_as_it_found_it(self):
+        # nothing a run measures is kept on the graph or the index: once its
+        # result is dropped, traced memory is back to exactly where it was.
+        # gc.collect() also empties the free lists that keep freed objects;
+        # the gc.callbacks a test library may have set allocate as they run
+        derive_rules(*short_block_scene(2), cover_all=True)  # first-call allocations
+        graph, index = short_block_scene(1)
+        callbacks = gc.callbacks[:]
+        gc.callbacks.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = derive_rules(graph, index, cover_all=True)
+            del result
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.callbacks[:] = callbacks
+        assert after == before, after - before
+        again = rules_document(derive_rules(graph, index, cover_all=True))
+        assert again == rules_document(derive_rules(*short_block_scene(1), cover_all=True))
 
     @pytest.mark.parametrize("template", ["sample-town", "twin-nodes", "dead-end"])
     def test_graph_and_index_are_reusable(self, template):

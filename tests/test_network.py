@@ -55,7 +55,7 @@ class TestBuildGraph:
         start, stop = (Point(0, offset), B) if end == "start" else (A, Point(100, offset))
         edges = {"e": ("A", "B", Polyline([start, stop]))}
         if ok:
-            assert build_graph({"A": A, "B": B}, edges).edges["e"].geometry.vertices == (start, stop)
+            assert build_graph({"A": A, "B": B}, edges).edges["e"].geometry == (start, stop)
         else:
             with pytest.raises(GraphError, match=f"does not {end}"):
                 build_graph({"A": A, "B": B}, edges)

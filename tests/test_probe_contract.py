@@ -49,7 +49,7 @@ def _write_scene(directory: Path) -> tuple[Path, Path]:
     features += [
         {
             "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": [[v.x, v.y] for v in e.geometry.vertices]},
+            "geometry": {"type": "LineString", "coordinates": [[v.x, v.y] for v in e.geometry]},
             "properties": {
                 "edge_id": e.id, "source_node": e.source, "target_node": e.destination,
                 "opposite_id": e.opposite,
