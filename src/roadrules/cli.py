@@ -133,7 +133,7 @@ def _cmd_derive(args: argparse.Namespace) -> str:
     )
     rules = write_rules(result, args.out)
     if args.overlay:
-        render_overlay(rules, graph, index, args.overlay)
+        render_overlay(rules, graph, index.signs, args.overlay)
     return (
         "derived {} no-way, {} one-way, {} no-turn rules; "
         "{} edges visited, {} unreached\n".format(
@@ -147,7 +147,7 @@ def _cmd_derive(args: argparse.Namespace) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
-    report = validate(load_rules(args.rules), load_ground_truth(args.truth)).to_document()
+    report = validate(load_rules(args.rules), load_ground_truth(args.truth))
     if args.out:
         write_json(report, args.out)
         return ""
@@ -166,7 +166,7 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
 
 def _check_rule_ids(path: str, rules: dict, graph: RoadGraph, index: SignIndex) -> None:
     """Fail on a rule that names an edge the network or a sign the inventory lacks."""
-    signs = {sign.id for sign in index}
+    signs = {sign.id for sign in index.signs}
     entries = [(f, i, entry) for f in RULE_FIELDS for i, entry in enumerate(rules[f])]
     entries += [("unreached", i, {"edge": edge}) for i, edge in enumerate(rules["unreached"])]
     for family, i, entry in entries:
@@ -183,7 +183,7 @@ def _cmd_render(args: argparse.Namespace) -> str:
     graph, index = _load_inputs(args)
     rules = load_rules(args.rules)
     _check_rule_ids(args.rules, rules, graph, index)
-    render_overlay(rules, graph, index, args.out)
+    render_overlay(rules, graph, index.signs, args.out)
     return ""
 
 

@@ -15,17 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-__all__ = [
-    "Point",
-    "Polyline",
-    "LocalProjection",
-    "heading",
-    "normalize",
-    "angle",
-    "distance",
-]
-
-
 class Point(NamedTuple):
     """Planar position: x meters east, y meters north."""
 
@@ -149,13 +138,6 @@ class Polyline(tuple[Point, ...]):
         several arc lengths are equally close the smallest one wins.
         """
         return self.nearest(p)[1]
-
-    def distance_to(self, p: Point) -> float:
-        """Distance from ``p`` to the line."""
-        return self.nearest(p)[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Polyline({len(self)} vertices, {self.length:.3f} m)"
 
 
 @dataclass(frozen=True)

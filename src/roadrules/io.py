@@ -29,7 +29,6 @@ import json
 import logging
 import sys
 from array import array
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -39,7 +38,7 @@ from .ids import id_sort_key, sorted_ids
 from .navigator import DerivationResult
 from .network import EdgeId, RoadGraph, build_graph
 from .rules import NoWayRule, OneWayRule
-from .signs import Sign, SignIndex, SignType
+from .signs import Sign, SignType
 from .stream import _Declined, _streamed_features
 
 logger = logging.getLogger("roadrules")
@@ -145,13 +144,13 @@ def _bad_coordinates(source: str | Path, i: int, exc: Exception) -> InputError:
     return InputError(f"{source}: feature {i}: {detail}")
 
 
-def _is_finite(value: Any, bound: float = _FLOAT_MAX) -> bool:
-    """True for a JSON number within ±``bound``.
+def _is_finite(value: Any) -> bool:
+    """True for a JSON number within ±``_FLOAT_MAX``.
 
     A JSON number parses to exactly int or float (true and false to bool);
     the comparison is exact for an int of any size, and false for NaN.
     """
-    return type(value) in (int, float) and abs(value) <= bound
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 def _is_id(value: Any) -> bool:
@@ -539,15 +538,9 @@ def load_rules(path: str | Path) -> dict:
     return document
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Externally sourced one-way and turn-restriction facts."""
-
-    one_way_banned_edges: frozenset[EdgeId]
-    turn_restrictions: frozenset[tuple[EdgeId, EdgeId]]
-
-
-def load_ground_truth(path: str | Path) -> GroundTruth:
+def load_ground_truth(path: str | Path) -> tuple[frozenset, frozenset]:
+    """(one-way banned edges, banned turn pairs) of a ground-truth file: the
+    pair ``derived_rule_sets`` gives of a rule document."""
     document = _read_json(path)
     if not isinstance(document, dict):
         raise InputError(f"{path}: expected a ground-truth object")
@@ -557,23 +550,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         raise InputError(f"{path}: one_way_banned_edges must be a list of strings or numbers")
     if not (isinstance(pairs, list) and all(_is_id_list(p) and len(p) == 2 for p in pairs)):
         raise InputError(f"{path}: turn_restrictions entries must be [from, to] pairs")
-    return GroundTruth(frozenset(banned), frozenset(map(tuple, pairs)))
-
-
-@dataclass(frozen=True)
-class FamilyAccuracy:
-    total_mapped: int
-    incorrect: int
-    accuracy: float | None  # percent, 2 decimals; None when nothing was mapped
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    one_way: FamilyAccuracy
-    turn: FamilyAccuracy
-
-    def to_document(self) -> dict:
-        return {"one_way_streets": asdict(self.one_way), "turn_restrictions": asdict(self.turn)}
+    return frozenset(banned), frozenset(map(tuple, pairs))
 
 
 def derived_rule_sets(rules: dict) -> tuple[frozenset, frozenset]:
@@ -587,26 +564,29 @@ def derived_rule_sets(rules: dict) -> tuple[frozenset, frozenset]:
     return frozenset(banned), frozenset(pairs)
 
 
-def _family_accuracy(derived: frozenset, truth: frozenset) -> FamilyAccuracy:
+def _family_accuracy(derived: frozenset, truth: frozenset) -> dict:
     total = len(derived)
     incorrect = len(derived - truth)
-    if total == 0:
-        return FamilyAccuracy(0, 0, None)
-    return FamilyAccuracy(total, incorrect, round(100.0 * (total - incorrect) / total, 2))
+    # percent, 2 decimals; None when nothing was mapped
+    accuracy = round(100.0 * (total - incorrect) / total, 2) if total else None
+    return {"total_mapped": total, "incorrect": incorrect, "accuracy": accuracy}
 
 
-def validate(rules: dict, truth: GroundTruth) -> AccuracyReport:
-    """Accuracy of a rule document against ground truth.
+def validate(rules: dict, truth: tuple[frozenset, frozenset]) -> dict:
+    """The report document of a rule document's accuracy against ``truth``, as
+    ``load_ground_truth`` gives it: ``{"one_way_streets": {...},
+    "turn_restrictions": {...}}``, each with ``total_mapped``, ``incorrect``
+    and ``accuracy``.
 
     Derived one-way bans are compared as edge sets and turn restrictions as
     (from, to) pairs; only incorrectly derived rules count against accuracy
     (completeness of the inputs is not measurable here).
     """
     banned, pairs = derived_rule_sets(rules)
-    return AccuracyReport(
-        one_way=_family_accuracy(banned, truth.one_way_banned_edges),
-        turn=_family_accuracy(pairs, truth.turn_restrictions),
-    )
+    return {
+        "one_way_streets": _family_accuracy(banned, truth[0]),
+        "turn_restrictions": _family_accuracy(pairs, truth[1]),
+    }
 
 
 def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> dict:
@@ -651,8 +631,6 @@ def overlay_document(graph: RoadGraph, signs: Iterable[Sign], rules: dict) -> di
     return planar_collection(features())
 
 
-def render_overlay(
-    rules: dict, graph: RoadGraph, signs: Iterable[Sign] | SignIndex, path: str | Path
-) -> None:
+def render_overlay(rules: dict, graph: RoadGraph, signs: Iterable[Sign], path: str | Path) -> None:
     """Write the inspection overlay of a rule document on its network and signs."""
     write_json(overlay_document(graph, signs, rules), path)

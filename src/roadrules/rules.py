@@ -145,11 +145,15 @@ def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> Sc
     return best
 
 
-_TURN_OFFSETS = {
-    SignType.R302: -90.0,
+# each scorer's offset, in degrees, of the bearing a sign type names
+_OFFSETS = {
+    SignType.R302: -90.0,  # turn scorer: -90 right, +90 left of the approach
     SignType.R303: 90.0,
     SignType.R400D: -90.0,
     SignType.R400E: 90.0,
+    SignType.R400A: 90.0,  # one-way scorer: one way to the right of the addressed traffic
+    SignType.R400B: -90.0,
+    SignType.R400C: 0.0,
 }
 
 
@@ -169,7 +173,7 @@ def best_no_turn_edge(
     back_point = geometry.project(sign_proj)
     if back_point == node.position:
         return None
-    offset = _TURN_OFFSETS[sign.sign_type]
+    offset = _OFFSETS[sign.sign_type]
     best: ScoredEdge | None = None
     for edge in outgoing:
         probe = edge.geometry.project(NOMINAL_AHEAD)
@@ -186,16 +190,9 @@ def best_no_turn_edge(
 best_must_turn_edge = best_no_turn_edge
 
 
-_ONE_WAY_OFFSETS = {
-    SignType.R400A: 90.0,  # one way to the right of the addressed traffic
-    SignType.R400B: -90.0,
-    SignType.R400C: 0.0,
-}
-
-
 def best_one_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
     """Best exit for a one-way sign: the edge closest to the mandated bearing."""
-    target = sign.azimuth + _ONE_WAY_OFFSETS[sign.sign_type]
+    target = sign.azimuth + _OFFSETS[sign.sign_type]
     best: ScoredEdge | None = None
     for edge in outgoing:
         probe = edge.geometry.project(NOMINAL_AHEAD)

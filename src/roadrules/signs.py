@@ -82,12 +82,6 @@ class SignIndex:
         # band -> (xs, (x, y, rank) of each sign in it), both sorted by x
         self._bands = {j: ([x for x, _, _ in row], row) for j, row in rows.items()}
 
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    def __iter__(self):
-        return iter(self.signs)
-
     def _in_box(self, x0: float, y0: float, x1: float, y1: float, types: Family) -> list[int]:
         """Sorted ranks of the signs of ``types`` in the closed box [x0, x1] x [y0, y1].
 

@@ -15,7 +15,6 @@ import pytest
 from roadrules.cli import main
 from roadrules.geometry import Point, distance
 from roadrules.io import (
-    GroundTruth,
     derived_rule_sets,
     network_from_document,
     rules_document,
@@ -67,15 +66,16 @@ def test_criterion_1_reference_accuracy_percentages():
             ],
             "unreached": [],
         }
-        truth = GroundTruth(
+        truth = (
             frozenset(f"e{i}" for i in range(31)),
             frozenset((f"f{i}", f"t{i}") for i in range(31)),
         )
         report = validate(doc, truth)
-        assert report.one_way.total_mapped == 35 and report.one_way.incorrect == 4
-        assert report.one_way.accuracy == 88.57
-        assert report.turn.total_mapped == 32 and report.turn.incorrect == 1
-        assert report.turn.accuracy == 96.88
+        one_way, turn = report["one_way_streets"], report["turn_restrictions"]
+        assert one_way["total_mapped"] == 35 and one_way["incorrect"] == 4
+        assert one_way["accuracy"] == 88.57
+        assert turn["total_mapped"] == 32 and turn["incorrect"] == 1
+        assert turn["accuracy"] == 96.88
 
 
 def test_criterion_2_geometry_oracle_suite():
@@ -89,7 +89,7 @@ def test_criterion_2_geometry_oracle_suite():
                 d = rng.uniform(0.0, line.length)
                 assert abs(line.index(line.project(d)) - d) <= 1e-6
             p = point_near_line(rng, line)
-            exact = line.distance_to(p)
+            exact = line.nearest(p)[0]
             sampled = brute_force_min_distance(line, p)
             assert exact <= sampled + 1e-9
             assert sampled >= exact - 1e-3
@@ -310,11 +310,12 @@ def test_criterion_9_golden_scene_validates_at_100_percent():
         assert banned == frozenset(expected["one_way_banned_edges"])
         assert pairs == frozenset(tuple(p) for p in expected["turn_restrictions"])
 
-        truth = GroundTruth(
+        truth = (
             frozenset(expected["one_way_banned_edges"]),
             frozenset(tuple(p) for p in expected["turn_restrictions"]),
         )
         report = validate(rules_document(result), truth)
-        assert report.one_way.accuracy == 100.0
-        assert report.turn.accuracy == 100.0
-        assert report.one_way.incorrect == 0 and report.turn.incorrect == 0
+        one_way, turn = report["one_way_streets"], report["turn_restrictions"]
+        assert one_way["accuracy"] == 100.0
+        assert turn["accuracy"] == 100.0
+        assert one_way["incorrect"] == 0 and turn["incorrect"] == 0

@@ -425,6 +425,35 @@ class TestValidateCommand:
         )
         assert code == 0 and json.loads(out.read_text())["one_way_streets"]["incorrect"] == 0
 
+    SCENE_REPORT = (
+        b'{"one_way_streets":{"accuracy":100.0,"incorrect":0,"total_mapped":1},'
+        b'"turn_restrictions":{"accuracy":100.0,"incorrect":0,"total_mapped":1}}\n'
+    )
+    EMPTY_REPORT = (
+        b'{"one_way_streets":{"accuracy":null,"incorrect":0,"total_mapped":0},'
+        b'"turn_restrictions":{"accuracy":null,"incorrect":0,"total_mapped":0}}\n'
+    )
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("scene", [True, False], ids=["sample-town", "empty-rules"])
+    def test_report_bytes(self, town, tmp_path, capsysbinary, scene, to_file):
+        rules = tmp_path / "rules.json"
+        if scene:
+            assert main(derive_args(town, rules)) == 0
+        else:
+            empty = {"no_way": [], "one_way": [], "no_turn": [], "unreached": []}
+            rules.write_text(json.dumps(empty), encoding="utf-8")
+        capsysbinary.readouterr()
+        args = ["validate", "--rules", str(rules), "--truth", str(town / "expected_rules.json")]
+        out = tmp_path / "report.json"
+        assert main(args + ["--out", str(out)] * to_file) == 0
+        printed = capsysbinary.readouterr().out
+        expected = self.SCENE_REPORT if scene else self.EMPTY_REPORT
+        if to_file:
+            assert (printed, out.read_bytes()) == (b"", expected)
+        else:
+            assert printed == expected and not out.exists()
+
     def test_malformed_rules_file(self, town, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")

@@ -10,7 +10,7 @@ import math
 import random
 
 from roadrules.geometry import Point, Polyline, heading
-from roadrules.io import GroundTruth, derived_rule_sets, rules_document, validate
+from roadrules.io import derived_rule_sets, rules_document, validate
 from roadrules.navigator import derive_rules
 from roadrules.network import build_graph
 from roadrules.signs import Sign, SignIndex, SignType
@@ -135,6 +135,7 @@ def test_constructed_towns_validate_perfectly():
         assert derived_pairs == expected_pairs
         assert result.unreached_edges <= expected_bans
 
-        report = validate(rules_document(result), GroundTruth(expected_bans, expected_pairs))
-        assert report.one_way.accuracy == 100.0
-        assert report.turn.accuracy in (100.0, None)  # None when no turn sign fit
+        report = validate(rules_document(result), (expected_bans, expected_pairs))
+        assert report["one_way_streets"]["accuracy"] == 100.0
+        # None when no turn sign fit
+        assert report["turn_restrictions"]["accuracy"] in (100.0, None)

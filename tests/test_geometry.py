@@ -167,7 +167,7 @@ class TestDistance:
         assert distance(Point(0, 0), Point(3, 4)) == 5.0
 
     def test_line_distance(self):
-        assert Polyline([(0, 0), (10, 0)]).distance_to(Point(5, 3)) == 3.0
+        assert Polyline([(0, 0), (10, 0)]).nearest(Point(5, 3))[0] == 3.0
 
     def test_zero(self):
         assert distance(Point(1, 1), Point(1, 1)) == 0.0
@@ -179,13 +179,13 @@ class TestSegmentWhoseSquareUnderflows:
     line = Polyline([(0, 0), (1e-200, 0), (100, 0)])
 
     def test_measured_at_its_start(self):
-        assert self.line.distance_to(Point(-2, -3)) == math.hypot(2, 3)
+        assert self.line.nearest(Point(-2, -3))[0] == math.hypot(2, 3)
         assert self.line.index(Point(-2, -3)) == 0.0
-        assert self.line.distance_to(Point(5e-201, 1)) == 1.0
+        assert self.line.nearest(Point(5e-201, 1))[0] == 1.0
         assert self.line.index(Point(5e-201, 1)) == 0.0
 
     def test_next_segment_unaffected(self):
-        assert self.line.distance_to(Point(50, 4)) == 4.0
+        assert self.line.nearest(Point(50, 4))[0] == 4.0
         assert self.line.index(Point(50, 4)) == 50.0
 
     def test_cumulative_length_repeated(self):
@@ -198,7 +198,7 @@ class TestSegmentWhoseSquareUnderflows:
     def test_line_of_one_such_segment(self):
         line = Polyline([(0, 0), (0, 1e-200)])
         assert line.length == 1e-200
-        assert line.distance_to(Point(3, 4)) == 5.0
+        assert line.nearest(Point(3, 4))[0] == 5.0
         assert line.index(Point(3, 4)) == 0.0
 
 
@@ -216,7 +216,7 @@ class TestRoundTrip:
         for _ in range(25):
             line = random_monotone_polyline(rng)
             p = point_near_line(rng, line)
-            exact = line.distance_to(p)
+            exact = line.nearest(p)[0]
             sampled = brute_force_min_distance(line, p)
             assert exact <= sampled + 1e-9
             assert sampled >= exact - 1e-3

@@ -19,7 +19,6 @@ from roadrules.cli import main as cli_main
 from roadrules.errors import InputError
 from roadrules.geometry import LocalProjection, Point, distance
 from roadrules.io import (
-    GroundTruth,
     dump_json,
     load_ground_truth,
     load_network,
@@ -1640,16 +1639,16 @@ class TestOutputEncoding:
         result = derive_rules(graph, index, cover_all=True)
         rules = write_rules(result, tmp_path / "rules.json")
         assert json.loads((tmp_path / "rules.json").read_text(encoding="utf-8")) == rules
-        render_overlay(rules, graph, index, tmp_path / "overlay.geojson")
+        render_overlay(rules, graph, index.signs, tmp_path / "overlay.geojson")
         overlay = json.loads((tmp_path / "overlay.geojson").read_text(encoding="utf-8"))
-        expected_overlay = overlay_document(graph, index, rules)
+        expected_overlay = overlay_document(graph, index.signs, rules)
         expected_overlay["features"] = list(expected_overlay["features"])
         assert overlay == expected_overlay
-        truth = GroundTruth(
+        truth = (
             frozenset(expected["one_way_banned_edges"]),
             frozenset(map(tuple, expected["turn_restrictions"])),
         )
-        report = validate(rules, truth).to_document()
+        report = validate(rules, truth)
         assert json.loads(dumped(report)) == report
 
 
@@ -1664,15 +1663,16 @@ class TestValidate:
             ],
             "unreached": [],
         }
-        truth = GroundTruth(
+        truth = (
             frozenset(f"e{i}" for i in range(31)),  # 4 of 35 misplaced
             frozenset((f"f{i}", f"t{i}") for i in range(31)),  # 1 of 32 misplaced
         )
         report = validate(doc, truth)
-        assert (report.one_way.total_mapped, report.one_way.incorrect) == (35, 4)
-        assert report.one_way.accuracy == 88.57
-        assert (report.turn.total_mapped, report.turn.incorrect) == (32, 1)
-        assert report.turn.accuracy == 96.88
+        one_way, turn = report["one_way_streets"], report["turn_restrictions"]
+        assert (one_way["total_mapped"], one_way["incorrect"]) == (35, 4)
+        assert one_way["accuracy"] == 88.57
+        assert (turn["total_mapped"], turn["incorrect"]) == (32, 1)
+        assert turn["accuracy"] == 96.88
 
     def test_one_way_counts_include_one_way_rules(self):
         doc = {
@@ -1681,14 +1681,14 @@ class TestValidate:
             "no_turn": [],
             "unreached": [],
         }
-        report = validate(doc, GroundTruth(frozenset({"a", "b", "c"}), frozenset()))
-        assert report.one_way == report.one_way.__class__(3, 0, 100.0)
+        report = validate(doc, (frozenset({"a", "b", "c"}), frozenset()))
+        assert report["one_way_streets"] == {"total_mapped": 3, "incorrect": 0, "accuracy": 100.0}
 
     def test_zero_mapped_is_not_a_division_error(self):
-        report = validate(rules_document(empty_result()), GroundTruth(frozenset(), frozenset()))
-        assert report.one_way.accuracy is None
-        assert report.turn.accuracy is None
-        assert report.to_document()["one_way_streets"]["accuracy"] is None
+        report = validate(rules_document(empty_result()), (frozenset(), frozenset()))
+        assert report["one_way_streets"]["accuracy"] is None
+        assert report["turn_restrictions"]["accuracy"] is None
+        assert json.loads(dumped(report))["one_way_streets"]["accuracy"] is None
 
     def test_ground_truth_loader(self, tmp_path):
         path = write_doc(
@@ -1696,9 +1696,9 @@ class TestValidate:
             "t.json",
             {"one_way_banned_edges": ["a"], "turn_restrictions": [["f", "t"]]},
         )
-        truth = load_ground_truth(path)
-        assert truth.one_way_banned_edges == frozenset({"a"})
-        assert truth.turn_restrictions == frozenset({("f", "t")})
+        banned, pairs = load_ground_truth(path)
+        assert banned == frozenset({"a"})
+        assert pairs == frozenset({("f", "t")})
 
     def test_ground_truth_bad_pairs(self, tmp_path):
         path = write_doc(tmp_path, "t.json", {"turn_restrictions": [["only-one"]]})
@@ -1728,7 +1728,7 @@ class TestOverlay:
     def test_statuses_and_rule_linkage(self, tmp_path):
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
-        features = list(overlay_document(graph, index, rules_document(result))["features"])
+        features = list(overlay_document(graph, index.signs, rules_document(result))["features"])
         by_edge = {
             f["properties"]["edge_id"]: f["properties"]["status"]
             for f in features
@@ -1748,7 +1748,7 @@ class TestOverlay:
 
     def test_sign_without_rule_links_null(self):
         graph, index, _ = load_scenario("twin-nodes")
-        doc = overlay_document(graph, index, rules_document(empty_result()))
+        doc = overlay_document(graph, index.signs, rules_document(empty_result()))
         sign_props = [f["properties"] for f in doc["features"] if "sign_id" in f["properties"]]
         assert sign_props[0]["rule"] is None
         assert sign_props[0]["score"] is None
@@ -1783,6 +1783,6 @@ class TestOverlay:
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
         a, b = tmp_path / "a.geojson", tmp_path / "b.geojson"
         rules = rules_document(result)
-        render_overlay(rules, graph, index, a)
-        render_overlay(rules, graph, index, b)
+        render_overlay(rules, graph, index.signs, a)
+        render_overlay(rules, graph, index.signs, b)
         assert a.read_bytes() == b.read_bytes()

@@ -1,20 +1,28 @@
 """Metamorphic tests: a planar result depends on the ids' order, not on the
 order of the input features or on how the ids are spelled, and a sign out
 of every detector's reach or a second, disconnected network changes nothing.
+Mirrored left to right, a scene without R-101 signs derives its mirror.
 
 Each seed writes a 7x7 planar grid with 150 random signs of all 8 types and
 runs ``derive --cover-all --overlay`` through the CLI on it, on a copy with
 the features of both files shuffled, on copies whose ids are renamed in an
 order-preserving way, on a copy with one sign out of every detector's reach
-and on a copy with a second, disconnected grid. Lon/lat inputs are left out:
-their projection is centered on a left-to-right sum of the positions in
-feature order, so shuffling them can move the last bits of a score (README,
-"What a result depends on").
-"""
+and on a copy with a second, disconnected grid. Lon/lat inputs are left out
+of the shuffle: their projection is centered on a left-to-right sum of the
+positions in feature order, so shuffling them can move the last bits of a
+score (README, "What a result depends on").
 
+The mirror negates every x (or lon), swaps each sign type with its left/right
+partner and maps each azimuth to ``(360 - az) % 360``. R-101 has no partner
+and is the one intended asymmetry: its scorer penalizes exits to the right of
+the sign, as right-hand traffic has it, so the mirrored scenes leave it out
+and one fixture pins it. Negating every lon negates the centroid's lon
+exactly, so a lon/lat scene projects to the planar mirror bit for bit.
+"""
 import copy
 import io
 import json
+import math
 import random
 
 import pytest
@@ -56,6 +64,12 @@ def _inputs(seed):
         })
     signs = {"type": "FeatureCollection", "coordinate_system": "local-meters", "features": features}
     return network, signs
+
+
+def _points(feature):
+    """The ``[x, y]`` lists of a feature's geometry, which edits change in place."""
+    coordinates = feature["geometry"]["coordinates"]
+    return coordinates if isinstance(coordinates[0], list) else [coordinates]
 
 
 def _derive(directory, network, signs):
@@ -209,8 +223,7 @@ def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
     copies, _ = _renamed((network, signs), lambda ids: {old: f"{old}'" for old in ids})
     for document in copies:
         for feature in document["features"]:
-            coordinates = feature["geometry"]["coordinates"]
-            for point in coordinates if isinstance(coordinates[0], list) else [coordinates]:
+            for point in _points(feature):
                 point[0] += 10_000.0
     union = [
         dict(original, features=original["features"] + copy_["features"])
@@ -230,3 +243,116 @@ def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
     assert _encoded(first) == rules
     # the copy derived rules of its own
     assert len(union_rules["no_way"]) > len(first["no_way"])
+
+
+# each sign type's left/right partner; R-101 and R-400c have none
+PARTNERS = {"R-302": "R-303", "R-400a": "R-400b", "R-400d": "R-400e"}
+PARTNERS.update({right: left for left, right in PARTNERS.items()})
+
+
+def _mirrored(documents):
+    """``documents`` reflected in the north-south axis: each x negated, each sign
+    type swapped with its partner and each azimuth mapped to ``(360 - az) % 360``."""
+    documents = copy.deepcopy(documents)
+    for document in documents:
+        for feature in document["features"]:
+            for point in _points(feature):
+                point[0] = -point[0]
+            properties = feature["properties"]
+            if "azimuth" in properties:
+                properties["type"] = PARTNERS.get(properties["type"], properties["type"])
+                properties["azimuth"] = (360.0 - properties["azimuth"]) % 360.0
+    return documents
+
+
+def _pop_scores(value, scores):
+    """Remove every ``score`` member in ``value``, appending each, in order, to ``scores``."""
+    if isinstance(value, dict):
+        if "score" in value:
+            scores.append(value.pop("score"))
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _pop_scores(item, scores)
+
+
+def _assert_mirrors(network, signs, directory):
+    """Derive a scene and its mirror; the mirror's rule document is the scene's,
+    with equal scores to within rounding, and its overlay the scene's mirrored."""
+    rules, overlay = map(json.loads, _derive(directory / "original", network, signs))
+    mirrored = list(map(json.loads, _derive(directory / "mirrored", *_mirrored((network, signs)))))
+    expected = [rules, *_mirrored([overlay])]
+    expected_scores, scores = [], []
+    _pop_scores(expected, expected_scores)
+    _pop_scores(mirrored, scores)
+    assert mirrored == expected
+    assert len(scores) == len(expected_scores)
+    for score, want in zip(scores, expected_scores):
+        assert score == want or math.isclose(score, want, rel_tol=1e-12), (score, want)
+    assert rules["one_way"] and rules["no_turn"]
+
+
+def _without_no_way(signs):
+    """``signs`` without its R-101 signs."""
+    kept = [f for f in signs["features"] if f["properties"]["type"] != "R-101"]
+    return dict(signs, features=kept)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mirrored_scene_derives_the_mirrored_rules(seed, tmp_path):
+    network, signs = _inputs(seed)
+    _assert_mirrors(network, _without_no_way(signs), tmp_path)
+
+
+def test_mirrored_lonlat_scene_derives_the_mirrored_rules(tmp_path):
+    # the planar scene of seed 1 as lon/lat, about a meter per meter near (2 E, 41 N)
+    network, signs = copy.deepcopy(_inputs(SEEDS[0]))
+    meters_per_degree = math.radians(1.0) * 6378137.0
+    for document in (network, signs):
+        del document["coordinate_system"]
+        for feature in document["features"]:
+            for point in _points(feature):
+                point[0] = 2.0 + point[0] / (meters_per_degree * math.cos(math.radians(41.0)))
+                point[1] = 41.0 + point[1] / meters_per_degree
+    _assert_mirrors(network, _without_no_way(signs), tmp_path)
+
+
+def test_no_way_sign_penalizes_the_exit_to_its_right(tmp_path):
+    # the sign stands due north of c, facing traffic headed north; c's exits
+    # leave 20 degrees to its right (c->a) and 25 degrees to its left (c->b).
+    # Without the penalty c->a, the closer one, would be banned; the 30 degree
+    # penalty on exits to the right bans c->b, and in the mirror the exit now
+    # 20 degrees to the left, c->a, so the mirror bans the other edge.
+    positions = {"s": (0.0, -60.0), "c": (0.0, 0.0)}
+    for node, bearing in (("a", 20.0), ("b", -25.0)):
+        r = math.radians(bearing)
+        positions[node] = (60.0 * math.sin(r), 60.0 * math.cos(r))
+    network = {
+        "type": "FeatureCollection",
+        "coordinate_system": "local-meters",
+        "features": [
+            {"type": "Feature", "geometry": {"type": "Point", "coordinates": list(xy)},
+             "properties": {"node_id": node}}
+            for node, xy in positions.items()
+        ] + [
+            {"type": "Feature",
+             "geometry": {"type": "LineString", "coordinates": [[*positions[u]], [*positions[v]]]},
+             "properties": {"edge_id": f"{u}->{v}", "source_node": u, "target_node": v}}
+            for u, v in (("s", "c"), ("c", "a"), ("c", "b"))
+        ],
+    }
+    signs = {
+        "type": "FeatureCollection",
+        "coordinate_system": "local-meters",
+        "features": [{
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [0.0, 10.0]},
+            "properties": {"sign_id": "s1", "type": "R-101", "azimuth": 0.0},
+        }],
+    }
+    scenes = {"original": (network, signs), "mirrored": _mirrored((network, signs))}
+    banned = {
+        name: [entry["edge"] for entry in json.loads(_derive(tmp_path / name, *scene)[0])["no_way"]]
+        for name, scene in scenes.items()
+    }
+    assert banned == {"original": ["c->b"], "mirrored": ["c->a"]}

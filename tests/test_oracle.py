@@ -94,7 +94,7 @@ class Reference:
                     node.position, sign, cfg
                 ):
                     seen.append(sign)
-            elif line.distance_to(sign.position) <= cfg.edge_radius:
+            elif line.nearest(sign.position)[0] <= cfg.edge_radius:
                 along = line.index(sign.position)
                 observer = line.project(max(0.0, along - cfg.lookback))
                 if 0.0 < along < line.length and readable(observer, sign, cfg):
@@ -271,7 +271,7 @@ def short_blocks(draw):
         spacing=draw(st.sampled_from([10.0, 12.5, 15.0])),
         signs_per_edge=draw(st.floats(0.2, 1.5)),
     )
-    return graph, list(index)
+    return graph, list(index.signs)
 
 
 @settings(max_examples=150)
@@ -291,7 +291,7 @@ def test_derivation_matches_the_reference(scene, cfg, data):
 def test_short_block_scene_matches_the_reference(seed, cover_all):
     graph, index = short_block_scene(seed)
     start = list(graph.edges)[97 * seed % len(graph.edges)]
-    assert_agrees(graph, list(index), DetectionConfig(), [start], cover_all)
+    assert_agrees(graph, list(index.signs), DetectionConfig(), [start], cover_all)
 
 
 @pytest.mark.parametrize("cover_all", [False, True])
@@ -307,5 +307,5 @@ def test_revoking_the_ban_of_a_visited_edge_matches_the_reference(cover_all):
         revoke(state, rule, frontier)
 
     with patch.object(DerivationState, "revoke", recorded):
-        assert_agrees(graph, list(index), DetectionConfig(), ["n00_01->n00_02"], cover_all)
+        assert_agrees(graph, list(index.signs), DetectionConfig(), ["n00_01->n00_02"], cover_all)
     assert lifted

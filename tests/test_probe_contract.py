@@ -59,7 +59,7 @@ def _write_scene(directory: Path) -> tuple[Path, Path]:
     ]
     signs = [
         _point({"sign_id": s.id, "type": s.sign_type.value, "azimuth": s.azimuth}, s.position)
-        for s in index
+        for s in index.signs
     ]
     paths = directory / "network.geojson", directory / "signs.geojson"
     for path, collection in zip(paths, (features, signs)):

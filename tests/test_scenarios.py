@@ -58,7 +58,7 @@ class TestTwinNodesTemplate:
 class TestSampleTownTemplate:
     def test_expected_rules_resolve(self):
         graph, index, expected = load_scenario("sample-town")
-        assert len(index) == 2
+        assert len(index.signs) == 2
         for eid in expected["one_way_banned_edges"]:
             assert eid in graph.edges
         for pair in expected["turn_restrictions"]:

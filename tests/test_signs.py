@@ -123,7 +123,7 @@ class TestIndexScanEquivalence:
             line = Polyline(pts)
             r = rng.uniform(1.0, 80.0)
             expected = sorted(
-                (s.id for s in signs if line.distance_to(s.position) <= r)
+                (s.id for s in signs if line.nearest(s.position)[0] <= r)
             )
             assert line_hit_ids(index, line, r) == expected
 
@@ -137,7 +137,7 @@ class TestCellTable:
         for query in queries:
             if isinstance(query[0], Polyline):
                 line, r = query
-                expected = sorted(s.id for s in signs if line.distance_to(s.position) <= r)
+                expected = sorted(s.id for s in signs if line.nearest(s.position)[0] <= r)
                 assert line_hit_ids(index, line, r) == expected
             else:
                 p, r = query
@@ -210,5 +210,5 @@ class TestCellTable:
                 family = [s for s in signs if s.sign_type in types]
                 expected = sorted(s.id for s in family if distance(s.position, p) <= r)
                 assert [s.id for s in index.signs_within(p, r, types)] == expected
-                expected = sorted(s.id for s in family if line.distance_to(s.position) <= r)
+                expected = sorted(s.id for s in family if line.nearest(s.position)[0] <= r)
                 assert line_hit_ids(index, line, r, types) == expected
