@@ -37,7 +37,6 @@ from .geometry import LocalProjection, Point, Polyline
 from .ids import id_sort_key, sorted_ids
 from .navigator import DerivationResult
 from .network import EdgeId, RoadGraph, build_graph
-from .rules import NoWayRule, OneWayRule
 from .signs import Sign, SignType
 from .stream import _Declined, _streamed_features
 
@@ -495,15 +494,9 @@ def rules_document(result: DerivationResult) -> dict:
     """Serialize a derivation result to the rule-document schema."""
     document: dict = {family: [] for family in RULE_FIELDS}
     for record in result.rules:
-        rule = record.rule
-        if isinstance(rule, NoWayRule):
-            family, entry = "no_way", {"edge": rule.banned_edge}
-        elif isinstance(rule, OneWayRule):
-            banned = sorted_ids(rule.banned_edges)
-            family, entry = "one_way", {"chosen": rule.chosen, "banned": banned}
-        else:
-            banned = sorted_ids(rule.banned_to)
-            family, entry = "no_turn", {"from": rule.from_edge, "banned_to": banned}
+        family, edge, banned = record.rule
+        first, second, *_ = RULE_FIELDS[family]
+        entry = {first: edge} if family == "no_way" else {first: edge, second: list(banned)}
         document[family].append(dict(entry, sign=record.sign_id, score=record.score))
     for family, (first, *_) in RULE_FIELDS.items():
         document[family].sort(key=lambda e: (id_sort_key(e[first]), id_sort_key(e["sign"])))
@@ -528,6 +521,7 @@ def load_rules(path: str | Path) -> dict:
             raise InputError(f"{path}: rule document is missing the {key!r} array")
     if not _is_id_list(document["unreached"]):
         raise InputError(f"{path}: 'unreached' must hold only strings or numbers")
+    holders: dict = {}  # a sign holds at most one rule
     for family, fields in RULE_FIELDS.items():
         for i, entry in enumerate(document[family]):
             if not isinstance(entry, dict):
@@ -535,6 +529,10 @@ def load_rules(path: str | Path) -> dict:
             for field, check in fields.items():
                 if not check(entry.get(field)):
                     raise InputError(f"{path}: {family} entry {i}: bad or missing {field!r}")
+            held = holders.setdefault(entry["sign"], (family, i))
+            if held != (family, i):
+                where = f"{path}: {family} entry {i}: sign {shown(entry['sign'])}"
+                raise InputError(f"{where} already holds {held[0]} entry {held[1]}")
     return document
 
 

@@ -55,15 +55,14 @@ def is_navigation_forbidden(
     of the node survives the ban and turn-restriction checks; when it is the
     last edge left (dead ends, everything else banned) it is allowed.
     """
-    if candidate.id in state.bans:
-        return True
-    if state.is_turn_banned(current.id, candidate.id):
+    bans = state.bans
+    if candidate.id in bans or (current.id, candidate.id) in bans:
         return True
     if current.opposite is not None and candidate.id == current.opposite:
         for other in state.graph.nodes[current.destination].outgoing:
             if other.id == candidate.id:
                 continue
-            if other.id in state.bans or state.is_turn_banned(current.id, other.id):
+            if other.id in bans or (current.id, other.id) in bans:
                 continue
             return True
     return False

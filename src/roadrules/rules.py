@@ -1,18 +1,19 @@
 """Rule generation: per-edge scoring of detected signs, rule installation and
 score-based replacement.
 
-A sign holds at most one rule per run, recorded in the run's
+A rule is a ``Rule(family, edge, banned)``, the entry the rule document
+writes for it. A sign holds at most one rule per run, recorded in the run's
 ``DerivationState``. Re-detecting the sign elsewhere produces a new candidate
-that replaces the held rule only on a strictly higher score; global bans are
-reference-counted so revoking one rule never clears a ban still asserted by
-another sign.
+that replaces the held rule only on a strictly higher score; edge and turn
+bans are reference-counted so revoking one rule never clears a ban still
+asserted by another sign.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .geometry import angle, heading, normalize
 from .ids import id_sort_key, sorted_ids
@@ -25,44 +26,25 @@ if TYPE_CHECKING:  # pragma: no cover
 NOMINAL_AHEAD = 10.0  # meters; fallback probe point along an edge
 
 
-@dataclass(frozen=True)
-class NoWayRule:
-    """Global ban on entering one edge."""
+class Rule(NamedTuple):
+    """One rule, as its entry in the rule document names it.
 
-    banned_edge: EdgeId
+    ``family`` is ``no_way``, ``one_way`` or ``no_turn``; ``edge`` is the
+    entry's first field (``edge``, ``chosen`` or ``from``) and ``banned`` its
+    banned edges in id order. A no-way rule bans its own edge, ``(edge,)``.
+    """
 
-
-@dataclass(frozen=True)
-class OneWayRule:
-    """Global ban on every intersection exit except the mandated one."""
-
-    chosen: EdgeId
-    banned_edges: frozenset[EdgeId]
+    family: str
+    edge: EdgeId
+    banned: tuple[EdgeId, ...]
 
 
-@dataclass(frozen=True)
-class NoTurnRule:
-    """Pairwise ban: coming from ``from_edge`` you may not take ``banned_to``."""
-
-    from_edge: EdgeId
-    banned_to: frozenset[EdgeId]
-
-
-Rule = Union[NoWayRule, OneWayRule, NoTurnRule]
-
-
-def global_bans(rule: Rule) -> frozenset[EdgeId]:
-    if isinstance(rule, NoWayRule):
-        return frozenset((rule.banned_edge,))
-    if isinstance(rule, OneWayRule):
-        return rule.banned_edges
-    return frozenset()
-
-
-def turn_pairs(rule: Rule) -> frozenset[tuple[EdgeId, EdgeId]]:
-    if isinstance(rule, NoTurnRule):
-        return frozenset((rule.from_edge, to) for to in rule.banned_to)
-    return frozenset()
+def bans(rule: Rule) -> tuple:
+    """What ``rule`` bans: the ``(edge, to)`` turn pairs of a no-turn rule,
+    the edges banned to every approach of the other two."""
+    if rule.family == "no_turn":
+        return tuple((rule.edge, to) for to in rule.banned)
+    return rule.banned
 
 
 @dataclass(frozen=True)
@@ -76,45 +58,36 @@ class DerivationState:
 
     ``visited`` holds the edges the run has pushed, ``read_nodes`` the nodes
     whose signs the run has read, ``bans`` the reference count of every
-    globally banned edge (an edge is banned exactly while it is a key, and so
-    is a turn pair in ``_turn_counts``), and ``held`` each sign's installed
-    ``(rule, score)`` by sign id. The graph is only read.
+    banned edge and banned ``(from, to)`` turn pair (a ban holds exactly
+    while it is a key; edge ids are strings or numbers, so the two kinds of
+    key never meet), and ``held`` each sign's installed ``(rule, score)`` by
+    sign id. The graph is only read.
     """
 
     def __init__(self, graph: RoadGraph):
         self.graph = graph
         self.visited: set[EdgeId] = set()
         self.read_nodes: set[NodeId] = set()
-        self.bans: Counter[EdgeId] = Counter()
+        self.bans: Counter = Counter()
         self.held: dict[SignId, tuple[Rule, float]] = {}
-        self._turn_counts: Counter[tuple[EdgeId, EdgeId]] = Counter()
-
-    def is_turn_banned(self, from_edge: EdgeId, to_edge: EdgeId) -> bool:
-        return (from_edge, to_edge) in self._turn_counts
 
     def install(self, rule: Rule) -> None:
-        for edge_id in global_bans(rule):
-            self.bans[edge_id] += 1
-        for pair in turn_pairs(rule):
-            self._turn_counts[pair] += 1
+        self.bans.update(bans(rule))
 
     def revoke(self, rule: Rule, frontier: Frontier) -> None:
         """Withdraw a rule's effects.
 
         Edges whose last ban disappears are unbanned, and the ones not yet
-        visited are marked visited and pushed so the run can still reach them.
+        visited are marked visited and pushed, in id order, so the run can
+        still reach them.
         """
-        for edge_id in sorted_ids(global_bans(rule)):
-            self.bans[edge_id] -= 1
-            if self.bans[edge_id] <= 0:
-                del self.bans[edge_id]
-                if edge_id not in self.visited:
-                    self.visited.add(edge_id)
-                    frontier.push(edge_id)
-        for pair in turn_pairs(rule):
-            self._turn_counts[pair] -= 1
-            if self._turn_counts[pair] <= 0:
-                del self._turn_counts[pair]
+        for key in bans(rule):
+            self.bans[key] -= 1
+            if self.bans[key] <= 0:
+                del self.bans[key]
+                if rule.family != "no_turn" and key not in self.visited:
+                    self.visited.add(key)
+                    frontier.push(key)
 
 
 def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
@@ -225,6 +198,11 @@ def associate_new_rule(
     state.held[sign.id] = (candidate, score)
 
 
+def _others(outgoing: list[DirectedEdge], kept: EdgeId) -> tuple[EdgeId, ...]:
+    """The ids of the exits other than ``kept``, in id order."""
+    return tuple(sorted_ids([edge.id for edge in outgoing if edge.id != kept]))
+
+
 def analyze_signs(
     signs: Iterable[Sign],
     current: DirectedEdge,
@@ -240,28 +218,18 @@ def analyze_signs(
     """
     outgoing = node.outgoing
     for sign in sorted(signs, key=lambda s: id_sort_key(s.id)):
-        candidate: Rule | None = None
-        scored: ScoredEdge | None = None
         kind = sign.sign_type
         if kind is SignType.R101:
             scored = best_no_way_edge(sign, node, outgoing)
-            if scored is not None:
-                candidate = NoWayRule(scored.edge)
+            rule = scored and Rule("no_way", scored.edge, (scored.edge,))
         elif kind in (SignType.R302, SignType.R303):
             scored = best_no_turn_edge(sign, current, node, outgoing)
-            if scored is not None:
-                candidate = NoTurnRule(current.id, frozenset((scored.edge,)))
+            rule = scored and Rule("no_turn", current.id, (scored.edge,))
         elif kind in (SignType.R400A, SignType.R400B, SignType.R400C):
             scored = best_one_way_edge(sign, node, outgoing)
-            if scored is not None:
-                banned = frozenset(e.id for e in outgoing) - {scored.edge}
-                if banned:
-                    candidate = OneWayRule(scored.edge, banned)
+            rule = scored and Rule("one_way", scored.edge, _others(outgoing, scored.edge))
         else:
             scored = best_must_turn_edge(sign, current, node, outgoing)
-            if scored is not None:
-                banned = frozenset(e.id for e in outgoing) - {scored.edge}
-                if banned:
-                    candidate = NoTurnRule(current.id, banned)
-        if candidate is not None and scored is not None:
-            associate_new_rule(sign, candidate, scored.score, frontier, state)
+            rule = scored and Rule("no_turn", current.id, _others(outgoing, scored.edge))
+        if rule and rule.banned:
+            associate_new_rule(sign, rule, scored.score, frontier, state)

@@ -6,12 +6,15 @@ independent of the code paths they check.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
 from roadrules.geometry import Point, Polyline
+from roadrules.io import PLANAR_MARKER
 from roadrules.network import RoadGraph, build_graph
 from roadrules.signs import Sign, SignIndex, SignType
 
@@ -107,3 +110,36 @@ def short_block_scene(
         position = Point(b.x - ux * back + uy * off, b.y - uy * back - ux * off)
         signs.append(Sign(f"s{i:03d}", position, rng.choice(list(SignType)), rng.uniform(0, 360)))
     return graph, SignIndex(signs)
+
+
+def _point(properties: dict, position: Point) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [position.x, position.y]},
+        "properties": properties,
+    }
+
+
+def write_scene(graph: RoadGraph, index: SignIndex, directory: Path) -> tuple[Path, Path]:
+    """Write a scene as the planar network and signs files the CLI reads."""
+    features = [_point({"node_id": n.id}, n.position) for n in graph.nodes.values()]
+    features += [
+        {
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[v.x, v.y] for v in e.geometry]},
+            "properties": {
+                "edge_id": e.id, "source_node": e.source, "target_node": e.destination,
+                "opposite_id": e.opposite,
+            },
+        }
+        for e in graph.edges.values()
+    ]
+    signs = [
+        _point({"sign_id": s.id, "type": s.sign_type.value, "azimuth": s.azimuth}, s.position)
+        for s in index.signs
+    ]
+    paths = directory / "network.geojson", directory / "signs.geojson"
+    for path, collection in zip(paths, (features, signs)):
+        document = {"type": "FeatureCollection", "coordinate_system": PLANAR_MARKER, "features": collection}
+        path.write_text(json.dumps(document), encoding="utf-8")
+    return paths

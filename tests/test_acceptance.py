@@ -24,12 +24,11 @@ from roadrules.io import (
 from roadrules.navigator import Frontier, derive_rules
 from roadrules.rules import (
     DerivationState,
-    NoWayRule,
-    OneWayRule,
+    Rule,
     associate_new_rule,
+    bans,
     best_no_turn_edge,
     best_no_way_edge,
-    global_bans,
 )
 from roadrules.scenarios import generate_scenario
 from roadrules.signs import Sign, SignIndex, SignType
@@ -184,7 +183,7 @@ def test_criterion_5_shared_sign_suppression():
             assert len(result.rules) == 1
             record = result.rules[0]
             assert record.sign_id == "s1"
-            assert record.rule == NoWayRule(banned_edge)
+            assert record.rule == Rule("no_way", banned_edge, (banned_edge,))
             scores.append(record.score)
         assert scores[0] == scores[1] and scores[0] > 0
 
@@ -260,14 +259,14 @@ def test_criterion_7_byte_identical_outputs(tmp_path):
 def _random_candidate(rng: random.Random, pool: list, contended):
     if rng.random() < 0.5:
         edge = contended if rng.random() < 0.6 else rng.choice(pool)
-        return NoWayRule(edge)
+        return Rule("no_way", edge, (edge,))
     chosen = rng.choice(pool)
     banned = {e for e in pool if e != chosen and rng.random() < 0.4}
     if contended != chosen and rng.random() < 0.6:
         banned.add(contended)
     if not banned:
         banned.add(next(e for e in pool if e != chosen))
-    return OneWayRule(chosen, frozenset(banned))
+    return Rule("one_way", chosen, tuple(sorted(banned)))
 
 
 def test_criterion_8_ban_bookkeeping():
@@ -293,7 +292,7 @@ def test_criterion_8_ban_bookkeeping():
                 associate_new_rule(sign, candidate, rng.uniform(0.0, 100.0), frontier, state)
                 asserted = set()
                 for rule, _ in state.held.values():
-                    asserted |= global_bans(rule)
+                    asserted.update(bans(rule))
                 for edge_id in pool:
                     assert (edge_id in state.bans) == (edge_id in asserted)
 

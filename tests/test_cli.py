@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,8 @@ from roadrules.cli import main
 from roadrules.detection import DetectionConfig
 from roadrules.errors import InputError
 from roadrules.navigator import derive_rules
+
+from helpers import short_block_scene, write_scene
 
 
 @pytest.fixture
@@ -321,6 +324,42 @@ class TestDerive:
         assert configs == [DetectionConfig()]
 
 
+# sha256 of the rule document and the overlay that ``derive --overlay`` writes
+# for short_block_scene(seed), as first written; each run revokes 12-19 held
+# rules, holds rules of all three families and bans up to 3 exits per rule,
+# so these pin the bytes of rule replacement
+REVOKING_SCENES = [
+    (1, None, "0a8416a4a95fb1d9bdcec8a10529f27cd7673ca38cd73e847a3be1458e35b86f",
+     "b8247c7d5041614900a5ce847a3f161bd454d8e6e219982c3ba0b7b3b9d305e8"),
+    (1, "n00_01->n00_02", "721385425b85b26b284b112fa44382e331d5a85d8da03a73d1774ae8abd70a15",
+     "0777e2bd5e67416bede5715479e38b8aa1e2bc611de641a5fbd8d72e6f7132d6"),
+    (2, None, "34ca54639cf272938fd2470258ffdadc6e58fd3e6b871944c8c4af723233029e",
+     "031ab21f7080b7368043b37c8e52f19a07acc515e88c0bdf6f7674cb71c9c4db"),
+    (2, "n00_01->n00_02", "a776eeef63861e6d5485fbb927ceeb20552bb2334aaf46228c555e78b47839cb",
+     "f7f0fb334c35652da9cf6db532fbde1010e9fe47a592b42e937c6758f4b213c0"),
+    (3, None, "89170b59e389db2395d5478eaa491f6402fb55492b361bb3fb536cd1613f52f0",
+     "39eab32c19d327ad665641f556fea032b6ac1d85f2af0445c0794b1859998b8e"),
+    (3, "n00_01->n00_02", "2ea16394bfe3fedde833be50a68feb0593e996bf9d3c764dd03d112ae1083c98",
+     "448f4d6d7947267bff14fad0d7f05db54a3f4a18630955631f20557dc1576215"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,start,rules_digest,overlay_digest",
+    REVOKING_SCENES,
+    ids=[f"seed{seed}-{'one-start' if start else 'cover-all'}" for seed, start, *_ in REVOKING_SCENES],
+)
+def test_revoking_scenes_keep_their_bytes(tmp_path, seed, start, rules_digest, overlay_digest):
+    network, signs = write_scene(*short_block_scene(seed), tmp_path)
+    rules, overlay = tmp_path / "rules.json", tmp_path / "overlay.geojson"
+    args = ["derive", "--network", str(network), "--signs", str(signs)]
+    args += ["--start-edge", start] if start else ["--cover-all"]
+    args += ["--out", str(rules), "--overlay", str(overlay)]
+    assert main(args) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (rules, overlay)]
+    assert digests == [rules_digest, overlay_digest]
+
+
 class TestCollectorState:
     """The CLI pauses the collector for the whole command, then restores it."""
 
@@ -501,13 +540,17 @@ class TestRenderCommand:
             ("no_way", {"sign": "s9"}, "no_way entry 0: sign 's9' is not in the sign inventory"),
             ("no_turn", {"from": 7}, "no_turn entry 0: edge 7 is not in the network"),
             ("no_turn", {"banned_to": ["N11->N21", "ZZZ"]}, "no_turn entry 0: edge 'ZZZ' is"),
-            ("one_way", {"chosen": "ZZZ", "banned": [], "sign": "s1", "score": 1.0},
+            ("one_way", {"chosen": "ZZZ", "banned": [], "sign": "s9", "score": 1.0},
              "one_way entry 0: edge 'ZZZ' is not in the network"),
-            ("one_way", {"chosen": "N00->N10", "banned": ["ZZZ"], "sign": "s1", "score": 1.0},
+            ("one_way", {"chosen": "N00->N10", "banned": ["ZZZ"], "sign": "s9", "score": 1.0},
              "one_way entry 0: edge 'ZZZ' is not in the network"),
             ("unreached", "ZZZ", "unreached entry 6: edge 'ZZZ' is not in the network"),
+            # a sign holds at most one rule: render would link s1 to one
+            # entry only and drop the other from the overlay
+            ("one_way", {"chosen": "N00->N10", "banned": ["N10->N11"], "sign": "s1", "score": 1.0},
+             "one_way entry 0: sign 's1' already holds no_way entry 0"),
         ],
-        ids=["edge", "sign", "from", "banned_to", "chosen", "banned", "unreached"],
+        ids=["edge", "sign", "from", "banned_to", "chosen", "banned", "unreached", "sign-twice"],
     )
     def test_rules_of_other_inputs_exit_1(self, town, tmp_path, capsys, family, change, message):
         rules, out = tmp_path / "rules.json", tmp_path / "o.geojson"

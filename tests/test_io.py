@@ -34,7 +34,7 @@ from roadrules.io import (
 )
 from roadrules.navigator import DerivationResult, RuleRecord, derive_rules
 from roadrules.network import build_graph
-from roadrules.rules import NoTurnRule, NoWayRule, OneWayRule
+from roadrules.rules import Rule
 from roadrules.scenarios import TEMPLATES, generate_scenario, write_scenario
 from roadrules.signs import SignIndex
 
@@ -1448,7 +1448,7 @@ class TestRulesDocument:
 
     def test_single_rule_with_provenance(self):
         result = DerivationResult(
-            (RuleRecord("s1", NoWayRule("e9"), 42.5),),
+            (RuleRecord("s1", Rule("no_way", "e9", ("e9",)), 42.5),),
             frozenset({"e1"}),
             frozenset({"e9"}),
         )
@@ -1459,9 +1459,9 @@ class TestRulesDocument:
     def test_all_rule_kinds_serialized_sorted(self):
         result = DerivationResult(
             (
-                RuleRecord("b", OneWayRule("keep", frozenset({"z", "a"})), 10.0),
-                RuleRecord("a", NoTurnRule("from", frozenset({"t2", "t1"})), 20.0),
-                RuleRecord("c", NoWayRule("x"), 30.0),
+                RuleRecord("b", Rule("one_way", "keep", ("a", "z")), 10.0),
+                RuleRecord("a", Rule("no_turn", "from", ("t1", "t2")), 20.0),
+                RuleRecord("c", Rule("no_way", "x", ("x",)), 30.0),
             ),
             frozenset(),
             frozenset(),
@@ -1549,6 +1549,24 @@ class TestRulesDocument:
         with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
             load_rules(path)
 
+    @pytest.mark.parametrize(
+        "family, entry, message",
+        [
+            ("no_turn", {"from": "e9", "banned_to": ["e5"], "sign": "s1", "score": 1.0},
+             "no_turn entry 1: sign 's1' already holds no_way entry 0"),
+            ("no_way", {"edge": "e9", "sign": "s1", "score": 1.0},
+             "no_way entry 1: sign 's1' already holds no_way entry 0"),
+            ("one_way", {"chosen": "e9", "banned": [], "sign": 7.0, "score": 1.0},
+             "no_turn entry 0: sign 7 already holds one_way entry 1"),
+        ],
+    )
+    def test_load_rules_rejects_a_sign_named_twice(self, tmp_path, family, entry, message):
+        document = copy.deepcopy(self.RULES)
+        document[family].append(entry)
+        path = write_doc(tmp_path, "r.json", document)
+        with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+            load_rules(path)
+
 
 def dumped(document) -> str:
     stream = io.StringIO()
@@ -1580,8 +1598,8 @@ class TestOutputEncoding:
     def test_rule_document_bytes(self):
         result = DerivationResult(
             (
-                RuleRecord("s2", OneWayRule("keep", frozenset({"z", "a"})), 10.0),
-                RuleRecord("s1", NoWayRule("x"), 30.25),
+                RuleRecord("s2", Rule("one_way", "keep", ("a", "z")), 10.0),
+                RuleRecord("s1", Rule("no_way", "x", ("x",)), 30.25),
             ),
             frozenset(),
             frozenset({"u"}),

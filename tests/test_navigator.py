@@ -12,7 +12,7 @@ from roadrules.geometry import Point
 from roadrules.io import rules_document, validate
 from roadrules.navigator import Frontier, derive_rules, is_navigation_forbidden
 from roadrules.network import build_graph
-from roadrules.rules import DerivationState, NoTurnRule, NoWayRule
+from roadrules.rules import DerivationState, Rule
 from roadrules.scenarios import TEMPLATES
 from roadrules.signs import Sign, SignIndex, SignType
 
@@ -54,11 +54,11 @@ class TestIsNavigationForbidden:
         assert self.forbidden("out2")
 
     def test_banned_candidate_forbidden(self):
-        self.state.install(NoWayRule("out1"))
+        self.state.install(Rule("no_way", "out1", ("out1",)))
         assert self.forbidden("out1")
 
     def test_turn_restriction_forbidden(self):
-        self.state.install(NoTurnRule("in2", frozenset({"out1"})))
+        self.state.install(Rule("no_turn", "in2", ("out1",)))
         assert self.forbidden("out1")
         other_current = self.graph.edges["in0"]
         assert not is_navigation_forbidden(
@@ -66,9 +66,9 @@ class TestIsNavigationForbidden:
         )
 
     def test_u_turn_allowed_when_everything_else_is_blocked(self):
-        self.state.install(NoWayRule("out0"))
-        self.state.install(NoWayRule("out1"))
-        self.state.install(NoTurnRule("in2", frozenset({"out3"})))
+        self.state.install(Rule("no_way", "out0", ("out0",)))
+        self.state.install(Rule("no_way", "out1", ("out1",)))
+        self.state.install(Rule("no_turn", "in2", ("out3",)))
         assert not self.forbidden("out2")
 
     def test_visited_alternatives_still_block_u_turns(self):
@@ -245,10 +245,10 @@ class TestRuleDerivationScenes:
     def test_sample_scene_rules(self):
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
-        no_way = [r for r in result.rules if isinstance(r.rule, NoWayRule)]
-        no_turn = [r for r in result.rules if isinstance(r.rule, NoTurnRule)]
-        assert [r.rule.banned_edge for r in no_way] == expected["one_way_banned_edges"]
-        assert [[r.rule.from_edge, sorted(r.rule.banned_to)] for r in no_turn] == [
+        no_way = [r for r in result.rules if r.rule.family == "no_way"]
+        no_turn = [r for r in result.rules if r.rule.family == "no_turn"]
+        assert [r.rule.edge for r in no_way] == expected["one_way_banned_edges"]
+        assert [[r.rule.edge, sorted(r.rule.banned)] for r in no_turn] == [
             [pair[0], [pair[1]]] for pair in expected["turn_restrictions"]
         ]
 
@@ -275,9 +275,9 @@ class TestRuleDerivationScenes:
         revoke = DerivationState.revoke
         monkeypatch.setattr(DerivationState, "revoke", recording)
         result = derive_rules(graph, index, start_edges=["E1->N1"])
-        assert revoked == [NoWayRule("N1->N2")]
+        assert revoked == [Rule("no_way", "N1->N2", ("N1->N2",))]
         [record] = result.rules
-        assert record.rule == NoWayRule("N2->E2")
+        assert record.rule == Rule("no_way", "N2->E2", ("N2->E2",))
         assert record.score == pytest.approx(56.31, abs=0.01)
         assert "N1->N2" in result.visited_edges
 
@@ -317,7 +317,7 @@ class TestRuleDerivationScenes:
         index = SignIndex([Sign("t", Point(97.0, 97.0), SignType.R302, 30.0)])
         result = derive_rules(graph, index, start_edges=[start])
         [record] = result.rules
-        assert record.rule == NoTurnRule(from_edge, frozenset({banned_to}))
+        assert record.rule == Rule("no_turn", from_edge, (banned_to,))
         assert record.score == 60.0
 
 

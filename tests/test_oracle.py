@@ -28,14 +28,12 @@ from roadrules.navigator import Frontier, derive_rules
 from roadrules.network import build_graph
 from roadrules.rules import (
     DerivationState,
-    NoTurnRule,
-    NoWayRule,
-    OneWayRule,
+    Rule,
+    bans,
     best_must_turn_edge,
     best_no_turn_edge,
     best_no_way_edge,
     best_one_way_edge,
-    global_bans,
 )
 from roadrules.signs import Sign, SignIndex, SignType
 
@@ -66,15 +64,15 @@ class Reference:
         """Every edge some held rule bans outright."""
         banned = set()
         for rule, _ in self.held.values():
-            if isinstance(rule, NoWayRule):
-                banned.add(rule.banned_edge)
-            elif isinstance(rule, OneWayRule):
-                banned |= rule.banned_edges
+            if rule.family == "no_way":
+                banned.add(rule.edge)
+            elif rule.family == "one_way":
+                banned |= set(rule.banned)
         return banned
 
     def turn_banned(self, from_edge, to_edge) -> bool:
         return any(
-            isinstance(rule, NoTurnRule) and rule.from_edge == from_edge and to_edge in rule.banned_to
+            rule.family == "no_turn" and rule.edge == from_edge and to_edge in rule.banned
             for rule, _ in self.held.values()
         )
 
@@ -114,16 +112,16 @@ class Reference:
             scored = best_must_turn_edge(sign, current, node, exits)
         if scored is None:
             return None
-        others = frozenset(e.id for e in exits if e.id != scored.edge)
+        others = tuple(e.id for e in exits if e.id != scored.edge)  # exits are in id order
         if kind is SignType.R101:
-            return NoWayRule(scored.edge), scored.score
+            return Rule("no_way", scored.edge, (scored.edge,)), scored.score
         if kind in TURN_TYPES:
-            return NoTurnRule(current.id, frozenset({scored.edge})), scored.score
+            return Rule("no_turn", current.id, (scored.edge,)), scored.score
         if not others:
             return None
         if kind in ONE_WAY_TYPES:
-            return OneWayRule(scored.edge, others), scored.score
-        return NoTurnRule(current.id, others), scored.score
+            return Rule("one_way", scored.edge, others), scored.score
+        return Rule("no_turn", current.id, others), scored.score
 
     def associate(self, sign, reading, frontier) -> None:
         """A positive reading holds if the sign holds nothing or holds less.
@@ -303,7 +301,7 @@ def test_revoking_the_ban_of_a_visited_edge_matches_the_reference(cover_all):
     revoke = DerivationState.revoke
 
     def recorded(state, rule, frontier):
-        lifted.extend(e for e in global_bans(rule) if state.bans[e] == 1 and e in state.visited)
+        lifted.extend(e for e in bans(rule) if state.bans[e] == 1 and e in state.visited)
         revoke(state, rule, frontier)
 
     with patch.object(DerivationState, "revoke", recorded):

@@ -15,9 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from roadrules.io import PLANAR_MARKER
-
-from helpers import short_block_scene
+from helpers import short_block_scene, write_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -35,42 +33,9 @@ def _bench_run():
     return module
 
 
-def _point(properties, position):
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": [position.x, position.y]},
-        "properties": properties,
-    }
-
-
-def _write_scene(directory: Path) -> tuple[Path, Path]:
-    graph, index = short_block_scene(1)
-    features = [_point({"node_id": n.id}, n.position) for n in graph.nodes.values()]
-    features += [
-        {
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": [[v.x, v.y] for v in e.geometry]},
-            "properties": {
-                "edge_id": e.id, "source_node": e.source, "target_node": e.destination,
-                "opposite_id": e.opposite,
-            },
-        }
-        for e in graph.edges.values()
-    ]
-    signs = [
-        _point({"sign_id": s.id, "type": s.sign_type.value, "azimuth": s.azimuth}, s.position)
-        for s in index.signs
-    ]
-    paths = directory / "network.geojson", directory / "signs.geojson"
-    for path, collection in zip(paths, (features, signs)):
-        document = {"type": "FeatureCollection", "coordinate_system": PLANAR_MARKER, "features": collection}
-        path.write_text(json.dumps(document), encoding="utf-8")
-    return paths
-
-
 @pytest.mark.parametrize("traced", [True, False])
 def test_every_patched_name_fires(tmp_path, traced):
-    network, signs = _write_scene(tmp_path)
+    network, signs = write_scene(*short_block_scene(1), tmp_path)
     report = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run(

@@ -1,24 +1,24 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import roadrules.rules as rules
 from roadrules.geometry import Point
-from roadrules.navigator import Frontier, derive_rules
+from roadrules.io import rules_document
+from roadrules.navigator import DerivationResult, Frontier, RuleRecord, derive_rules
+from roadrules.network import Node
 from roadrules.rules import (
     DerivationState,
-    NoTurnRule,
-    NoWayRule,
-    OneWayRule,
+    Rule,
     analyze_signs,
     associate_new_rule,
     best_must_turn_edge,
     best_no_turn_edge,
     best_no_way_edge,
     best_one_way_edge,
-    global_bans,
-    turn_pairs,
+    bans,
 )
 from roadrules.signs import Sign, SignType
 
@@ -132,13 +132,13 @@ class TestBestOneWayEdge:
 
 class TestRuleShapes:
     def test_global_bans(self):
-        assert global_bans(NoWayRule("e")) == {"e"}
-        assert global_bans(OneWayRule("keep", frozenset({"a", "b"}))) == {"a", "b"}
-        assert global_bans(NoTurnRule("f", frozenset({"t"}))) == frozenset()
+        assert bans(Rule("no_way", "e", ("e",))) == ("e",)
+        assert bans(Rule("one_way", "keep", ("a", "b"))) == ("a", "b")
+        assert "t" not in bans(Rule("no_turn", "f", ("t",)))
 
     def test_turn_pairs(self):
-        assert turn_pairs(NoTurnRule("f", frozenset({"a", "b"}))) == {("f", "a"), ("f", "b")}
-        assert turn_pairs(NoWayRule("e")) == frozenset()
+        assert bans(Rule("no_turn", "f", ("a", "b"))) == (("f", "a"), ("f", "b"))
+        assert not any(isinstance(key, tuple) for key in bans(Rule("no_way", "e", ("e",))))
 
 
 class FrontierSpy(Frontier):
@@ -162,37 +162,37 @@ class TestAssociateNewRule:
 
     def test_zero_score_installs_nothing(self):
         s = sign("R-101", 5, 5)
-        self.associate(s, NoWayRule("out0"), 0.0)
+        self.associate(s, Rule("no_way", "out0", ("out0",)), 0.0)
         assert s.id not in self.state.held
         assert "out0" not in self.state.bans
 
     def test_install_applies_effects(self):
         s = sign("R-101", 5, 5)
-        self.associate(s, NoWayRule("out0"), 30.0)
-        assert self.state.held[s.id] == (NoWayRule("out0"), 30.0)
+        self.associate(s, Rule("no_way", "out0", ("out0",)), 30.0)
+        assert self.state.held[s.id] == (Rule("no_way", "out0", ("out0",)), 30.0)
         assert "out0" in self.state.bans
 
     def test_lower_score_discarded(self):
         s = sign("R-101", 5, 5)
-        self.associate(s, NoWayRule("out0"), 70.0)
-        self.associate(s, NoWayRule("out1"), 30.0)
-        assert self.state.held[s.id] == (NoWayRule("out0"), 70.0)
+        self.associate(s, Rule("no_way", "out0", ("out0",)), 70.0)
+        self.associate(s, Rule("no_way", "out1", ("out1",)), 30.0)
+        assert self.state.held[s.id] == (Rule("no_way", "out0", ("out0",)), 70.0)
         assert "out1" not in self.state.bans
 
     def test_equal_score_discarded(self):
         s = sign("R-101", 5, 5)
-        self.associate(s, NoWayRule("out0"), 70.0)
-        self.associate(s, NoWayRule("out1"), 70.0)
-        assert self.state.held[s.id][0] == NoWayRule("out0")
+        self.associate(s, Rule("no_way", "out0", ("out0",)), 70.0)
+        self.associate(s, Rule("no_way", "out1", ("out1",)), 70.0)
+        assert self.state.held[s.id][0] == Rule("no_way", "out0", ("out0",))
 
     def test_replacement_unbans_and_requeues(self):
         # scored 30 at the wrong node, then 70 at the right one: only the
         # second rule survives and the wrongly banned, unvisited edge is
         # pushed back for navigation
         s = sign("R-101", 5, 5)
-        self.associate(s, NoWayRule("out0"), 30.0)
-        self.associate(s, NoWayRule("out1"), 70.0)
-        assert self.state.held[s.id] == (NoWayRule("out1"), 70.0)
+        self.associate(s, Rule("no_way", "out0", ("out0",)), 30.0)
+        self.associate(s, Rule("no_way", "out1", ("out1",)), 70.0)
+        assert self.state.held[s.id] == (Rule("no_way", "out1", ("out1",)), 70.0)
         assert "out0" not in self.state.bans
         assert "out1" in self.state.bans
         assert self.frontier.pushed == ["out0"]
@@ -201,33 +201,33 @@ class TestAssociateNewRule:
     def test_replacement_skips_requeue_of_visited_edges(self):
         s = sign("R-101", 5, 5)
         self.state.visited.add("out0")
-        self.associate(s, NoWayRule("out0"), 30.0)
-        self.associate(s, NoWayRule("out1"), 70.0)
+        self.associate(s, Rule("no_way", "out0", ("out0",)), 30.0)
+        self.associate(s, Rule("no_way", "out1", ("out1",)), 70.0)
         assert "out0" not in self.state.bans
         assert self.frontier.pushed == []
 
     def test_shared_ban_survives_one_revocation(self):
         a = sign("R-101", 5, 5, sign_id="a")
         b = sign("R-101", 5, 5, sign_id="b")
-        self.associate(a, NoWayRule("out0"), 50.0)
-        self.associate(b, NoWayRule("out0"), 40.0)
-        self.associate(a, NoWayRule("out1"), 60.0)
+        self.associate(a, Rule("no_way", "out0", ("out0",)), 50.0)
+        self.associate(b, Rule("no_way", "out0", ("out0",)), 40.0)
+        self.associate(a, Rule("no_way", "out1", ("out1",)), 60.0)
         assert "out0" in self.state.bans  # b still asserts it
         assert self.frontier.pushed == []
-        self.associate(b, NoWayRule("out2"), 80.0)
+        self.associate(b, Rule("no_way", "out2", ("out2",)), 80.0)
         assert "out0" not in self.state.bans
         assert self.frontier.pushed == ["out0"]
 
     def test_no_turn_rules_do_not_touch_ban_flags(self):
         s = sign("R-302", 3, -10)
-        rule = NoTurnRule("in0", frozenset({"out1"}))
+        rule = Rule("no_turn", "in0", ("out1",))
         self.associate(s, rule, 60.0)
         assert "out1" not in self.state.bans
-        assert self.state.is_turn_banned("in0", "out1")
-        replacement = NoTurnRule("in2", frozenset({"out3"}))
+        assert ("in0", "out1") in self.state.bans
+        replacement = Rule("no_turn", "in2", ("out3",))
         self.associate(s, replacement, 61.0)
-        assert not self.state.is_turn_banned("in0", "out1")
-        assert self.state.is_turn_banned("in2", "out3")
+        assert ("in0", "out1") not in self.state.bans
+        assert ("in2", "out3") in self.state.bans
 
 
 def held_rules(state: DerivationState) -> set:
@@ -249,26 +249,26 @@ class TestAnalyzeSigns:
     def test_no_way_sign_bans_facing_edge(self):
         s = sign("R-101", 0, 10, azimuth=180.0)
         held = self._run(s)
-        assert held == {NoWayRule("out0")}
+        assert held == {Rule("no_way", "out0", ("out0",))}
         assert "out0" in self.state.bans
 
     def test_one_way_sign_bans_all_but_target(self):
         s = sign("R-400a", 0, 5, azimuth=0.0)
         held = self._run(s)
-        assert held == {OneWayRule("out1", frozenset({"out0", "out2", "out3"}))}
+        assert held == {Rule("one_way", "out1", ("out0", "out2", "out3"))}
         assert [e in self.state.bans for e in ("out0", "out2", "out3")] == [True] * 3
         assert "out1" not in self.state.bans
 
     def test_must_turn_sign_restricts_other_exits(self):
         s = sign("R-400d", 3, -10, azimuth=0.0)
         held = self._run(s)
-        assert held == {NoTurnRule("in2", frozenset({"out0", "out2", "out3"}))}
+        assert held == {Rule("no_turn", "in2", ("out0", "out2", "out3"))}
         assert not any(e in self.state.bans for e in self.graph.edges)
 
     def test_turn_sign_restricts_single_pair(self):
         s = sign("R-302", 3, -10, azimuth=0.0)
-        assert self._run(s) == {NoTurnRule("in2", frozenset({"out1"}))}
-        assert self.state.is_turn_banned("in2", "out1")
+        assert self._run(s) == {Rule("no_turn", "in2", ("out1",))}
+        assert ("in2", "out1") in self.state.bans
 
     def test_nonpositive_best_score_produces_no_rule(self):
         # every exit deviates by more than 90 degrees from the sign direction
@@ -310,7 +310,7 @@ class TestAnalyzeSigns:
         for _ in range(200):
             edge = rng.choice(["out0", "out1", "out2", "out3"])
             score = rng.uniform(-50.0, 100.0)
-            associate_new_rule(s, NoWayRule(edge), score, self.frontier, self.state)
+            associate_new_rule(s, Rule("no_way", edge, (edge,)), score, self.frontier, self.state)
             if s.id in self.state.held:
                 held_score = self.state.held[s.id][1]
                 assert held_score > 0
@@ -330,7 +330,39 @@ class TestAnalyzeSigns:
 
         state = Recorder(self.graph)
         analyze_signs([b, a], self.current, self.node, self.frontier, state)
-        assert seen == [NoWayRule("out0"), NoWayRule("out1")]
+        assert seen == [Rule("no_way", "out0", ("out0",)), Rule("no_way", "out1", ("out1",))]
+
+
+class TestIdOrderFromAnUnsortedNode:
+    """A node that lists its exits against id order still gives rules, rule
+    documents and revocations in id order: numbers first, then strings."""
+
+    def setup_method(self):
+        graph = star_graph([0.0, 90.0, 180.0, 270.0])
+        self.state = DerivationState(graph)
+        self.frontier = FrontierSpy()
+        self.current = graph.edges["in2"]  # arriving northbound from S2
+        ids = {"out0": "b", "out1": 10, "out2": 2, "out3": "a"}
+        centre = graph.nodes["C"]
+        outgoing = [replace(edge, id=ids[edge.id]) for edge in reversed(centre.outgoing)]
+        assert [edge.id for edge in outgoing] == ["a", 2, 10, "b"]
+        self.node = Node(centre.id, centre.position, outgoing)
+
+    def test_banned_edges_come_out_in_id_order(self):
+        one_way = sign("R-400a", 0, 5, azimuth=0.0, sign_id="one-way")
+        must_turn = sign("R-400d", 3, -10, azimuth=0.0, sign_id="must-turn")
+        analyze_signs([one_way, must_turn], self.current, self.node, self.frontier, self.state)
+        held = {sign_id: rule for sign_id, (rule, _) in self.state.held.items()}
+        assert held == {
+            "one-way": Rule("one_way", 10, (2, "a", "b")),
+            "must-turn": Rule("no_turn", "in2", (2, "a", "b")),
+        }
+        records = tuple(RuleRecord(sign_id, *self.state.held[sign_id]) for sign_id in held)
+        document = rules_document(DerivationResult(records, set(), frozenset()))
+        assert [entry["banned"] for entry in document["one_way"]] == [[2, "a", "b"]]
+        assert [entry["banned_to"] for entry in document["no_turn"]] == [[2, "a", "b"]]
+        self.state.revoke(held["one-way"], self.frontier)
+        assert self.frontier.pushed == [2, "a", "b"]
 
 
 class TestReplacementOnShortBlocks:
@@ -367,7 +399,6 @@ class TestReplacementOnShortBlocks:
             replacements += sum(scores[i] > max(scores[:i]) for i in range(1, len(scores)))
         assert set(state.held) <= set(readings)
         held = [rule for rule, _ in state.held.values()]
-        assert state.bans == Counter(e for rule in held for e in global_bans(rule))
-        assert state._turn_counts == Counter(p for rule in held for p in turn_pairs(rule))
+        assert state.bans == Counter(key for rule in held for key in bans(rule))
         if cover_all:  # a single start may stay in a small corner
             assert replacements > 0
