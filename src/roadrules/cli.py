@@ -104,6 +104,15 @@ def _detection_config(args: argparse.Namespace) -> DetectionConfig:
         raise InputError(str(exc)) from exc
 
 
+def _check_outputs(args: argparse.Namespace, outputs: tuple, inputs: tuple) -> None:
+    """Fail, before anything is read, on an output that names an input or another output."""
+    named = [(flag, getattr(args, flag)) for flag in outputs + inputs]
+    for i, (flag, path) in enumerate(named[: len(outputs)]):
+        for other, other_path in named[i + 1 :]:
+            if path and other_path and os.path.realpath(path) == os.path.realpath(other_path):
+                raise InputError(f"--{flag} and --{other} name the same file {path}")
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[RoadGraph, SignIndex]:
     """Load the network and index its signs."""
     graph = load_network(args.network)
@@ -126,6 +135,7 @@ def _edge_ids(graph: RoadGraph, names: list[str]) -> list:
 def _cmd_derive(args: argparse.Namespace) -> str:
     if not args.start_edge and not args.cover_all:
         raise InputError("derive needs --start-edge or --cover-all")
+    _check_outputs(args, ("out", "overlay"), ("network", "signs"))
     graph, index = _load_inputs(args)
     result = derive_rules(
         graph, index, _detection_config(args), start_edges=_edge_ids(graph, args.start_edge),
@@ -147,6 +157,7 @@ def _cmd_derive(args: argparse.Namespace) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
+    _check_outputs(args, ("out",), ("rules", "truth"))
     report = validate(load_rules(args.rules), load_ground_truth(args.truth))
     if args.out:
         write_json(report, args.out)
@@ -180,6 +191,7 @@ def _check_rule_ids(path: str, rules: dict, graph: RoadGraph, index: SignIndex) 
 
 
 def _cmd_render(args: argparse.Namespace) -> str:
+    _check_outputs(args, ("out",), ("rules", "network", "signs"))
     graph, index = _load_inputs(args)
     rules = load_rules(args.rules)
     _check_rule_ids(args.rules, rules, graph, index)

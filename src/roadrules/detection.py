@@ -64,8 +64,10 @@ def detect_signs_along(edge: DirectedEdge, index: SignIndex, cfg: DetectionConfi
     """
     geometry = edge.geometry
     detected = []  # a loop: a comprehension costs about 250 ns more on every sign-free pop
-    for sign, arc in index.signs_within_line(geometry, cfg.edge_radius, EDGE_SIGN_TYPES):
-        if 0.0 < arc < geometry.length:
+    hits = index.signs_within_line(geometry, cfg.edge_radius, EDGE_SIGN_TYPES)
+    length = geometry.length if hits else 0.0  # most pops have no hit, and sum no length
+    for sign, arc in hits:
+        if 0.0 < arc < length:
             if is_visible(geometry.project(max(0.0, arc - cfg.lookback)), sign, cfg):
                 detected.append(sign)
     return detected

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .detection import DetectionConfig, detect_signs_along, detect_signs_from
 from .errors import GraphError, InternalError, shown
@@ -27,8 +27,7 @@ class Frontier(deque):
     pop = deque.popleft
 
 
-@dataclass(frozen=True)
-class RuleRecord:
+class RuleRecord(NamedTuple):
     """One installed rule with its provenance."""
 
     sign_id: SignId
@@ -92,7 +91,8 @@ def _navigate(
         if node.id not in state.read_nodes:
             state.read_nodes.add(node.id)
             signs += detect_signs_from(node, index, cfg)
-        analyze_signs(signs, current, node, frontier, state)
+        if signs:  # most pops detect none
+            analyze_signs(signs, current, node, frontier, state)
         for edge in node.outgoing:
             if edge.id not in visited and not is_navigation_forbidden(current, edge, state):
                 visited.add(edge.id)

@@ -54,7 +54,7 @@ class RoadGraph:
 def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
     if len(a) != len(b):
         return False
-    return all(p == q or distance(p, q) <= tol for p, q in zip(a, reversed(b)))
+    return a[::-1] == b or all(p == q or distance(p, q) <= tol for p, q in zip(a, reversed(b)))
 
 
 def build_graph(

@@ -12,7 +12,6 @@ asserted by another sign.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .geometry import angle, heading, normalize
@@ -47,8 +46,7 @@ def bans(rule: Rule) -> tuple:
     return rule.banned
 
 
-@dataclass(frozen=True)
-class ScoredEdge:
+class ScoredEdge(NamedTuple):
     edge: EdgeId
     score: float
 

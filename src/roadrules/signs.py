@@ -1,4 +1,5 @@
-"""Classified traffic signs and the row bands that find them by position.
+"""Classified traffic signs and the row bands, one table per detector family,
+that find them by position.
 
 A sign's azimuth is the compass travel direction of the traffic it addresses;
 its face points against that direction, toward the oncoming driver. Signs and
@@ -62,10 +63,13 @@ class Sign:
 class SignIndex:
     """Immutable sign inventory with radius queries over row bands.
 
-    Each ``CELL``-meter-high band of y holds the ``(x, y, rank)`` of its signs
+    Each detector family (they split the catalogue) has its own table, where
+    each ``CELL``-meter-high band of y holds the ``(x, y, rank)`` of its signs
     sorted by x, and their xs; ``rank`` is the sign's place in the id-ordered
-    ``signs``. A query reads one family of sign types; its result is sorted by
-    id and always equals a linear scan over that family's signs.
+    ``signs``. A query reads the tables of the families that meet its
+    ``types`` and tests a sign's type only where ``types`` lacks part of the
+    family, so a detector's query tests none. Its result is sorted by id and
+    always equals a linear scan over the signs of ``types``.
     """
 
     def __init__(self, signs: Iterable[Sign]):
@@ -74,39 +78,47 @@ class SignIndex:
             if a.id == b.id:
                 raise ValueError(f"duplicate sign id {shown(a.id)}")
         self.signs: tuple[Sign, ...] = tuple(ordered)
-        rows: dict[int, list[tuple[float, float, int]]] = {}
+        tables: dict[Family, dict[int, list]] = {NODE_SIGN_TYPES: {}, EDGE_SIGN_TYPES: {}}
         for rank, s in enumerate(self.signs):
+            rows = tables[NODE_SIGN_TYPES if s.sign_type in NODE_SIGN_TYPES else EDGE_SIGN_TYPES]
             rows.setdefault(math.floor(s.position.y / CELL), []).append((*s.position, rank))
-        for row in rows.values():
-            row.sort()
-        # band -> (xs, (x, y, rank) of each sign in it), both sorted by x
-        self._bands = {j: ([x for x, _, _ in row], row) for j, row in rows.items()}
+        # (family, band -> (xs, (x, y, rank) of each sign in it), both sorted by x)
+        self._tables: list[tuple[Family, dict]] = []
+        for family, rows in tables.items():
+            bands = {j: sorted(row) for j, row in rows.items()}
+            self._tables.append((family, {j: ([x for x, _, _ in b], b) for j, b in bands.items()}))
 
     def _in_box(self, x0: float, y0: float, x1: float, y1: float, types: Family) -> list[int]:
         """Sorted ranks of the signs of ``types`` in the closed box [x0, x1] x [y0, y1].
 
-        A box taller than the table's bands (a 2,000 km edge, a radius of 1e308)
-        takes one pass over the occupied bands, not a walk over mostly empty ones.
+        A box taller than a table's bands (a 2,000 km edge, a radius of 1e308)
+        takes one pass over its occupied bands, not a walk over mostly empty ones.
         """
-        bands, signs = self._bands, self.signs
-        if (y1 - y0) / CELL + 1.0 > len(bands):
-            rows = [row for _, row in bands.values()]
-        else:
-            # floor is monotone, so every sign inside the box is in these bands
-            rows = []
-            for j in range(math.floor(y0 / CELL), math.floor(y1 / CELL) + 1):
-                if band := bands.get(j):
-                    rows.append(band[1][bisect_left(band[0], x0):bisect_right(band[0], x1)])
-        ranks = []
-        for row in rows:
-            for x, y, rank in row:
-                if x0 <= x <= x1 and y0 <= y <= y1 and signs[rank].sign_type in types:
-                    ranks.append(rank)
-        return sorted(ranks)
+        signs, ranks = self.signs, []
+        for family, bands in self._tables:
+            if family.isdisjoint(types):
+                continue
+            if (y1 - y0) / CELL + 1.0 > len(bands):
+                found = bands.values()
+            else:
+                # floor is monotone, so every sign inside the box is in these bands
+                found = []
+                for j in range(math.floor(y0 / CELL), math.floor(y1 / CELL) + 1):
+                    if band := bands.get(j):
+                        found.append(band)
+            whole = family <= types  # then no sign of this table needs its type tested
+            for xs, row in found:
+                lo = bisect_left(xs, x0)
+                if lo < len(xs) and xs[lo] <= x1:  # most bands hold no sign in [x0, x1]
+                    for _, y, rank in row[lo:bisect_right(xs, x1, lo)]:
+                        if y0 <= y <= y1 and (whole or signs[rank].sign_type in types):
+                            ranks.append(rank)
+        ranks.sort()
+        return ranks
 
     def signs_within(self, p: Point, r: float, types: Family = ALL_SIGN_TYPES) -> list[Sign]:
         """Signs of ``types`` at distance <= r from ``p``, sorted by id."""
-        if r <= 0:
+        if not r > 0:  # a NaN radius fails too
             raise ValueError("radius must be positive")
         if not self.signs:
             return []
@@ -121,13 +133,19 @@ class SignIndex:
 
         ``arc`` is ``line.index(sign.position)``, from the projection that gave the distance.
         """
-        if r <= 0:
+        if not r > 0:  # a NaN radius fails too
             raise ValueError("radius must be positive")
         if not self.signs:
             return []
+        if len(line) == 2:  # a straight edge: no zip, no min or max call
+            (ax, ay), (bx, by) = line
+            x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+            y0, y1 = (ay, by) if ay < by else (by, ay)
+        else:
+            xs, ys = zip(*line)
+            x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
         signs, hits = self.signs, []
-        xs, ys = zip(*line)
-        for rank in self._in_box(min(xs) - r, min(ys) - r, max(xs) + r, max(ys) + r, types):
+        for rank in self._in_box(x0 - r, y0 - r, x1 + r, y1 + r, types):
             d, arc = line.nearest(signs[rank].position)
             if d <= r:
                 hits.append((signs[rank], arc))

@@ -683,6 +683,54 @@ FAULTS += [(site, fault) for site in OUTPUTS for fault in ("directory-missing", 
            if (site, fault) != ("scenario --out-dir", "directory-missing")]
 
 
+# (command, output flag, the flag whose path the output is given)
+SAME_FILE = [
+    ("derive", "--out", "--overlay"),
+    ("derive", "--out", "--network"),
+    ("derive", "--out", "--signs"),
+    ("derive", "--overlay", "--network"),
+    ("derive", "--overlay", "--signs"),
+    ("render", "--out", "--rules"),
+    ("render", "--out", "--network"),
+    ("render", "--out", "--signs"),
+    ("validate", "--out", "--rules"),
+    ("validate", "--out", "--truth"),
+]
+
+
+class TestOutputNamesAnotherPath:
+    """An output that would replace an input or the other output exits 1 and writes nothing."""
+
+    @staticmethod
+    def files(root):
+        return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    def run(self, tmp_path, capsys, argv):
+        before = self.files(tmp_path)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert self.files(tmp_path) == before
+        return err
+
+    @pytest.mark.parametrize("command, output, other", SAME_FILE)
+    def test_same_path(self, town, tmp_path, capsys, command, output, other):
+        rules = tmp_path / "rules.json"
+        assert main(derive_args(town, rules)) == 0
+        argv = command_lines(town, rules, tmp_path / "out")[command]
+        path = argv[argv.index(other) + 1]
+        argv[argv.index(output) + 1] = path
+        err = self.run(tmp_path, capsys, argv)
+        assert f"error: {output} and {other} name the same file {path}" in err
+
+    def test_link_to_an_input(self, town, tmp_path, capsys):
+        link = tmp_path / "link.geojson"
+        link.symlink_to(town / "network.geojson")
+        err = self.run(tmp_path, capsys, derive_args(town, link))
+        assert f"error: --out and --network name the same file {link}" in err
+
+
 class TestEnvironmentFaults:
     """A fault of the files or streams around a run exits 1 and names what failed."""
 

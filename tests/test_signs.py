@@ -68,11 +68,14 @@ class TestSignIndex:
         assert empty_index.signs_within(Point(0, 0), 15.0) == []
         assert empty_index.signs_within_line(Polyline([(0, 0), (1, 0)]), 10.0) == []
 
-    def test_positive_radius_required(self, empty_index):
-        with pytest.raises(ValueError):
-            empty_index.signs_within(Point(0, 0), 0.0)
-        with pytest.raises(ValueError):
-            empty_index.signs_within_line(Polyline([(0, 0), (1, 0)]), -1.0)
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("signs", [[], [sign("s", 0.5, 0.0)]], ids=["empty", "one-sign"])
+    def test_positive_radius_required(self, signs, r):
+        index = SignIndex(signs)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            index.signs_within(Point(0, 0), r)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            index.signs_within_line(Polyline([(0, 0), (1, 0)]), r)
 
     def test_line_query_perpendicular_hit(self):
         line = Polyline([(0, 0), (100, 0)])
@@ -205,10 +208,37 @@ class TestCellTable:
             p = Point(rng.uniform(-450.0, 450.0), rng.choice([rng.randint(-8, 8) * CELL,
                                                               rng.uniform(-450.0, 450.0)]))
             r = rng.choice([CELL, rng.uniform(1.0, 120.0)])
-            line = Polyline([p, (p.x + rng.uniform(-150.0, 150.0), rng.randint(-8, 8) * CELL)])
+            dx, dy = rng.uniform(20.0, 150.0), rng.uniform(20.0, 150.0)
+            # a two-vertex line's box comes from its two points, a longer one's from
+            # every vertex: two-vertex lines in all four directions, vertical and
+            # horizontal ones too, and lines of 3 to 5 vertices
+            lines = [Polyline([p, (p.x + rng.uniform(-150.0, 150.0), rng.randint(-8, 8) * CELL)])]
+            lines += [Polyline([p, (p.x + sx * dx, p.y + sy * dy)])
+                      for sx in (-1, 1) for sy in (-1, 1)]
+            lines += [Polyline([p, (p.x + d, p.y)]) for d in (-dx, dx)]
+            lines += [Polyline([p, (p.x, p.y + d)]) for d in (-dy, dy)]
+            lines.append(Polyline([p, *((rng.uniform(-450.0, 450.0), rng.uniform(-450.0, 450.0))
+                                        for _ in range(rng.randint(2, 4)))]))
+            near = [{s.id for s in signs if line.nearest(s.position)[0] <= r} for line in lines]
             for types in families:
                 family = [s for s in signs if s.sign_type in types]
                 expected = sorted(s.id for s in family if distance(s.position, p) <= r)
                 assert [s.id for s in index.signs_within(p, r, types)] == expected
-                expected = sorted(s.id for s in family if line.nearest(s.position)[0] <= r)
-                assert line_hit_ids(index, line, r, types) == expected
+                for line, hits in zip(lines, near):
+                    expected = sorted(s.id for s in family if s.id in hits)
+                    assert line_hit_ids(index, line, r, types) == expected
+
+    @pytest.mark.parametrize("held, asked", [(NODE_SIGN_TYPES, EDGE_SIGN_TYPES),
+                                             (EDGE_SIGN_TYPES, NODE_SIGN_TYPES)])
+    def test_index_of_one_family_queried_with_the_other(self, rng, held, asked):
+        codes = sorted(t.value for t in held)
+        signs = [sign(f"s{i:02d}", rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+                      rng.choice(codes)) for i in range(40)]
+        index = SignIndex(signs)
+        line = Polyline([(-60.0, -60.0), (60.0, 60.0)])
+        assert index.signs_within(Point(0.0, 0.0), 200.0, asked) == []
+        assert index.signs_within_line(line, 200.0, asked) == []
+        assert [s.id for s in index.signs_within(Point(0.0, 0.0), 200.0, held)] == sorted(
+            s.id for s in signs
+        )
+        assert line_hit_ids(index, line, 200.0, held) == sorted(s.id for s in signs)
