@@ -104,12 +104,22 @@ def _detection_config(args: argparse.Namespace) -> DetectionConfig:
         raise InputError(str(exc)) from exc
 
 
+def _file(path: str) -> tuple | str:
+    """What ``path`` names: a file that exists by its device and inode, so a
+    hard link is its file too, and one not made yet by its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(args: argparse.Namespace, outputs: tuple, inputs: tuple) -> None:
     """Fail, before anything is read, on an output that names an input or another output."""
     named = [(flag, getattr(args, flag)) for flag in outputs + inputs]
     for i, (flag, path) in enumerate(named[: len(outputs)]):
         for other, other_path in named[i + 1 :]:
-            if path and other_path and os.path.realpath(path) == os.path.realpath(other_path):
+            if path and other_path and _file(path) == _file(other_path):
                 raise InputError(f"--{flag} and --{other} name the same file {path}")
 
 

@@ -131,14 +131,6 @@ class Polyline(tuple[Point, ...]):
                 best_arc = start + t * math.sqrt(seg2)
         return best_d, best_arc
 
-    def index(self, p: Point) -> float:
-        """Arc length from the start to ``p``.
-
-        Off-line points are measured at their closest point on the line; when
-        several arc lengths are equally close the smallest one wins.
-        """
-        return self.nearest(p)[1]
-
 
 @dataclass(frozen=True)
 class LocalProjection:

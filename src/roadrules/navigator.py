@@ -10,7 +10,7 @@ only when nothing else is legal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from itertools import chain, filterfalse
 from typing import AbstractSet, NamedTuple
 
 from .detection import DetectionConfig, detect_signs_along, detect_signs_from
@@ -21,9 +21,8 @@ from .signs import SignId, SignIndex
 
 
 class Frontier(deque):
-    """FIFO queue of edges pending navigation."""
+    """FIFO queue of edges pending navigation: ``append`` adds, ``pop`` takes the oldest."""
 
-    push = deque.append
     pop = deque.popleft
 
 
@@ -35,8 +34,7 @@ class RuleRecord(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class DerivationResult:
+class DerivationResult(NamedTuple):
     """``visited_edges`` is the run's own visited set, not a copy: nothing
     writes it after ``derive_rules`` returns, and a result cannot be hashed."""
 
@@ -74,9 +72,8 @@ def _navigate(
     start_edge: DirectedEdge,
 ) -> None:
     graph, visited = state.graph, state.visited
-    frontier = Frontier()
+    frontier = state.frontier = Frontier([start_edge.id])
     visited.add(start_edge.id)
-    frontier.push(start_edge.id)
     while frontier:
         current = graph.edges[frontier.pop()]
         if current.id in state.bans:
@@ -92,20 +89,19 @@ def _navigate(
             state.read_nodes.add(node.id)
             signs += detect_signs_from(node, index, cfg)
         if signs:  # most pops detect none
-            analyze_signs(signs, current, node, frontier, state)
+            analyze_signs(signs, current, node, state)
         for edge in node.outgoing:
             if edge.id not in visited and not is_navigation_forbidden(current, edge, state):
                 visited.add(edge.id)
-                frontier.push(edge.id)
+                frontier.append(edge.id)
 
 
 def _collect(state: DerivationState, index: SignIndex) -> DerivationResult:
     records = tuple(
         RuleRecord(sign.id, *state.held[sign.id]) for sign in index.signs if sign.id in state.held
     )
-    visited = state.visited
-    unreached = frozenset(edge_id for edge_id in state.graph.edges if edge_id not in visited)
-    return DerivationResult(records, visited, unreached)
+    unreached = frozenset(filterfalse(state.visited.__contains__, state.graph.edges))
+    return DerivationResult(records, state.visited, unreached)
 
 
 def derive_rules(
@@ -119,11 +115,11 @@ def derive_rules(
 
     This is the one way to run a derivation. All run state lives in a fresh
     ``DerivationState``; ``graph`` and ``index`` are only read, so they can be
-    reused across calls. Start edges run sequentially on shared state; an
-    unknown one raises ``GraphError``, and one already visited or banned by
-    earlier rules is skipped. With ``cover_all`` the run then restarts from
-    the smallest-id unvisited unbanned edge until none remain, so only edges
-    banned until the very end stay unreached.
+    reused across calls. An unknown start edge raises ``GraphError`` before
+    any runs. Start edges run sequentially on shared state, and one already
+    visited or banned by earlier rules is skipped. With ``cover_all`` the run
+    then restarts from the smallest-id unvisited unbanned edge until none
+    remain, so only edges banned until the very end stay unreached.
     """
     if not start_edges and not cover_all:
         raise ValueError("need at least one start edge, or cover_all")
@@ -132,13 +128,11 @@ def derive_rules(
     for edge_id in start_edges:
         if edge_id not in graph.edges:
             raise GraphError(f"unknown edge {shown(edge_id)}")
-        if edge_id not in state.visited and edge_id not in state.bans:
-            _navigate(state, index, cfg, graph.edges[edge_id])
-    if cover_all:
-        # One id-ordered pass finds every restart: an edge the pass has moved
-        # past never becomes a valid start again, since visits are permanent
-        # and an edge unbanned by a revocation is visited at that moment.
-        for edge in graph.edges.values():
-            if edge.id not in state.visited and edge.id not in state.bans:
-                _navigate(state, index, cfg, edge)
+    # With cover_all, one id-ordered pass finds every restart: an edge the pass
+    # has moved past never becomes a valid start again, since visits are
+    # permanent and an edge unbanned by a revocation is visited at that moment.
+    restarts = graph.edges.values() if cover_all else ()
+    for edge in chain((graph.edges[edge_id] for edge_id in start_edges), restarts):
+        if edge.id not in state.visited and edge.id not in state.bans:
+            _navigate(state, index, cfg, edge)
     return _collect(state, index)

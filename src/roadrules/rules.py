@@ -11,16 +11,13 @@ asserted by another sign.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from collections import Counter, deque
+from typing import Iterable, NamedTuple
 
 from .geometry import angle, heading, normalize
 from .ids import id_sort_key, sorted_ids
 from .network import DirectedEdge, EdgeId, Node, NodeId, RoadGraph
 from .signs import Sign, SignId, SignType
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .navigator import Frontier
 
 NOMINAL_AHEAD = 10.0  # meters; fallback probe point along an edge
 
@@ -58,8 +55,9 @@ class DerivationState:
     whose signs the run has read, ``bans`` the reference count of every
     banned edge and banned ``(from, to)`` turn pair (a ban holds exactly
     while it is a key; edge ids are strings or numbers, so the two kinds of
-    key never meet), and ``held`` each sign's installed ``(rule, score)`` by
-    sign id. The graph is only read.
+    key never meet), ``held`` each sign's installed ``(rule, score)`` by
+    sign id, and ``frontier`` the edges the navigation in progress has still
+    to pop (a plain deque until a navigation starts). The graph is only read.
     """
 
     def __init__(self, graph: RoadGraph):
@@ -68,11 +66,12 @@ class DerivationState:
         self.read_nodes: set[NodeId] = set()
         self.bans: Counter = Counter()
         self.held: dict[SignId, tuple[Rule, float]] = {}
+        self.frontier: deque[EdgeId] = deque()
 
     def install(self, rule: Rule) -> None:
         self.bans.update(bans(rule))
 
-    def revoke(self, rule: Rule, frontier: Frontier) -> None:
+    def revoke(self, rule: Rule) -> None:
         """Withdraw a rule's effects.
 
         Edges whose last ban disappears are unbanned, and the ones not yet
@@ -85,7 +84,7 @@ class DerivationState:
                 del self.bans[key]
                 if rule.family != "no_turn" and key not in self.visited:
                     self.visited.add(key)
-                    frontier.push(key)
+                    self.frontier.append(key)
 
 
 def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
@@ -101,7 +100,7 @@ def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> Sc
     best: ScoredEdge | None = None
     for edge in outgoing:
         geometry = edge.geometry
-        sign_proj = geometry.index(sign.position)
+        sign_proj = geometry.nearest(sign.position)[1]
         if sign_proj <= 0.0:
             sign_proj = NOMINAL_AHEAD
         probe = geometry.project(sign_proj)
@@ -138,7 +137,7 @@ def best_no_turn_edge(
     (left), and scored by how exactly it matches the named turn.
     """
     geometry = current.geometry
-    sign_proj = geometry.index(sign.position)
+    sign_proj = geometry.nearest(sign.position)[1]
     if sign_proj >= geometry.length:
         sign_proj = max(0.0, geometry.length - NOMINAL_AHEAD)
     back_point = geometry.project(sign_proj)
@@ -176,9 +175,7 @@ def best_one_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> S
     return best
 
 
-def associate_new_rule(
-    sign: Sign, candidate: Rule, score: float, frontier: Frontier, state: DerivationState
-) -> None:
+def associate_new_rule(sign: Sign, candidate: Rule, score: float, state: DerivationState) -> None:
     """Install ``candidate`` for ``sign`` unless a better rule already holds.
 
     Non-positive scores never install. Replacement happens only on a strictly
@@ -191,7 +188,7 @@ def associate_new_rule(
     if held is not None:
         if score <= held[1]:
             return
-        state.revoke(held[0], frontier)
+        state.revoke(held[0])
     state.install(candidate)
     state.held[sign.id] = (candidate, score)
 
@@ -202,11 +199,7 @@ def _others(outgoing: list[DirectedEdge], kept: EdgeId) -> tuple[EdgeId, ...]:
 
 
 def analyze_signs(
-    signs: Iterable[Sign],
-    current: DirectedEdge,
-    node: Node,
-    frontier: Frontier,
-    state: DerivationState,
+    signs: Iterable[Sign], current: DirectedEdge, node: Node, state: DerivationState
 ) -> None:
     """Turn the detected signs into rules held in ``state``.
 
@@ -230,4 +223,4 @@ def analyze_signs(
             scored = best_must_turn_edge(sign, current, node, outgoing)
             rule = scored and Rule("no_turn", current.id, _others(outgoing, scored.edge))
         if rule and rule.banned:
-            associate_new_rule(sign, rule, scored.score, frontier, state)
+            associate_new_rule(sign, rule, scored.score, state)

@@ -7,15 +7,14 @@ unambiguous geometry), never from the derivation engine itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError, shown
 from .io import PLANAR_BOUND, feature, planar_collection, write_json
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     network: dict
     signs: dict
     expected: dict

@@ -1,5 +1,5 @@
 """Classified traffic signs and the row bands, one table per detector family,
-that find them by position.
+that find them by position; a query reads one family.
 
 A sign's azimuth is the compass travel direction of the traffic it addresses;
 its face points against that direction, toward the oncoming driver. Signs and
@@ -40,8 +40,7 @@ class SignType(Enum):
 # Signs read at an intersection versus signs read while driving an edge.
 NODE_SIGN_TYPES = frozenset({SignType.R101, SignType.R400A, SignType.R400B, SignType.R400C})
 EDGE_SIGN_TYPES = frozenset({SignType.R302, SignType.R303, SignType.R400D, SignType.R400E})
-ALL_SIGN_TYPES = frozenset(SignType)
-Family = frozenset[SignType]  # the sign types one query reads
+Family = frozenset[SignType]  # the sign types one query reads: one of the two above
 
 
 @dataclass(slots=True)
@@ -66,10 +65,9 @@ class SignIndex:
     Each detector family (they split the catalogue) has its own table, where
     each ``CELL``-meter-high band of y holds the ``(x, y, rank)`` of its signs
     sorted by x, and their xs; ``rank`` is the sign's place in the id-ordered
-    ``signs``. A query reads the tables of the families that meet its
-    ``types`` and tests a sign's type only where ``types`` lacks part of the
-    family, so a detector's query tests none. Its result is sorted by id and
-    always equals a linear scan over the signs of ``types``.
+    ``signs``. A query names one family, ``NODE_SIGN_TYPES`` or
+    ``EDGE_SIGN_TYPES``, and reads only that family's table. Its result is
+    sorted by id and always equals a linear scan over the signs of the family.
     """
 
     def __init__(self, signs: Iterable[Sign]):
@@ -82,56 +80,50 @@ class SignIndex:
         for rank, s in enumerate(self.signs):
             rows = tables[NODE_SIGN_TYPES if s.sign_type in NODE_SIGN_TYPES else EDGE_SIGN_TYPES]
             rows.setdefault(math.floor(s.position.y / CELL), []).append((*s.position, rank))
-        # (family, band -> (xs, (x, y, rank) of each sign in it), both sorted by x)
-        self._tables: list[tuple[Family, dict]] = []
+        # family -> band -> (xs, (x, y, rank) of each sign in it), both sorted by x
+        self._tables: dict[Family, dict] = {}
         for family, rows in tables.items():
             bands = {j: sorted(row) for j, row in rows.items()}
-            self._tables.append((family, {j: ([x for x, _, _ in b], b) for j, b in bands.items()}))
+            self._tables[family] = {j: ([x for x, _, _ in b], b) for j, b in bands.items()}
 
-    def _in_box(self, x0: float, y0: float, x1: float, y1: float, types: Family) -> list[int]:
-        """Sorted ranks of the signs of ``types`` in the closed box [x0, x1] x [y0, y1].
+    def _in_box(self, x0: float, y0: float, x1: float, y1: float, family: Family) -> list[int]:
+        """Sorted ranks of the signs of ``family`` in the closed box [x0, x1] x [y0, y1].
 
-        A box taller than a table's bands (a 2,000 km edge, a radius of 1e308)
+        A box taller than the family's bands (a 2,000 km edge, a radius of 1e308)
         takes one pass over its occupied bands, not a walk over mostly empty ones.
         """
-        signs, ranks = self.signs, []
-        for family, bands in self._tables:
-            if family.isdisjoint(types):
-                continue
-            if (y1 - y0) / CELL + 1.0 > len(bands):
-                found = bands.values()
-            else:
-                # floor is monotone, so every sign inside the box is in these bands
-                found = []
-                for j in range(math.floor(y0 / CELL), math.floor(y1 / CELL) + 1):
-                    if band := bands.get(j):
-                        found.append(band)
-            whole = family <= types  # then no sign of this table needs its type tested
-            for xs, row in found:
-                lo = bisect_left(xs, x0)
-                if lo < len(xs) and xs[lo] <= x1:  # most bands hold no sign in [x0, x1]
-                    for _, y, rank in row[lo:bisect_right(xs, x1, lo)]:
-                        if y0 <= y <= y1 and (whole or signs[rank].sign_type in types):
-                            ranks.append(rank)
+        bands, ranks = self._tables[family], []
+        if (y1 - y0) / CELL + 1.0 > len(bands):
+            found = bands.values()
+        else:
+            # floor is monotone, so every sign inside the box is in these bands
+            found = []
+            for j in range(math.floor(y0 / CELL), math.floor(y1 / CELL) + 1):
+                if band := bands.get(j):
+                    found.append(band)
+        for xs, row in found:
+            lo = bisect_left(xs, x0)
+            if lo < len(xs) and xs[lo] <= x1:  # most bands hold no sign in [x0, x1]
+                for _, y, rank in row[lo:bisect_right(xs, x1, lo)]:
+                    if y0 <= y <= y1:
+                        ranks.append(rank)
         ranks.sort()
         return ranks
 
-    def signs_within(self, p: Point, r: float, types: Family = ALL_SIGN_TYPES) -> list[Sign]:
-        """Signs of ``types`` at distance <= r from ``p``, sorted by id."""
+    def signs_within(self, p: Point, r: float, family: Family) -> list[Sign]:
+        """Signs of ``family`` at distance <= r from ``p``, sorted by id."""
         if not r > 0:  # a NaN radius fails too
             raise ValueError("radius must be positive")
         if not self.signs:
             return []
         signs = self.signs
-        ranks = self._in_box(p.x - r, p.y - r, p.x + r, p.y + r, types)
+        ranks = self._in_box(p.x - r, p.y - r, p.x + r, p.y + r, family)
         return [signs[rank] for rank in ranks if distance(signs[rank].position, p) <= r]
 
-    def signs_within_line(
-        self, line: Polyline, r: float, types: Family = ALL_SIGN_TYPES
-    ) -> list[tuple[Sign, float]]:
-        """``(sign, arc)`` of the signs of ``types`` at distance <= r from ``line``, by id.
+    def signs_within_line(self, line: Polyline, r: float, family: Family) -> list[tuple[Sign, float]]:
+        """``(sign, arc)`` of the signs of ``family`` at distance <= r from ``line``, by id.
 
-        ``arc`` is ``line.index(sign.position)``, from the projection that gave the distance.
+        ``(distance, arc)`` is ``line.nearest(sign.position)``.
         """
         if not r > 0:  # a NaN radius fails too
             raise ValueError("radius must be positive")
@@ -145,7 +137,7 @@ class SignIndex:
             xs, ys = zip(*line)
             x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
         signs, hits = self.signs, []
-        for rank in self._in_box(x0 - r, y0 - r, x1 + r, y1 + r, types):
+        for rank in self._in_box(x0 - r, y0 - r, x1 + r, y1 + r, family):
             d, arc = line.nearest(signs[rank].position)
             if d <= r:
                 hits.append((signs[rank], arc))

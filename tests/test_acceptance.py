@@ -21,7 +21,7 @@ from roadrules.io import (
     signs_from_document,
     validate,
 )
-from roadrules.navigator import Frontier, derive_rules
+from roadrules.navigator import derive_rules
 from roadrules.rules import (
     DerivationState,
     Rule,
@@ -78,7 +78,7 @@ def test_criterion_1_reference_accuracy_percentages():
 
 
 def test_criterion_2_geometry_oracle_suite():
-    with criterion(2, "1000-polyline project/index round trip and closest() vs brute force"):
+    with criterion(2, "1000-polyline project/nearest round trip and closest() vs brute force"):
         rng = random.Random(20_240_817)
         started = time.monotonic()
         for _ in range(1000):
@@ -86,7 +86,7 @@ def test_criterion_2_geometry_oracle_suite():
             assert line.length <= 1000.0
             for _ in range(3):
                 d = rng.uniform(0.0, line.length)
-                assert abs(line.index(line.project(d)) - d) <= 1e-6
+                assert abs(line.nearest(line.project(d))[1] - d) <= 1e-6
             p = point_near_line(rng, line)
             exact = line.nearest(p)[0]
             sampled = brute_force_min_distance(line, p)
@@ -281,7 +281,6 @@ def test_criterion_8_ban_bookkeeping():
             for edge_id in pool:
                 if rng.random() < 0.3:
                     state.visited.add(edge_id)
-            frontier = Frontier()
             signs = [
                 Sign("a", Point(1.0, 1.0), SignType.R101, 0.0),
                 Sign("b", Point(-1.0, 1.0), SignType.R101, 0.0),
@@ -289,7 +288,7 @@ def test_criterion_8_ban_bookkeeping():
             for _ in range(rng.randint(2, 6)):
                 sign = rng.choice(signs)
                 candidate = _random_candidate(rng, pool, contended)
-                associate_new_rule(sign, candidate, rng.uniform(0.0, 100.0), frontier, state)
+                associate_new_rule(sign, candidate, rng.uniform(0.0, 100.0), state)
                 asserted = set()
                 for rule, _ in state.held.values():
                     asserted.update(bans(rule))

@@ -730,6 +730,18 @@ class TestOutputNamesAnotherPath:
         err = self.run(tmp_path, capsys, derive_args(town, link))
         assert f"error: --out and --network name the same file {link}" in err
 
+    @pytest.mark.parametrize("output, other", [("--out", "--network"), ("--out", "--overlay")])
+    def test_hard_link_to_another_path(self, town, tmp_path, capsys, output, other):
+        argv = command_lines(town, tmp_path / "rules.json", tmp_path)["derive"]
+        path = Path(argv[argv.index(other) + 1])
+        if not path.exists():
+            path.write_text("{}")  # an overlay an earlier run left
+        link = tmp_path / "link.geojson"
+        os.link(path, link)
+        argv[argv.index(output) + 1] = str(link)
+        err = self.run(tmp_path, capsys, argv)
+        assert f"error: {output} and {other} name the same file {link}" in err
+
 
 class TestEnvironmentFaults:
     """A fault of the files or streams around a run exits 1 and names what failed."""

@@ -123,6 +123,10 @@ class TestPolylineBasics:
         assert line == (Point(0, 0), Point(3, 4))
         assert sys.getsizeof(line) == sys.getsizeof(tuple(line))
         assert not hasattr(line, "__dict__")
+        # and a tuple's own methods keep their meaning: positions and counts
+        line = Polyline([(0, 0), (3, 0), (3, 4), (0, 0)])
+        assert line.index(line[2]) == 2 and line.index((0, 0)) == 0
+        assert line.count(Point(0, 0)) == 2 and line.count(Point(3, 2)) == 0
 
 
 class TestProject:
@@ -141,25 +145,27 @@ class TestProject:
         assert self.line.project(-5) == Point(0, 0)
 
 
-class TestIndex:
+class TestNearestArc:
+    """The arc length ``nearest`` gives with its distance."""
+
     line = Polyline([(0, 0), (3, 0), (3, 4)])
 
     def test_vertex(self):
-        assert self.line.index(Point(3, 0)) == 3.0
+        assert self.line.nearest(Point(3, 0))[1] == 3.0
 
     def test_start(self):
-        assert self.line.index(Point(0, 0)) == 0.0
+        assert self.line.nearest(Point(0, 0))[1] == 0.0
 
     def test_inverse_of_project(self):
-        assert self.line.index(Point(3, 2)) == 5.0
+        assert self.line.nearest(Point(3, 2))[1] == 5.0
 
     def test_off_line_uses_closest_point(self):
-        assert self.line.index(Point(1, -2)) == 1.0
+        assert self.line.nearest(Point(1, -2))[1] == 1.0
 
     def test_self_overlap_resolves_to_smallest_arc(self):
         # last segment retraces the first: arc 5 and arc 35 are both at distance 0
         loop = Polyline([(0, 0), (10, 0), (10, 5), (0, 5), (0, 0), (10, 0)])
-        assert loop.index(Point(5, 0)) == 5.0
+        assert loop.nearest(Point(5, 0))[1] == 5.0
 
 
 class TestDistance:
@@ -180,36 +186,36 @@ class TestSegmentWhoseSquareUnderflows:
 
     def test_measured_at_its_start(self):
         assert self.line.nearest(Point(-2, -3))[0] == math.hypot(2, 3)
-        assert self.line.index(Point(-2, -3)) == 0.0
+        assert self.line.nearest(Point(-2, -3))[1] == 0.0
         assert self.line.nearest(Point(5e-201, 1))[0] == 1.0
-        assert self.line.index(Point(5e-201, 1)) == 0.0
+        assert self.line.nearest(Point(5e-201, 1))[1] == 0.0
 
     def test_next_segment_unaffected(self):
         assert self.line.nearest(Point(50, 4))[0] == 4.0
-        assert self.line.index(Point(50, 4)) == 50.0
+        assert self.line.nearest(Point(50, 4))[1] == 50.0
 
     def test_cumulative_length_repeated(self):
         # 100.0 + 1e-200 == 100.0: two vertices share one cumulative length
         line = Polyline([(0, 0), (100, 0), (100, 1e-200), (100, 50)])
         assert line.project(100.0) == Point(100, 1e-200)
         assert line.project(120.0) == Point(100, 20)
-        assert line.index(Point(101, 1e-200)) == 100.0
+        assert line.nearest(Point(101, 1e-200))[1] == 100.0
 
     def test_line_of_one_such_segment(self):
         line = Polyline([(0, 0), (0, 1e-200)])
         assert line.length == 1e-200
         assert line.nearest(Point(3, 4))[0] == 5.0
-        assert line.index(Point(3, 4)) == 0.0
+        assert line.nearest(Point(3, 4))[1] == 0.0
 
 
 class TestRoundTrip:
-    def test_project_index_round_trip(self):
+    def test_project_nearest_round_trip(self):
         rng = random.Random(17)
         for _ in range(200):
             line = random_monotone_polyline(rng)
             for _ in range(5):
                 d = rng.uniform(0.0, line.length)
-                assert abs(line.index(line.project(d)) - d) <= 1e-6
+                assert abs(line.nearest(line.project(d))[1] - d) <= 1e-6
 
     def test_closest_beats_brute_force(self):
         rng = random.Random(23)

@@ -24,13 +24,13 @@ class TestFrontier:
     def test_fifo_order(self):
         f = Frontier()
         for e in ("a", "b", "c"):
-            f.push(e)
+            f.append(e)
         assert [f.pop(), f.pop(), f.pop()] == ["a", "b", "c"]
         assert not f
 
     def test_len(self):
         f = Frontier()
-        f.push("a")
+        f.append("a")
         assert len(f) == 1
 
 
@@ -268,9 +268,9 @@ class TestRuleDerivationScenes:
         graph, index, _ = load_scenario("twin-nodes")
         revoked = []
 
-        def recording(self, rule, frontier):
+        def recording(self, rule):
             revoked.append(rule)
-            return revoke(self, rule, frontier)
+            return revoke(self, rule)
 
         revoke = DerivationState.revoke
         monkeypatch.setattr(DerivationState, "revoke", recording)
@@ -288,10 +288,10 @@ class TestRuleDerivationScenes:
         truth = (frozenset(expected["one_way_banned_edges"]), frozenset())
         revocations = 0
 
-        def counting(self, rule, frontier):
+        def counting(self, rule):
             nonlocal revocations
             revocations += 1
-            return revoke(self, rule, frontier)
+            return revoke(self, rule)
 
         revoke = DerivationState.revoke
         monkeypatch.setattr(DerivationState, "revoke", counting)

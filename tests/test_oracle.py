@@ -93,7 +93,7 @@ class Reference:
                 ):
                     seen.append(sign)
             elif line.nearest(sign.position)[0] <= cfg.edge_radius:
-                along = line.index(sign.position)
+                along = line.nearest(sign.position)[1]
                 observer = line.project(max(0.0, along - cfg.lookback))
                 if 0.0 < along < line.length and readable(observer, sign, cfg):
                     seen.append(sign)
@@ -300,9 +300,9 @@ def test_revoking_the_ban_of_a_visited_edge_matches_the_reference(cover_all):
     lifted = []
     revoke = DerivationState.revoke
 
-    def recorded(state, rule, frontier):
+    def recorded(state, rule):
         lifted.extend(e for e in bans(rule) if state.bans[e] == 1 and e in state.visited)
-        revoke(state, rule, frontier)
+        revoke(state, rule)
 
     with patch.object(DerivationState, "revoke", recorded):
         assert_agrees(graph, list(index.signs), DetectionConfig(), ["n00_01->n00_02"], cover_all)

@@ -146,19 +146,19 @@ class FrontierSpy(Frontier):
         super().__init__()
         self.pushed = []
 
-    def push(self, edge_id):
+    def append(self, edge_id):
         self.pushed.append(edge_id)
-        super().push(edge_id)
+        super().append(edge_id)
 
 
 class TestAssociateNewRule:
     def setup_method(self):
         self.graph = star_graph([0.0, 90.0, 180.0, 270.0])
         self.state = DerivationState(self.graph)
-        self.frontier = FrontierSpy()
+        self.frontier = self.state.frontier = FrontierSpy()
 
     def associate(self, s, rule, score):
-        associate_new_rule(s, rule, score, self.frontier, self.state)
+        associate_new_rule(s, rule, score, self.state)
 
     def test_zero_score_installs_nothing(self):
         s = sign("R-101", 5, 5)
@@ -238,12 +238,11 @@ class TestAnalyzeSigns:
     def setup_method(self):
         self.graph = star_graph([0.0, 90.0, 180.0, 270.0])
         self.state = DerivationState(self.graph)
-        self.frontier = FrontierSpy()
         self.node = self.graph.nodes["C"]
         self.current = self.graph.edges["in2"]  # arriving northbound from S2
 
     def _run(self, *signs_):
-        analyze_signs(signs_, self.current, self.node, self.frontier, self.state)
+        analyze_signs(signs_, self.current, self.node, self.state)
         return held_rules(self.state)
 
     def test_no_way_sign_bans_facing_edge(self):
@@ -275,14 +274,14 @@ class TestAnalyzeSigns:
         lonely = star_graph([90.0])
         state = DerivationState(lonely)
         s = sign("R-101", 0, -10, azimuth=180.0)
-        analyze_signs([s], lonely.edges["in0"], lonely.nodes["C"], self.frontier, state)
+        analyze_signs([s], lonely.edges["in0"], lonely.nodes["C"], state)
         assert state.held == {}
 
     def test_single_exit_one_way_sign_is_dropped(self):
         lonely = star_graph([0.0])
         state = DerivationState(lonely)
         s = sign("R-400c", 0, 5, azimuth=0.0)
-        analyze_signs([s], lonely.edges["in0"], lonely.nodes["C"], self.frontier, state)
+        analyze_signs([s], lonely.edges["in0"], lonely.nodes["C"], state)
         assert state.held == {}
 
     def test_no_turn_never_picks_straight_ahead_when_a_turn_exists(self):
@@ -301,7 +300,7 @@ class TestAnalyzeSigns:
         state = DerivationState(ahead_and_left)
         from_south = loose_edge("in", [(0, -60), (0, 0)], source="S", destination="C")
         s = sign("R-302", 3, -10)
-        analyze_signs([s], from_south, ahead_and_left.nodes["C"], self.frontier, state)
+        analyze_signs([s], from_south, ahead_and_left.nodes["C"], state)
         assert state.held == {}
 
     def test_scores_never_decrease_and_stay_positive(self, rng):
@@ -310,7 +309,7 @@ class TestAnalyzeSigns:
         for _ in range(200):
             edge = rng.choice(["out0", "out1", "out2", "out3"])
             score = rng.uniform(-50.0, 100.0)
-            associate_new_rule(s, Rule("no_way", edge, (edge,)), score, self.frontier, self.state)
+            associate_new_rule(s, Rule("no_way", edge, (edge,)), score, self.state)
             if s.id in self.state.held:
                 held_score = self.state.held[s.id][1]
                 assert held_score > 0
@@ -329,7 +328,7 @@ class TestAnalyzeSigns:
                 super().install(rule)
 
         state = Recorder(self.graph)
-        analyze_signs([b, a], self.current, self.node, self.frontier, state)
+        analyze_signs([b, a], self.current, self.node, state)
         assert seen == [Rule("no_way", "out0", ("out0",)), Rule("no_way", "out1", ("out1",))]
 
 
@@ -340,7 +339,7 @@ class TestIdOrderFromAnUnsortedNode:
     def setup_method(self):
         graph = star_graph([0.0, 90.0, 180.0, 270.0])
         self.state = DerivationState(graph)
-        self.frontier = FrontierSpy()
+        self.frontier = self.state.frontier = FrontierSpy()
         self.current = graph.edges["in2"]  # arriving northbound from S2
         ids = {"out0": "b", "out1": 10, "out2": 2, "out3": "a"}
         centre = graph.nodes["C"]
@@ -351,7 +350,7 @@ class TestIdOrderFromAnUnsortedNode:
     def test_banned_edges_come_out_in_id_order(self):
         one_way = sign("R-400a", 0, 5, azimuth=0.0, sign_id="one-way")
         must_turn = sign("R-400d", 3, -10, azimuth=0.0, sign_id="must-turn")
-        analyze_signs([one_way, must_turn], self.current, self.node, self.frontier, self.state)
+        analyze_signs([one_way, must_turn], self.current, self.node, self.state)
         held = {sign_id: rule for sign_id, (rule, _) in self.state.held.items()}
         assert held == {
             "one-way": Rule("one_way", 10, (2, "a", "b")),
@@ -361,7 +360,7 @@ class TestIdOrderFromAnUnsortedNode:
         document = rules_document(DerivationResult(records, set(), frozenset()))
         assert [entry["banned"] for entry in document["one_way"]] == [[2, "a", "b"]]
         assert [entry["banned_to"] for entry in document["no_turn"]] == [[2, "a", "b"]]
-        self.state.revoke(held["one-way"], self.frontier)
+        self.state.revoke(held["one-way"])
         assert self.frontier.pushed == [2, "a", "b"]
 
 
@@ -376,10 +375,10 @@ class TestReplacementOnShortBlocks:
         graph, index = short_block_scene(seed)
         readings, states = {}, set()
 
-        def spy(sign, candidate, score, frontier, state):
+        def spy(sign, candidate, score, state):
             readings.setdefault(sign.id, []).append((candidate, score))
             states.add(state)
-            associate_new_rule(sign, candidate, score, frontier, state)
+            associate_new_rule(sign, candidate, score, state)
 
         monkeypatch.setattr(rules, "associate_new_rule", spy)
         starts = [list(graph.edges)[97 * seed % len(graph.edges)]] if one_start else []

@@ -4,7 +4,6 @@ import pytest
 
 from roadrules.geometry import Point, Polyline, distance
 from roadrules.signs import (
-    ALL_SIGN_TYPES,
     CELL,
     EDGE_SIGN_TYPES,
     NODE_SIGN_TYPES,
@@ -18,13 +17,13 @@ def sign(sign_id, x, y, code="R-101", azimuth=0.0) -> Sign:
     return Sign(sign_id, Point(x, y), SignType(code), azimuth)
 
 
-def line_hit_ids(index, line, r, types=ALL_SIGN_TYPES):
+def line_hit_ids(index, line, r, family):
     """Ids of a line query's hits, once each hit's arc is checked.
 
-    Every arc must be ``line.index`` of the sign's position, bit for bit.
+    Every arc must be the arc of ``line.nearest`` of the sign's position, bit for bit.
     """
-    hits = index.signs_within_line(line, r, types)
-    assert [arc.hex() for _, arc in hits] == [line.index(s.position).hex() for s, _ in hits]
+    hits = index.signs_within_line(line, r, family)
+    assert [arc.hex() for _, arc in hits] == [line.nearest(s.position)[1].hex() for s, _ in hits]
     return [s.id for s, _ in hits]
 
 
@@ -61,40 +60,42 @@ class TestSignIndex:
 
     def test_radius_boundary_inclusive(self):
         index = SignIndex([sign("near", 14.9, 0), sign("far", 15.1, 0)])
-        hits = index.signs_within(Point(0, 0), 15.0)
+        hits = index.signs_within(Point(0, 0), 15.0, NODE_SIGN_TYPES)
         assert [s.id for s in hits] == ["near"]
 
     def test_empty_inventory(self, empty_index):
-        assert empty_index.signs_within(Point(0, 0), 15.0) == []
-        assert empty_index.signs_within_line(Polyline([(0, 0), (1, 0)]), 10.0) == []
+        line = Polyline([(0, 0), (1, 0)])
+        assert empty_index.signs_within(Point(0, 0), 15.0, NODE_SIGN_TYPES) == []
+        assert empty_index.signs_within_line(line, 10.0, NODE_SIGN_TYPES) == []
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("signs", [[], [sign("s", 0.5, 0.0)]], ids=["empty", "one-sign"])
     def test_positive_radius_required(self, signs, r):
         index = SignIndex(signs)
         with pytest.raises(ValueError, match="radius must be positive"):
-            index.signs_within(Point(0, 0), r)
+            index.signs_within(Point(0, 0), r, NODE_SIGN_TYPES)
         with pytest.raises(ValueError, match="radius must be positive"):
-            index.signs_within_line(Polyline([(0, 0), (1, 0)]), r)
+            index.signs_within_line(Polyline([(0, 0), (1, 0)]), r, NODE_SIGN_TYPES)
 
     def test_line_query_perpendicular_hit(self):
         line = Polyline([(0, 0), (100, 0)])
         index = SignIndex([sign("mid", 50, 3)])
-        assert line_hit_ids(index, line, 10.0) == ["mid"]
+        assert line_hit_ids(index, line, 10.0, NODE_SIGN_TYPES) == ["mid"]
 
     def test_line_query_excludes_beyond_radius(self):
         line = Polyline([(0, 0), (100, 0)])
         index = SignIndex([sign("off", 50, 11)])
-        assert index.signs_within_line(line, 10.0) == []
+        assert index.signs_within_line(line, 10.0, NODE_SIGN_TYPES) == []
 
     def test_line_query_vertex_hit(self):
         line = Polyline([(0, 0), (50, 0), (50, 50)])
         index = SignIndex([sign("atv", 50, 0)])
-        assert line_hit_ids(index, line, 10.0) == ["atv"]
+        assert line_hit_ids(index, line, 10.0, NODE_SIGN_TYPES) == ["atv"]
 
     def test_results_sorted_by_id(self):
         index = SignIndex([sign("b", 1, 0), sign("a", 2, 0), sign("c", 0, 1)])
-        assert [s.id for s in index.signs_within(Point(0, 0), 10.0)] == ["a", "b", "c"]
+        hits = index.signs_within(Point(0, 0), 10.0, NODE_SIGN_TYPES)
+        assert [s.id for s in hits] == ["a", "b", "c"]
 
 
 class TestIndexScanEquivalence:
@@ -116,7 +117,7 @@ class TestIndexScanEquivalence:
                 expected = sorted(
                     (s.id for s in signs if distance(s.position, p) <= r)
                 )
-                assert [s.id for s in index.signs_within(p, r)] == expected
+                assert [s.id for s in index.signs_within(p, r, NODE_SIGN_TYPES)] == expected
 
     def test_line_queries_match_linear_scan(self, rng):
         signs = self._random_inventory(rng, 3000)
@@ -128,7 +129,7 @@ class TestIndexScanEquivalence:
             expected = sorted(
                 (s.id for s in signs if line.nearest(s.position)[0] <= r)
             )
-            assert line_hit_ids(index, line, r) == expected
+            assert line_hit_ids(index, line, r, NODE_SIGN_TYPES) == expected
 
 
 class TestCellTable:
@@ -141,11 +142,11 @@ class TestCellTable:
             if isinstance(query[0], Polyline):
                 line, r = query
                 expected = sorted(s.id for s in signs if line.nearest(s.position)[0] <= r)
-                assert line_hit_ids(index, line, r) == expected
+                assert line_hit_ids(index, line, r, NODE_SIGN_TYPES) == expected
             else:
                 p, r = query
                 expected = sorted(s.id for s in signs if distance(s.position, p) <= r)
-                assert [s.id for s in index.signs_within(p, r)] == expected
+                assert [s.id for s in index.signs_within(p, r, NODE_SIGN_TYPES)] == expected
 
     def test_signs_on_cell_edges(self):
         edges = (-CELL, 0.0, CELL)
@@ -201,9 +202,9 @@ class TestCellTable:
         for i in range(600):
             y = rng.randint(-8, 8) * CELL if i % 3 == 0 else rng.uniform(-400.0, 400.0)
             signs.append(sign(f"s{i:03d}", rng.uniform(-400.0, 400.0), y, rng.choice(codes)))
-        assert {s.sign_type for s in signs} == ALL_SIGN_TYPES
+        assert {s.sign_type for s in signs} == set(SignType)
         index = SignIndex(signs)
-        families = [NODE_SIGN_TYPES, EDGE_SIGN_TYPES, ALL_SIGN_TYPES, frozenset({SignType.R302})]
+        families = [NODE_SIGN_TYPES, EDGE_SIGN_TYPES]
         for _ in range(60):
             p = Point(rng.uniform(-450.0, 450.0), rng.choice([rng.randint(-8, 8) * CELL,
                                                               rng.uniform(-450.0, 450.0)]))
