@@ -6,7 +6,6 @@ The package root exports the entry points only: load the inputs, run
 reachable through its module.
 """
 
-from .detection import DetectionConfig
 from .errors import RoadRulesError
 from .io import (
     load_ground_truth,
@@ -19,7 +18,7 @@ from .io import (
 )
 from .navigator import derive_rules
 from .scenarios import generate_scenario, write_scenario
-from .signs import SignIndex
+from .signs import DetectionConfig, SignIndex
 
 __version__ = "0.1.0"
 

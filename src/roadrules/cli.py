@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 
-from .detection import DetectionConfig
 from .errors import InputError, InternalError, shown
 from .io import (
     RULE_FIELDS,
@@ -34,7 +33,7 @@ from .io import (
 from .navigator import derive_rules
 from .network import RoadGraph
 from .scenarios import TEMPLATES, generate_scenario, write_scenario
-from .signs import SignIndex
+from .signs import DetectionConfig, SignIndex
 
 
 def _build_parser() -> argparse.ArgumentParser:

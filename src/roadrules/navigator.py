@@ -13,11 +13,10 @@ from collections import deque
 from itertools import chain, filterfalse
 from typing import AbstractSet, NamedTuple
 
-from .detection import DetectionConfig, detect_signs_along, detect_signs_from
 from .errors import GraphError, InternalError, shown
 from .network import DirectedEdge, EdgeId, RoadGraph
 from .rules import DerivationState, Rule, analyze_signs
-from .signs import SignId, SignIndex
+from .signs import DetectionConfig, SignId, SignIndex, detect_signs_along, detect_signs_from
 
 
 class Frontier(deque):

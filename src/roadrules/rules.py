@@ -1,5 +1,5 @@
-"""Rule generation: per-edge scoring of detected signs, rule installation and
-score-based replacement.
+"""What a run changes: the rules the detected signs install, their bans, and
+score-based replacement. The scorers are fixed and live in ``signs``.
 
 A rule is a ``Rule(family, edge, banned)``, the entry the rule document
 writes for it. A sign holds at most one rule per run, recorded in the run's
@@ -14,12 +14,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Iterable, NamedTuple
 
-from .geometry import angle, heading, normalize
 from .ids import id_sort_key, sorted_ids
 from .network import DirectedEdge, EdgeId, Node, NodeId, RoadGraph
-from .signs import Sign, SignId, SignType
+from .signs import Sign, SignId, SignType, best_no_turn_edge, best_no_way_edge, best_one_way_edge
 
-NOMINAL_AHEAD = 10.0  # meters; fallback probe point along an edge
+# the same scorer, under the name mandatory-turn signs reach it by; analyze_signs
+# looks all four scorers up in this module, where bench/probe.py times them
+best_must_turn_edge = best_no_turn_edge
 
 
 class Rule(NamedTuple):
@@ -41,11 +42,6 @@ def bans(rule: Rule) -> tuple:
     if rule.family == "no_turn":
         return tuple((rule.edge, to) for to in rule.banned)
     return rule.banned
-
-
-class ScoredEdge(NamedTuple):
-    edge: EdgeId
-    score: float
 
 
 class DerivationState:
@@ -85,94 +81,6 @@ class DerivationState:
                 if rule.family != "no_turn" and key not in self.visited:
                     self.visited.add(key)
                     self.frontier.append(key)
-
-
-def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
-    """Score every outgoing edge as the target of an entry-ban sign.
-
-    The edge is probed at the sign's projection onto it (or a nominal point
-    ahead when the sign sits behind the edge start); smaller angles between
-    node->sign and node->probe score higher, and edges falling to the right
-    of the sign are penalized.
-    """
-    if sign.position == node.position:
-        return None
-    best: ScoredEdge | None = None
-    for edge in outgoing:
-        geometry = edge.geometry
-        sign_proj = geometry.nearest(sign.position)[1]
-        if sign_proj <= 0.0:
-            sign_proj = NOMINAL_AHEAD
-        probe = geometry.project(sign_proj)
-        if probe == node.position:
-            continue
-        alpha = angle(sign.position, node.position, probe)
-        if alpha < -10.0:
-            alpha -= 30.0
-        score = 90.0 - abs(alpha)
-        if best is None or score > best.score:
-            best = ScoredEdge(edge.id, score)
-    return best
-
-
-# each scorer's offset, in degrees, of the bearing a sign type names
-_OFFSETS = {
-    SignType.R302: -90.0,  # turn scorer: -90 right, +90 left of the approach
-    SignType.R303: 90.0,
-    SignType.R400D: -90.0,
-    SignType.R400E: 90.0,
-    SignType.R400A: 90.0,  # one-way scorer: one way to the right of the addressed traffic
-    SignType.R400B: -90.0,
-    SignType.R400C: 0.0,
-}
-
-
-def best_no_turn_edge(
-    sign: Sign, current: DirectedEdge, node: Node, outgoing: list[DirectedEdge]
-) -> ScoredEdge | None:
-    """Best candidate for the turn a restriction or mandatory-turn sign names.
-
-    The approach vector runs from the sign's projection on the current edge
-    to the node; each exit is probed 10 m in, offset by -90 (right) or +90
-    (left), and scored by how exactly it matches the named turn.
-    """
-    geometry = current.geometry
-    sign_proj = geometry.nearest(sign.position)[1]
-    if sign_proj >= geometry.length:
-        sign_proj = max(0.0, geometry.length - NOMINAL_AHEAD)
-    back_point = geometry.project(sign_proj)
-    if back_point == node.position:
-        return None
-    offset = _OFFSETS[sign.sign_type]
-    best: ScoredEdge | None = None
-    for edge in outgoing:
-        probe = edge.geometry.project(NOMINAL_AHEAD)
-        if probe == node.position:
-            continue
-        alpha = normalize(angle(back_point, node.position, probe) + offset)
-        score = 60.0 - abs(alpha)
-        if best is None or score > best.score:
-            best = ScoredEdge(edge.id, score)
-    return best
-
-
-# the same scorer, under the name mandatory-turn signs reach it by
-best_must_turn_edge = best_no_turn_edge
-
-
-def best_one_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
-    """Best exit for a one-way sign: the edge closest to the mandated bearing."""
-    target = sign.azimuth + _OFFSETS[sign.sign_type]
-    best: ScoredEdge | None = None
-    for edge in outgoing:
-        probe = edge.geometry.project(NOMINAL_AHEAD)
-        if probe == node.position:
-            continue
-        deviation = normalize(target - heading(node.position, probe))
-        score = 90.0 - abs(deviation)
-        if best is None or score > best.score:
-            best = ScoredEdge(edge.id, score)
-    return best
 
 
 def associate_new_rule(sign: Sign, candidate: Rule, score: float, state: DerivationState) -> None:

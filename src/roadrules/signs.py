@@ -1,10 +1,11 @@
-"""Classified traffic signs and the row bands, one table per detector family,
-that find them by position; a query reads one family.
+"""Everything about a sign that no run changes: the catalogue, the index
+that finds signs by position, the two detectors and the exit scorers.
 
 A sign's azimuth is the compass travel direction of the traffic it addresses;
-its face points against that direction, toward the oncoming driver. Signs and
-the index are never written during a derivation; the rule a sign holds lives
-in the run's ``DerivationState``.
+its face points against that direction, toward the oncoming driver. The
+index keeps one table of row bands per detector family, and a query reads one
+family. Signs and the index are never written during a derivation; the rule
+a sign holds lives in the run's ``DerivationState``.
 """
 
 from __future__ import annotations
@@ -13,15 +14,17 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import shown
-from .geometry import Point, Polyline, distance
+from .geometry import Point, Polyline, angle, distance, heading, normalize
 from .ids import Identifier, id_sort_key
+from .network import DirectedEdge, EdgeId, Node
 
 SignId = Identifier
 
 CELL = 50.0  # height of one row band of the sign table, in meters
+NOMINAL_AHEAD = 10.0  # meters; fallback probe point along an edge
 
 
 class SignType(Enum):
@@ -142,3 +145,155 @@ class SignIndex:
             if d <= r:
                 hits.append((signs[rank], arc))
         return hits
+
+
+@dataclass(frozen=True)
+class DetectionConfig:
+    """Detection thresholds in meters/degrees.
+
+    node_radius: search radius around an intersection.
+    edge_radius: search corridor around an edge's geometry.
+    lookback: how far behind the sign's projection the observer stands.
+    visibility_half_angle: max deviation between the observer->sign bearing
+        and the sign's azimuth for the sign face to count as readable.
+    """
+
+    node_radius: float = 15.0
+    edge_radius: float = 10.0
+    lookback: float = 10.0
+    visibility_half_angle: float = 80.0
+
+    def __post_init__(self) -> None:
+        for name in ("node_radius", "edge_radius", "lookback", "visibility_half_angle"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.visibility_half_angle >= 90.0:
+            raise ValueError("visibility_half_angle must be below 90 degrees")
+
+
+def is_visible(observer: Point, sign: Sign, cfg: DetectionConfig) -> bool:
+    """True when the sign's face is readable from ``observer``.
+
+    An observer standing exactly on the sign position counts as seeing it.
+    """
+    if observer == sign.position:
+        return True
+    deviation = normalize(heading(observer, sign.position) - sign.azimuth)
+    return abs(deviation) <= cfg.visibility_half_angle
+
+
+def detect_signs_from(node: Node, index: SignIndex, cfg: DetectionConfig) -> list[Sign]:
+    """Intersection-type signs visible from a node, sorted by sign id."""
+    return [
+        sign
+        for sign in index.signs_within(node.position, cfg.node_radius, NODE_SIGN_TYPES)
+        if is_visible(node.position, sign, cfg)
+    ]
+
+
+def detect_signs_along(edge: DirectedEdge, index: SignIndex, cfg: DetectionConfig) -> list[Sign]:
+    """Pre-intersection signs visible while driving ``edge``, sorted by sign id.
+
+    The observer stands ``lookback`` meters behind the sign's projection onto
+    the edge. Signs projecting exactly onto the edge start or end belong to an
+    intersection, not to this edge, and are discarded.
+    """
+    geometry = edge.geometry
+    detected = []  # a loop: a comprehension costs about 250 ns more on every sign-free pop
+    hits = index.signs_within_line(geometry, cfg.edge_radius, EDGE_SIGN_TYPES)
+    length = geometry.length if hits else 0.0  # most pops have no hit, and sum no length
+    for sign, arc in hits:
+        if 0.0 < arc < length:
+            if is_visible(geometry.project(max(0.0, arc - cfg.lookback)), sign, cfg):
+                detected.append(sign)
+    return detected
+
+
+class ScoredEdge(NamedTuple):
+    edge: EdgeId
+    score: float
+
+
+def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
+    """Score every outgoing edge as the target of an entry-ban sign.
+
+    The edge is probed at the sign's projection onto it (or a nominal point
+    ahead when the sign sits behind the edge start); smaller angles between
+    node->sign and node->probe score higher, and edges falling to the right
+    of the sign are penalized.
+    """
+    if sign.position == node.position:
+        return None
+    best: ScoredEdge | None = None
+    for edge in outgoing:
+        geometry = edge.geometry
+        sign_proj = geometry.nearest(sign.position)[1]
+        if sign_proj <= 0.0:
+            sign_proj = NOMINAL_AHEAD
+        probe = geometry.project(sign_proj)
+        if probe == node.position:
+            continue
+        alpha = angle(sign.position, node.position, probe)
+        if alpha < -10.0:
+            alpha -= 30.0
+        score = 90.0 - abs(alpha)
+        if best is None or score > best.score:
+            best = ScoredEdge(edge.id, score)
+    return best
+
+
+# each scorer's offset, in degrees, of the bearing a sign type names
+_OFFSETS = {
+    SignType.R302: -90.0,  # turn scorer: -90 right, +90 left of the approach
+    SignType.R303: 90.0,
+    SignType.R400D: -90.0,
+    SignType.R400E: 90.0,
+    SignType.R400A: 90.0,  # one-way scorer: one way to the right of the addressed traffic
+    SignType.R400B: -90.0,
+    SignType.R400C: 0.0,
+}
+
+
+def best_no_turn_edge(
+    sign: Sign, current: DirectedEdge, node: Node, outgoing: list[DirectedEdge]
+) -> ScoredEdge | None:
+    """Best candidate for the turn a restriction or mandatory-turn sign names.
+
+    The approach vector runs from the sign's projection on the current edge
+    to the node; each exit is probed 10 m in, offset by -90 (right) or +90
+    (left), and scored by how exactly it matches the named turn.
+    """
+    geometry = current.geometry
+    sign_proj = geometry.nearest(sign.position)[1]
+    if sign_proj >= geometry.length:
+        sign_proj = max(0.0, geometry.length - NOMINAL_AHEAD)
+    back_point = geometry.project(sign_proj)
+    if back_point == node.position:
+        return None
+    offset = _OFFSETS[sign.sign_type]
+    best: ScoredEdge | None = None
+    for edge in outgoing:
+        probe = edge.geometry.project(NOMINAL_AHEAD)
+        if probe == node.position:
+            continue
+        alpha = normalize(angle(back_point, node.position, probe) + offset)
+        score = 60.0 - abs(alpha)
+        if best is None or score > best.score:
+            best = ScoredEdge(edge.id, score)
+    return best
+
+
+def best_one_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> ScoredEdge | None:
+    """Best exit for a one-way sign: the edge closest to the mandated bearing."""
+    target = sign.azimuth + _OFFSETS[sign.sign_type]
+    best: ScoredEdge | None = None
+    for edge in outgoing:
+        probe = edge.geometry.project(NOMINAL_AHEAD)
+        if probe == node.position:
+            continue
+        deviation = normalize(target - heading(node.position, probe))
+        score = 90.0 - abs(deviation)
+        if best is None or score > best.score:
+            best = ScoredEdge(edge.id, score)
+    return best

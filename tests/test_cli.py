@@ -12,7 +12,7 @@ import pytest
 import roadrules
 import roadrules.io as roadrules_io
 from roadrules.cli import main
-from roadrules.detection import DetectionConfig
+from roadrules.signs import DetectionConfig
 from roadrules.errors import InputError
 from roadrules.navigator import derive_rules
 

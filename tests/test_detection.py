@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from roadrules.detection import (
+from roadrules.signs import (
     DetectionConfig,
     detect_signs_along,
     detect_signs_from,

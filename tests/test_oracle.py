@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadrules.detection import DetectionConfig
+from roadrules.signs import DetectionConfig
 from roadrules.geometry import Point, Polyline, distance, heading, normalize
 from roadrules.ids import id_sort_key
 from roadrules.navigator import Frontier, derive_rules

@@ -1,10 +1,21 @@
-"""Package-level rules: the public surface and the stdlib-only runtime."""
+"""Package-level rules: the public surface, the stdlib-only runtime, the module
+layers and the README's table of them."""
 
 import ast
 import sys
 from pathlib import Path
 
 import roadrules
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = {p.stem for p in (ROOT / "src" / "roadrules").glob("*.py")} - {"__init__"}
+
+# Each module imports only modules before it: the fixed meaning of a sign
+# (``signs``) never reaches into what a run changes (``rules``, ``navigator``).
+LAYERS = [
+    "errors", "ids", "geometry", "network", "signs", "rules", "navigator", "stream", "io",
+    "scenarios", "cli",
+]
 
 ENTRY_POINTS = [
     "DetectionConfig",
@@ -43,3 +54,23 @@ def test_runtime_imports_are_relative_or_stdlib():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(LAYERS) == sorted(MODULES)
+    violations = []
+    for name in LAYERS:
+        path = ROOT / "src" / "roadrules" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module not in LAYERS[: LAYERS.index(name)]:
+                    violations.append(f"{name} imports {node.module}")
+    assert violations == []
+
+
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in table.splitlines() if line.startswith("| `")]
+    assert {row.strip("`") for row in rows} == MODULES
+    assert len(rows) == len(MODULES)
