@@ -444,7 +444,7 @@ def _read_signs(
             )
     elif not planar:
         raise InputError(f"{source}: lon/lat signs need the network they belong to")
-    point = _shared_points(Point if planar else projection.to_planar)
+    point = Point if planar else projection.to_planar
     signs: list[Sign] = []
     seen: dict = {}  # the feature of each sign id
     for i, f in enumerate(features):
@@ -493,11 +493,10 @@ RULE_FIELDS = {
 def rules_document(result: DerivationResult) -> dict:
     """Serialize a derivation result to the rule-document schema."""
     document: dict = {family: [] for family in RULE_FIELDS}
-    for record in result.rules:
-        family, edge, banned = record.rule
+    for sign_id, ((family, edge, banned), score) in result.rules.items():
         first, second, *_ = RULE_FIELDS[family]
         entry = {first: edge} if family == "no_way" else {first: edge, second: list(banned)}
-        document[family].append(dict(entry, sign=record.sign_id, score=record.score))
+        document[family].append(dict(entry, sign=sign_id, score=score))
     for family, (first, *_) in RULE_FIELDS.items():
         document[family].sort(key=lambda e: (id_sort_key(e[first]), id_sort_key(e["sign"])))
     document["unreached"] = sorted_ids(result.unreached_edges)

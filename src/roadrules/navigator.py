@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, filterfalse
-from typing import AbstractSet, NamedTuple
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .errors import GraphError, InternalError, shown
 from .network import DirectedEdge, EdgeId, RoadGraph
@@ -25,19 +25,13 @@ class Frontier(deque):
     pop = deque.popleft
 
 
-class RuleRecord(NamedTuple):
-    """One installed rule with its provenance."""
-
-    sign_id: SignId
-    rule: Rule
-    score: float
-
-
 class DerivationResult(NamedTuple):
-    """``visited_edges`` is the run's own visited set, not a copy: nothing
-    writes it after ``derive_rules`` returns, and a result cannot be hashed."""
+    """``rules`` (sign id -> held ``(rule, score)``) and ``visited_edges`` are
+    the run's own map and set, not copies: nothing writes them after
+    ``derive_rules`` returns, and a result cannot be hashed. ``rules``
+    iterates in the order signs first installed a rule, not in sign order."""
 
-    rules: tuple[RuleRecord, ...]
+    rules: Mapping[SignId, tuple[Rule, float]]
     visited_edges: AbstractSet[EdgeId]
     unreached_edges: frozenset[EdgeId]
 
@@ -95,14 +89,6 @@ def _navigate(
                 frontier.append(edge.id)
 
 
-def _collect(state: DerivationState, index: SignIndex) -> DerivationResult:
-    records = tuple(
-        RuleRecord(sign.id, *state.held[sign.id]) for sign in index.signs if sign.id in state.held
-    )
-    unreached = frozenset(filterfalse(state.visited.__contains__, state.graph.edges))
-    return DerivationResult(records, state.visited, unreached)
-
-
 def derive_rules(
     graph: RoadGraph,
     index: SignIndex,
@@ -134,4 +120,5 @@ def derive_rules(
     for edge in chain((graph.edges[edge_id] for edge_id in start_edges), restarts):
         if edge.id not in state.visited and edge.id not in state.bans:
             _navigate(state, index, cfg, edge)
-    return _collect(state, index)
+    unreached = frozenset(filterfalse(state.visited.__contains__, graph.edges))
+    return DerivationResult(state.held, state.visited, unreached)

@@ -180,11 +180,10 @@ def test_criterion_5_shared_sign_suppression():
         scores = []
         for start in expected["start_edges"]:
             result = derive_rules(graph, index, start_edges=[start])
-            assert len(result.rules) == 1
-            record = result.rules[0]
-            assert record.sign_id == "s1"
-            assert record.rule == Rule("no_way", banned_edge, (banned_edge,))
-            scores.append(record.score)
+            [(sign_id, (rule, score))] = result.rules.items()
+            assert sign_id == "s1"
+            assert rule == Rule("no_way", banned_edge, (banned_edge,))
+            scores.append(score)
         assert scores[0] == scores[1] and scores[0] > 0
 
 

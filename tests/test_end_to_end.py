@@ -128,7 +128,7 @@ def test_constructed_towns_validate_perfectly():
         result = derive_rules(graph, SignIndex(signs), cover_all=True)
 
         assert len(result.rules) == len(signs)
-        assert all(record.score > 0 for record in result.rules)
+        assert all(score > 0 for _, score in result.rules.values())
 
         banned, derived_pairs = derived_rule_sets(rules_document(result))
         assert banned == expected_bans
@@ -139,3 +139,48 @@ def test_constructed_towns_validate_perfectly():
         assert report["one_way_streets"]["accuracy"] == 100.0
         # None when no turn sign fit
         assert report["turn_restrictions"]["accuracy"] in (100.0, None)
+
+
+# (sigma position m, sigma azimuth deg) -> (towns derived exactly, precision
+# floor, recall floor) over 200 towns. Measured: 200 / 1.000 / 1.000 at 1 m
+# and 20 deg; 162 / 0.9827 / 0.9373 at 0 m, 40 deg; 197 / 0.9967 / 0.9950 at
+# 2 m, 20 deg; 176 / 0.9813 / 0.9538 at 3 m, 20 deg. Each floor is the
+# measured value rounded down to two places, less 0.01; an exact row is exact.
+NOISE_ENVELOPE = {
+    (1.0, 20.0): (200, 1.0, 1.0),
+    (0.0, 40.0): (None, 0.97, 0.92),
+    (2.0, 20.0): (None, 0.98, 0.98),
+    (3.0, 20.0): (None, 0.97, 0.94),
+}
+
+
+def test_noisy_towns_stay_within_the_envelope():
+    # detector error: Gaussian noise on each sign's x, y and azimuth. Recall
+    # is taken against the construction, which the noise does not move
+    rng = random.Random(314159)
+    towns = []
+    while len(towns) < 200:
+        town = _signed_town(rng)
+        if town is not None:
+            towns.append(town)
+    for (position_sigma, azimuth_sigma), (exact, precision, recall) in NOISE_ENVELOPE.items():
+        noise = random.Random(314160)
+        towns_exact = found = derived = expected = 0
+        for graph, signs, bans, pairs in towns:
+            noisy = []
+            for sign in signs:
+                dx, dy = noise.gauss(0.0, position_sigma), noise.gauss(0.0, position_sigma)
+                azimuth = (sign.azimuth + noise.gauss(0.0, azimuth_sigma)) % 360.0
+                position = Point(sign.position.x + dx, sign.position.y + dy)
+                noisy.append(Sign(sign.id, position, sign.sign_type, azimuth))
+            result = derive_rules(graph, SignIndex(noisy), cover_all=True)
+            got_bans, got_pairs = derived_rule_sets(rules_document(result))
+            towns_exact += (got_bans, got_pairs) == (bans, pairs)
+            found += len(got_bans & bans) + len(got_pairs & pairs)
+            derived += len(got_bans) + len(got_pairs)
+            expected += len(bans) + len(pairs)
+        setting = (position_sigma, azimuth_sigma)
+        if exact is not None:
+            assert towns_exact == exact, setting
+        assert found / derived >= precision, setting
+        assert found / expected >= recall, setting

@@ -32,7 +32,7 @@ from roadrules.io import (
     validate,
     write_rules,
 )
-from roadrules.navigator import DerivationResult, RuleRecord, derive_rules
+from roadrules.navigator import DerivationResult, derive_rules
 from roadrules.network import build_graph
 from roadrules.rules import Rule
 from roadrules.scenarios import TEMPLATES, generate_scenario, write_scenario
@@ -1436,7 +1436,7 @@ class TestSharedValues:
 
 
 def empty_result() -> DerivationResult:
-    return DerivationResult((), frozenset(), frozenset())
+    return DerivationResult({}, frozenset(), frozenset())
 
 
 class TestRulesDocument:
@@ -1448,7 +1448,7 @@ class TestRulesDocument:
 
     def test_single_rule_with_provenance(self):
         result = DerivationResult(
-            (RuleRecord("s1", Rule("no_way", "e9", ("e9",)), 42.5),),
+            {"s1": (Rule("no_way", "e9", ("e9",)), 42.5)},
             frozenset({"e1"}),
             frozenset({"e9"}),
         )
@@ -1458,11 +1458,11 @@ class TestRulesDocument:
 
     def test_all_rule_kinds_serialized_sorted(self):
         result = DerivationResult(
-            (
-                RuleRecord("b", Rule("one_way", "keep", ("a", "z")), 10.0),
-                RuleRecord("a", Rule("no_turn", "from", ("t1", "t2")), 20.0),
-                RuleRecord("c", Rule("no_way", "x", ("x",)), 30.0),
-            ),
+            {
+                "b": (Rule("one_way", "keep", ("a", "z")), 10.0),
+                "a": (Rule("no_turn", "from", ("t1", "t2")), 20.0),
+                "c": (Rule("no_way", "x", ("x",)), 30.0),
+            },
             frozenset(),
             frozenset(),
         )
@@ -1597,10 +1597,10 @@ class TestOutputEncoding:
 
     def test_rule_document_bytes(self):
         result = DerivationResult(
-            (
-                RuleRecord("s2", Rule("one_way", "keep", ("a", "z")), 10.0),
-                RuleRecord("s1", Rule("no_way", "x", ("x",)), 30.25),
-            ),
+            {
+                "s2": (Rule("one_way", "keep", ("a", "z")), 10.0),
+                "s1": (Rule("no_way", "x", ("x",)), 30.25),
+            },
             frozenset(),
             frozenset({"u"}),
         )

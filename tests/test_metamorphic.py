@@ -28,9 +28,18 @@ import random
 import pytest
 
 from roadrules.cli import main
-from roadrules.io import dump_json
+from roadrules.io import (
+    derived_rule_sets,
+    dump_json,
+    network_from_document,
+    rules_document,
+    signs_from_document,
+)
+from roadrules.navigator import derive_rules
 from roadrules.scenarios import generate_scenario
-from roadrules.signs import SignType
+from roadrules.signs import DetectionConfig, SignIndex, SignType
+
+from test_oracle import NODE_TYPES, Reference
 
 SEEDS = (1, 2, 3)
 ROWS = COLS = 7
@@ -216,6 +225,41 @@ def test_sign_out_of_reach_changes_only_its_own_overlay_feature(scene, tmp_path)
     assert _encoded(far_overlay) == overlay
 
 
+def _subdivided(network, k):
+    """``network`` with k - 1 evenly spaced vertices put into every line; an
+    opposite edge holds exactly the reversed list, so each street stays one
+    line traced both ways."""
+    network = copy.deepcopy(network)
+    interiors = {}  # (start, end) -> the vertices put between them
+    for feature in network["features"]:
+        if feature["geometry"]["type"] != "LineString":
+            continue
+        start, end = map(tuple, feature["geometry"]["coordinates"])
+        (x0, y0), (x1, y1) = start, end
+        if (end, start) in interiors:
+            inner = interiors[end, start][::-1]
+        else:
+            inner = [[x0 + (x1 - x0) * i / k, y0 + (y1 - y0) * i / k] for i in range(1, k)]
+            interiors[start, end] = inner
+        feature["geometry"]["coordinates"] = [[*start], *copy.deepcopy(inner), [*end]]
+    return network
+
+
+@pytest.mark.parametrize("k", (2, 3, 8))
+def test_collinear_vertices_change_no_rule(scene, tmp_path, k):
+    network, signs, rules, overlay = scene
+    split_rules, split_overlay = _derive(tmp_path / f"k{k}", _subdivided(network, k), signs)
+    assert split_rules == rules
+    # the overlay differs only in its lines' coordinates: their inner vertices
+    split_overlay = json.loads(split_overlay)
+    for feature in split_overlay["features"]:
+        coordinates = feature["geometry"]["coordinates"]
+        if feature["geometry"]["type"] == "LineString":
+            assert len(coordinates) == k + 1
+            del coordinates[1:-1]
+    assert _encoded(split_overlay) == overlay
+
+
 def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
     network, signs, rules, _ = scene
     # a copy 10 km to the east whose ids each sort right after their original,
@@ -243,6 +287,59 @@ def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
     assert _encoded(first) == rules
     # the copy derived rules of its own
     assert len(union_rules["no_way"]) > len(first["no_way"])
+
+
+def test_a_sign_read_from_one_place_holds_the_same_rule_from_every_start():
+    # a sign is read at a node (R-101 and one-way signs, whatever the approach)
+    # or along an edge (the rest), and each edge is popped and each node's
+    # signs read once per run; so a sign read from one place only is read
+    # once, from the same place, in every run that gets there, and never in
+    # one that does not. Signs read from several places make the rest of the
+    # result depend on which place a run reaches first.
+    network, signs = _inputs(SEEDS[0])
+    graph = network_from_document(copy.deepcopy(network))
+    signs = signs_from_document(copy.deepcopy(signs), network=graph)
+    places = {}  # sign id -> {("node", node id) or ("edge", edge id)}
+    reference = Reference(graph, signs, DetectionConfig())
+    for edge in graph.edges.values():
+        for sign in reference.read(edge):
+            place = ("node", edge.destination) if sign.sign_type in NODE_TYPES else ("edge", edge.id)
+            places.setdefault(sign.id, set()).add(place)
+    index = SignIndex(signs)
+    runs = {
+        start: derive_rules(graph, index, start_edges=[start], cover_all=True)
+        for start in graph.edges
+    }
+    reached = {  # the places each run reaches
+        start: {place for edge_id in result.visited_edges for place in (
+            ("edge", edge_id), ("node", graph.edges[edge_id].destination)
+        )}
+        for start, result in runs.items()
+    }
+    once = {sign_id: found.pop() for sign_id, found in places.items() if len(found) == 1}
+    assert (len(places), len(once)) == (73, 59)
+    held_somewhere = partly_reached = 0
+    for sign_id, place in once.items():
+        there = {start for start in runs if place in reached[start]}
+        assert len({runs[start].rules.get(sign_id) for start in there}) == 1, sign_id
+        assert all(sign_id not in runs[start].rules for start in runs.keys() - there), sign_id
+        held_somewhere += sign_id in runs[next(iter(there))].rules
+        partly_reached += len(there) < len(runs)
+    assert (held_somewhere, partly_reached) == (52, 10)
+
+    # the two starts at one corner derive different turn pairs: two
+    # mandatory-turn signs (s008, s138) score 60 from each of the edges they
+    # are read along, so each holds the rule of the edge its run drives first
+    first, second = (
+        derived_rule_sets(rules_document(runs[start]))[1]
+        for start in ("n000_000->n000_001", "n000_000->n001_000")
+    )
+    assert {from_edge for from_edge, _ in first - second} == {
+        "n001_002->n001_001", "n004_004->n004_003"
+    }
+    assert {from_edge for from_edge, _ in second - first} == {
+        "n001_001->n000_001", "n004_003->n004_004"
+    }
 
 
 # each sign type's left/right partner; R-101 and R-400c have none

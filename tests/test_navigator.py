@@ -7,7 +7,9 @@ import tracemalloc
 import pytest
 
 import roadrules.navigator as navigator
+import roadrules.rules as rules
 from roadrules.errors import GraphError
+from roadrules.ids import id_sort_key
 from roadrules.geometry import Point
 from roadrules.io import rules_document, validate
 from roadrules.navigator import Frontier, derive_rules, is_navigation_forbidden
@@ -105,7 +107,7 @@ class TestAssignSigns:
         result = derive_rules(graph, index, start_edges=["n000_000->n000_001"])
         assert len(result.visited_edges) == 24
         assert result.unreached_edges == frozenset()
-        assert result.rules == ()
+        assert result.rules == {}
 
     def test_partition_covers_all_edges(self, empty_index):
         graph = two_component_graph()
@@ -192,6 +194,32 @@ class TestDeriveRules:
         assert len(result.visited_edges) == len(graph.edges)
         assert peak - retained < sys.getsizeof(result.visited_edges), (peak, retained)
 
+    def test_result_holds_the_run_s_own_held_map(self, monkeypatch):
+        # the rules are the run's held map itself, sign id -> (Rule, score),
+        # iterating in the order the signs first installed a rule
+        states, installed = [], []
+
+        class Recording(DerivationState):
+            def __init__(self, graph):
+                super().__init__(graph)
+                states.append(self)
+
+        def recording(sign, candidate, score, state):
+            associate(sign, candidate, score, state)
+            if sign.id in state.held and sign.id not in installed:
+                installed.append(sign.id)
+
+        associate = rules.associate_new_rule
+        monkeypatch.setattr(navigator, "DerivationState", Recording)
+        monkeypatch.setattr(rules, "associate_new_rule", recording)
+        result = derive_rules(*short_block_scene(1), cover_all=True)
+        [state] = states
+        assert result.rules is state.held
+        assert list(result.rules) == installed
+        assert installed != sorted(installed, key=id_sort_key)
+        for sign_id, (rule, score) in result.rules.items():
+            assert type(rule) is Rule and rule.banned and score > 0
+
     def test_a_derivation_leaves_the_graph_as_it_found_it(self):
         # nothing a run measures is kept on the graph or the index: once its
         # result is dropped, traced memory is back to exactly where it was.
@@ -245,10 +273,12 @@ class TestRuleDerivationScenes:
     def test_sample_scene_rules(self):
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
-        no_way = [r for r in result.rules if r.rule.family == "no_way"]
-        no_turn = [r for r in result.rules if r.rule.family == "no_turn"]
-        assert [r.rule.edge for r in no_way] == expected["one_way_banned_edges"]
-        assert [[r.rule.edge, sorted(r.rule.banned)] for r in no_turn] == [
+        # in sign order, as the scenario lists them
+        held = [result.rules[sign_id][0] for sign_id in sorted(result.rules, key=id_sort_key)]
+        no_way = [rule for rule in held if rule.family == "no_way"]
+        no_turn = [rule for rule in held if rule.family == "no_turn"]
+        assert [rule.edge for rule in no_way] == expected["one_way_banned_edges"]
+        assert [[rule.edge, sorted(rule.banned)] for rule in no_turn] == [
             [pair[0], [pair[1]]] for pair in expected["turn_restrictions"]
         ]
 
@@ -260,7 +290,7 @@ class TestRuleDerivationScenes:
     def test_rule_scores_are_positive(self):
         graph, index, expected = load_scenario("sample-town")
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
-        assert all(r.score > 0 for r in result.rules)
+        assert all(score > 0 for _, score in result.rules.values())
 
     def test_twin_nodes_replaces_a_worse_reading(self, monkeypatch):
         # s1 is first read from N1, which bans N1->N2; the better reading from
@@ -276,9 +306,9 @@ class TestRuleDerivationScenes:
         monkeypatch.setattr(DerivationState, "revoke", recording)
         result = derive_rules(graph, index, start_edges=["E1->N1"])
         assert revoked == [Rule("no_way", "N1->N2", ("N1->N2",))]
-        [record] = result.rules
-        assert record.rule == Rule("no_way", "N2->E2", ("N2->E2",))
-        assert record.score == pytest.approx(56.31, abs=0.01)
+        [(rule, score)] = result.rules.values()
+        assert rule == Rule("no_way", "N2->E2", ("N2->E2",))
+        assert score == pytest.approx(56.31, abs=0.01)
         assert "N1->N2" in result.visited_edges
 
     def test_twin_nodes_replacements_keep_a_valid_document(self, monkeypatch):
@@ -316,9 +346,7 @@ class TestRuleDerivationScenes:
         graph, _, _ = load_scenario("grid", rows=3, cols=3, spacing=100.0)
         index = SignIndex([Sign("t", Point(97.0, 97.0), SignType.R302, 30.0)])
         result = derive_rules(graph, index, start_edges=[start])
-        [record] = result.rules
-        assert record.rule == Rule("no_turn", from_edge, (banned_to,))
-        assert record.score == 60.0
+        assert result.rules == {"t": (Rule("no_turn", from_edge, (banned_to,)), 60.0)}
 
 
 class _Forgetful(set):

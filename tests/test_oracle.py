@@ -194,7 +194,8 @@ def assert_agrees(graph, signs, cfg, start_edges, cover_all):
     with patch.object(Frontier, "pop", pop):
         result = derive_rules(graph, SignIndex(signs), cfg, start_edges, cover_all)
     records, visited = reference_derivation(graph, signs, cfg, start_edges, cover_all)
-    assert [(r.sign_id, r.rule, r.score) for r in result.rules] == records
+    items = sorted(result.rules.items(), key=lambda item: id_sort_key(item[0]))
+    assert [(sign_id, rule, score) for sign_id, (rule, score) in items] == records
     assert result.visited_edges == visited
     assert result.unreached_edges == set(graph.edges) - visited
     # an edge is marked visited as it is pushed, so each is popped at most once

@@ -7,7 +7,7 @@ import pytest
 import roadrules.rules as rules
 from roadrules.geometry import Point
 from roadrules.io import rules_document
-from roadrules.navigator import DerivationResult, Frontier, RuleRecord, derive_rules
+from roadrules.navigator import DerivationResult, Frontier, derive_rules
 from roadrules.network import Node
 from roadrules.rules import (
     DerivationState,
@@ -356,8 +356,7 @@ class TestIdOrderFromAnUnsortedNode:
             "one-way": Rule("one_way", 10, (2, "a", "b")),
             "must-turn": Rule("no_turn", "in2", (2, "a", "b")),
         }
-        records = tuple(RuleRecord(sign_id, *self.state.held[sign_id]) for sign_id in held)
-        document = rules_document(DerivationResult(records, set(), frozenset()))
+        document = rules_document(DerivationResult(self.state.held, set(), frozenset()))
         assert [entry["banned"] for entry in document["one_way"]] == [[2, "a", "b"]]
         assert [entry["banned_to"] for entry in document["no_turn"]] == [[2, "a", "b"]]
         self.state.revoke(held["one-way"])
