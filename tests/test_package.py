@@ -1,7 +1,9 @@
 """Package-level rules: the public surface, the stdlib-only runtime, the module
-layers and the README's table of them."""
+layers and the README's table of them, and the benchmark records kept at the
+root."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -74,3 +76,23 @@ def test_readme_layout_names_every_module():
     rows = [line.split("|")[1].strip() for line in table.splitlines() if line.startswith("| `")]
     assert {row.strip("`") for row in rows} == MODULES
     assert len(rows) == len(MODULES)
+
+
+def test_bench_records_hold_every_workload_correct():
+    # each BENCH_*.json holds last lines of ``bench/run.py --workload all``:
+    # every run correct on every workload BENCHMARK.json declares, and every
+    # --trace 0 run with the four end-to-end metrics
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    end_to_end = {metric["name"] for metric in benchmark["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        assert {run["trace"] for run in runs} == {0, 1}, path.name
+        for run in runs:
+            assert set(run["result"]) == workloads, path.name
+            for workload, result in run["result"].items():
+                assert result["correct"] is True and result["failed"] == 0, (path.name, workload)
+                if run["trace"] == 0:
+                    assert set(result["metrics"]) == end_to_end, (path.name, workload)
