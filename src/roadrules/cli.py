@@ -3,8 +3,8 @@
 Subcommands: derive (run a derivation and write the rule document), validate
 (score a rule document against ground truth), scenario (emit a synthetic test
 scene) and render (write the inspection overlay). Exit codes: 0 success, 1
-input error (including an output file or stdout that cannot be written), 2
-internal invariant violation.
+any ``InputError`` (including an output file or stdout that cannot be
+written), 2 any other exception, which is a bug.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 
-from .errors import InputError, InternalError, shown
+from .errors import InputError, shown
 from .io import (
     RULE_FIELDS,
     dump_json,
@@ -91,18 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detection_config(args: argparse.Namespace) -> DetectionConfig:
-    try:
-        return DetectionConfig(
-            node_radius=args.node_radius,
-            edge_radius=args.edge_radius,
-            lookback=args.lookback,
-            visibility_half_angle=args.half_angle,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _file(path: str) -> tuple | str:
     """What ``path`` names: a file that exists by its device and inode, so a
     hard link is its file too, and one not made yet by its resolved path."""
@@ -145,10 +133,13 @@ def _cmd_derive(args: argparse.Namespace) -> str:
     if not args.start_edge and not args.cover_all:
         raise InputError("derive needs --start-edge or --cover-all")
     _check_outputs(args, ("out", "overlay"), ("network", "signs"))
+    cfg = DetectionConfig(
+        node_radius=args.node_radius, edge_radius=args.edge_radius, lookback=args.lookback,
+        visibility_half_angle=args.half_angle,
+    )
     graph, index = _load_inputs(args)
     result = derive_rules(
-        graph, index, _detection_config(args), start_edges=_edge_ids(graph, args.start_edge),
-        cover_all=args.cover_all,
+        graph, index, cfg, start_edges=_edge_ids(graph, args.start_edge), cover_all=args.cover_all
     )
     rules = write_rules(result, args.out)
     if args.overlay:
@@ -237,9 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - any escape here is a bug
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2

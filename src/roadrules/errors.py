@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and how messages echo input."""
+"""Exceptions (the CLI exits 1 on ``InputError``, 2 on any other) and how messages echo input."""
 
 import reprlib
 
@@ -8,15 +8,11 @@ class RoadRulesError(Exception):
 
 
 class InputError(RoadRulesError):
-    """Malformed or inconsistent input data (exit code 1 in the CLI)."""
-
-
-class GraphError(InputError):
-    """Road-graph invariant violated while building or loading a network."""
+    """Malformed or inconsistent input, thresholds and start edges included."""
 
 
 class InternalError(RoadRulesError):
-    """An internal invariant was broken; indicates a bug (exit code 2)."""
+    """An internal invariant was broken, named where it is checked: a bug."""
 
 
 _SHORT = reprlib.Repr()

@@ -32,7 +32,7 @@ from array import array
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .errors import GraphError, InputError, shown
+from .errors import InputError, shown
 from .geometry import LocalProjection, Point, Polyline
 from .ids import id_sort_key, sorted_ids
 from .navigator import DerivationResult
@@ -363,7 +363,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 
     try:
         return build_graph(node_positions, edges, opposites.items() or None, projection=projection)
-    except GraphError as exc:
+    except InputError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
 

@@ -13,7 +13,7 @@ from collections import deque
 from itertools import chain, filterfalse
 from typing import AbstractSet, Mapping, NamedTuple
 
-from .errors import GraphError, InternalError, shown
+from .errors import InputError, InternalError, shown
 from .network import DirectedEdge, EdgeId, RoadGraph
 from .rules import DerivationState, Rule, analyze_signs
 from .signs import DetectionConfig, SignId, SignIndex, detect_signs_along, detect_signs_from
@@ -100,19 +100,19 @@ def derive_rules(
 
     This is the one way to run a derivation. All run state lives in a fresh
     ``DerivationState``; ``graph`` and ``index`` are only read, so they can be
-    reused across calls. An unknown start edge raises ``GraphError`` before
-    any runs. Start edges run sequentially on shared state, and one already
-    visited or banned by earlier rules is skipped. With ``cover_all`` the run
-    then restarts from the smallest-id unvisited unbanned edge until none
-    remain, so only edges banned until the very end stay unreached.
+    reused across calls. An unknown start edge, or none without ``cover_all``,
+    raises ``InputError`` before any runs. Start edges run in turn on shared
+    state, skipping one already visited or banned by earlier rules. With
+    ``cover_all`` the run then restarts from the smallest-id unvisited unbanned
+    edge until none remain, so only edges still banned at the end stay unreached.
     """
     if not start_edges and not cover_all:
-        raise ValueError("need at least one start edge, or cover_all")
+        raise InputError("need at least one start edge, or cover_all")
     cfg = cfg or DetectionConfig()
     state = DerivationState(graph)
     for edge_id in start_edges:
         if edge_id not in graph.edges:
-            raise GraphError(f"unknown edge {shown(edge_id)}")
+            raise InputError(f"unknown edge {shown(edge_id)}")
     # With cover_all, one id-ordered pass finds every restart: an edge the pass
     # has moved past never becomes a valid start again, since visits are
     # permanent and an edge unbanned by a revocation is visited at that moment.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import GraphError, shown
+from .errors import InputError, shown
 from .geometry import LocalProjection, Point, Polyline, distance
 from .ids import Identifier, sorted_ids
 
@@ -77,13 +77,13 @@ def build_graph(
     for edge_id, (source, destination, geometry) in edges.items():
         for endpoint in (source, destination):
             if endpoint not in nodes:
-                raise GraphError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
+                raise InputError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
         start, position = geometry[0], nodes[source]
         if start != position and distance(start, position) > ENDPOINT_TOLERANCE:
-            raise GraphError(f"edge {shown(edge_id)} geometry does not start at node {shown(source)}")
+            raise InputError(f"edge {shown(edge_id)} geometry does not start at node {shown(source)}")
         end, position = geometry[-1], nodes[destination]
         if end != position and distance(end, position) > ENDPOINT_TOLERANCE:
-            raise GraphError(f"edge {shown(edge_id)} geometry does not end at node {shown(destination)}")
+            raise InputError(f"edge {shown(edge_id)} geometry does not end at node {shown(destination)}")
 
     node_map = {node_id: Node(node_id, nodes[node_id]) for node_id in sorted_ids(nodes)}
     edge_map: dict[EdgeId, DirectedEdge] = {}
@@ -98,18 +98,18 @@ def build_graph(
         for a, b in opposite_pairs:
             for eid in (a, b):
                 if eid not in edge_map:
-                    raise GraphError(f"opposite pairing references unknown edge {shown(eid)}")
+                    raise InputError(f"opposite pairing references unknown edge {shown(eid)}")
             if a == b:
-                raise GraphError(f"edge {shown(a)} is named as its own opposite")
+                raise InputError(f"edge {shown(a)} is named as its own opposite")
             ea, eb = edge_map[a], edge_map[b]
             if ea.opposite == b:
                 continue  # the same pair, named again from its other edge
             if ea.opposite is not None or eb.opposite is not None:
-                raise GraphError(f"asymmetric opposite pairing for edges {shown(a)} and {shown(b)}")
+                raise InputError(f"asymmetric opposite pairing for edges {shown(a)} and {shown(b)}")
             if ea.source != eb.destination or ea.destination != eb.source:
-                raise GraphError(f"opposite edges {shown(a)} and {shown(b)} do not swap endpoints")
+                raise InputError(f"opposite edges {shown(a)} and {shown(b)} do not swap endpoints")
             if not _reversed_match(ea.geometry, eb.geometry, ENDPOINT_TOLERANCE):
-                raise GraphError(f"opposite edges {shown(a)} and {shown(b)} have mismatched geometry")
+                raise InputError(f"opposite edges {shown(a)} and {shown(b)} have mismatched geometry")
             ea.opposite = b
             eb.opposite = a
     return RoadGraph(node_map, edge_map, projection)
@@ -132,7 +132,7 @@ def _autodetect_opposites(edge_map: dict[EdgeId, DirectedEdge]) -> None:
         ]
         if len(candidates) > 1:
             ids = sorted_ids([c.id for c in candidates])
-            raise GraphError(f"ambiguous opposite for edge {shown(edge.id)}: candidates {shown(ids)}")
+            raise InputError(f"ambiguous opposite for edge {shown(edge.id)}: candidates {shown(ids)}")
         if candidates:
             edge.opposite = candidates[0].id
             candidates[0].opposite = edge.id

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import shown
+from .errors import InputError, shown
 from .geometry import Point, Polyline, angle, distance, heading, normalize
 from .ids import Identifier, id_sort_key
 from .network import DirectedEdge, EdgeId, Node
@@ -167,9 +167,9 @@ class DetectionConfig:
         for name in ("node_radius", "edge_radius", "lookback", "visibility_half_angle"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite")
+                raise InputError(f"{name} must be positive and finite")
         if self.visibility_half_angle >= 90.0:
-            raise ValueError("visibility_half_angle must be below 90 degrees")
+            raise InputError("visibility_half_angle must be below 90 degrees")
 
 
 def is_visible(observer: Point, sign: Sign, cfg: DetectionConfig) -> bool:

@@ -12,9 +12,12 @@ import pytest
 import roadrules
 import roadrules.io as roadrules_io
 from roadrules.cli import main
-from roadrules.signs import DetectionConfig
-from roadrules.errors import InputError
+from roadrules.signs import DetectionConfig, SignIndex
+from roadrules.errors import InputError, InternalError
+from roadrules.geometry import Point, Polyline
+from roadrules.io import network_from_document
 from roadrules.navigator import derive_rules
+from roadrules.network import build_graph
 
 from helpers import short_block_scene, write_scene
 
@@ -110,6 +113,12 @@ class TestDerive:
     def test_bad_detection_flag(self, town, tmp_path, capsys):
         assert main(derive_args(town, tmp_path / "r.json") + ["--half-angle", "95"]) == 1
         assert "half_angle" in capsys.readouterr().err
+
+    def test_bad_detection_flag_exits_before_any_input_is_read(self, town, tmp_path, capsys):
+        args = derive_args(town, tmp_path / "r.json") + ["--half-angle", "95"]
+        args[args.index("--network") + 1] = str(tmp_path / "missing.geojson")
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: visibility_half_angle must be below 90 degrees\n"
 
     @pytest.mark.parametrize("flag", ["--node-radius", "--edge-radius", "--lookback", "--half-angle"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -567,6 +576,51 @@ class TestRenderCommand:
         assert not out.exists()
 
 
+def _two_node_graph():
+    a, b = Point(0, 0), Point(100, 0)
+    return build_graph({"A": a, "B": b}, {"ab": ("A", "B", Polyline([a, b]))})
+
+
+def _lonlat_document(position):
+    return {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "geometry": {"type": "Point", "coordinates": coordinates},
+             "properties": {"node_id": node}}
+            for node, coordinates in (("A", [0.0, 0.0]), ("B", position))
+        ],
+    }
+
+
+def _self_opposite_loop():
+    a = Point(0, 0)
+    loop = {"aa": ("A", "A", Polyline([a, Point(50, 50), a]))}
+    return build_graph({"A": a}, loop, opposite_pairs=[("aa", "aa")])
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda: DetectionConfig(node_radius=0.0), "node_radius must be positive and finite"),
+        (lambda: derive_rules(_two_node_graph(), SignIndex([])),
+         "need at least one start edge, or cover_all"),
+        (lambda: derive_rules(_two_node_graph(), SignIndex([]), start_edges=["nope"]),
+         "unknown edge 'nope'"),
+        (_self_opposite_loop, "edge 'aa' is named as its own opposite"),
+        (lambda: network_from_document(_lonlat_document([180.5, 0.0])),
+         "<network>: feature 1: lon/lat (180.5, 0.0) out of range or not numbers"),
+    ],
+    ids=["threshold", "no-start", "unknown-start", "self-opposite", "lonlat-range"],
+)
+def test_library_input_faults_raise_input_error(fault, message):
+    # the CLI's exit 1 is exactly an InputError, so a library caller meets
+    # the same class for the same fault; no subclass, no ValueError
+    with pytest.raises(InputError) as caught:
+        fault()
+    assert type(caught.value) is InputError
+    assert str(caught.value) == message
+
+
 class TestExitCodes:
     def test_internal_error_maps_to_2(self, town, tmp_path, monkeypatch, capsys):
         import roadrules.cli as cli
@@ -594,6 +648,26 @@ class TestExitCodes:
         )
         assert code == 2
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (InternalError("invariant broken"), "internal error: InternalError('invariant broken')"),
+            (KeyError("x"), "internal error: KeyError('x')"),
+        ],
+    )
+    def test_exit_2_prints_the_repr(self, town, monkeypatch, capsys, exc, line):
+        import roadrules.cli as cli
+
+        def boom(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_rules", boom)
+        code = main(
+            ["validate", "--rules", "x.json", "--truth", str(town / "expected_rules.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == line + "\n"
 
 
     @pytest.mark.parametrize("name", ["network", "signs", "rules", "truth"])

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from roadrules.errors import InputError
 from roadrules.signs import (
     DetectionConfig,
     detect_signs_along,
@@ -45,7 +46,7 @@ class TestConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             DetectionConfig(**kwargs)
 
 

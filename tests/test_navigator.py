@@ -8,7 +8,7 @@ import pytest
 
 import roadrules.navigator as navigator
 import roadrules.rules as rules
-from roadrules.errors import GraphError
+from roadrules.errors import InputError
 from roadrules.ids import id_sort_key
 from roadrules.geometry import Point
 from roadrules.io import rules_document, validate
@@ -122,7 +122,7 @@ class TestAssignSigns:
 
     def test_unknown_start_edge(self, empty_index):
         graph = two_component_graph()
-        with pytest.raises(GraphError):
+        with pytest.raises(InputError):
             derive_rules(graph, empty_index, start_edges=["nope"])
 
     def test_dead_end_street_covered_in_both_directions(self, empty_index):
@@ -135,7 +135,7 @@ class TestAssignSigns:
 class TestDeriveRules:
     def test_requires_start_or_cover_all(self, empty_index):
         graph = two_component_graph()
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             derive_rules(graph, empty_index)
 
     def test_one_start_per_component_covers_everything(self, empty_index):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from roadrules.errors import GraphError
+from roadrules.errors import InputError
 from roadrules.geometry import Point, Polyline
 from roadrules.network import build_graph
 
@@ -39,13 +39,13 @@ class TestBuildGraph:
         assert graph.edges["A->B"].opposite is None
 
     def test_unknown_node_rejected(self):
-        with pytest.raises(GraphError, match="unknown node"):
+        with pytest.raises(InputError, match="unknown node"):
             build_graph({"A": A}, dict([straight_edge("A->C", "A", "C", A, B)]))
 
     def test_geometry_must_touch_endpoints(self):
         nodes = {"A": A, "B": B}
         bad = {"e": ("A", "B", Polyline([(0, 5), (100, 0)]))}
-        with pytest.raises(GraphError, match="does not start"):
+        with pytest.raises(InputError, match="does not start"):
             build_graph(nodes, bad)
 
     # -0.0 equals 0.0 exactly, so that endpoint matches its node
@@ -57,7 +57,7 @@ class TestBuildGraph:
         if ok:
             assert build_graph({"A": A, "B": B}, edges).edges["e"].geometry == (start, stop)
         else:
-            with pytest.raises(GraphError, match=f"does not {end}"):
+            with pytest.raises(InputError, match=f"does not {end}"):
                 build_graph({"A": A, "B": B}, edges)
 
     @pytest.mark.parametrize("offset, ok", [(0.0005, True), (0.002, False), (0.0, True)])
@@ -72,7 +72,7 @@ class TestBuildGraph:
         if ok:
             assert build_graph({"A": A, "B": B}, edges, pairs).edges["ab"].opposite == "ba"
         elif explicit:
-            with pytest.raises(GraphError, match="mismatched geometry"):
+            with pytest.raises(InputError, match="mismatched geometry"):
                 build_graph({"A": A, "B": B}, edges, pairs)
         else:
             assert build_graph({"A": A, "B": B}, edges).edges["ab"].opposite is None
@@ -84,7 +84,7 @@ class TestBuildGraph:
             straight_edge("ba", "B", "A", B, A),
             straight_edge("bc", "B", "C", B, Point(200, 0)),
         ])
-        with pytest.raises(GraphError, match="do not swap endpoints"):
+        with pytest.raises(InputError, match="do not swap endpoints"):
             build_graph(nodes, edges, opposite_pairs=[("ab", "bc")])
 
     def test_explicit_pairing_checks_geometry(self):
@@ -93,7 +93,7 @@ class TestBuildGraph:
             straight_edge("ab", "A", "B", A, B),
             ("ba", ("B", "A", Polyline([B, Point(50, 30), A]))),
         ])
-        with pytest.raises(GraphError, match="mismatched geometry"):
+        with pytest.raises(InputError, match="mismatched geometry"):
             build_graph(nodes, edges, opposite_pairs=[("ab", "ba")])
 
     def test_ambiguous_autodetect_rejected(self):
@@ -103,19 +103,19 @@ class TestBuildGraph:
             straight_edge("ba1", "B", "A", B, A),
             straight_edge("ba2", "B", "A", B, A),
         ])
-        with pytest.raises(GraphError, match="ambiguous opposite"):
+        with pytest.raises(InputError, match="ambiguous opposite"):
             build_graph(nodes, edges)
 
     def test_edge_paired_with_itself_rejected(self):
         # a closed loop swaps its own endpoints and reverses onto itself
         loop = {"aa": ("A", "A", Polyline([A, Point(50, 50), A]))}
-        with pytest.raises(GraphError, match="edge 'aa' is named as its own opposite"):
+        with pytest.raises(InputError, match="edge 'aa' is named as its own opposite"):
             build_graph({"A": A}, loop, opposite_pairs=[("aa", "aa")])
         assert build_graph({"A": A}, loop).edges["aa"].opposite is None
 
     def test_opposite_pair_referencing_unknown_edge(self):
         nodes, edges = two_way_street()
-        with pytest.raises(GraphError, match="unknown edge"):
+        with pytest.raises(InputError, match="unknown edge"):
             build_graph(nodes, edges, opposite_pairs=[("A->B", "nope")])
 
 
