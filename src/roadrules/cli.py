@@ -3,8 +3,8 @@
 Subcommands: derive (run a derivation and write the rule document), validate
 (score a rule document against ground truth), scenario (emit a synthetic test
 scene) and render (write the inspection overlay). Exit codes: 0 success, 1
-any ``InputError`` (including an output file or stdout that cannot be
-written), 2 any other exception, which is a bug.
+any ``InputError`` (also an output file or stdout that cannot be written),
+2 any other exception (a bug): its traceback, then ``internal error: <repr>``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import traceback
 
 from .errors import InputError, shown
 from .io import (
@@ -229,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - any escape here is a bug
+        traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
     finally:

@@ -407,18 +407,16 @@ def load_network(path: str | Path) -> RoadGraph:
 
 
 def signs_from_document(
-    document: dict,
-    source: str | Path = "<signs>",
-    network: RoadGraph | None = None,
+    document: dict, source: str | Path = "<signs>", *, network: RoadGraph
 ) -> list[Sign]:
-    """Parse sign Point features (properties sign_id, type, azimuth).
+    """Parse sign Point features (properties sign_id, type, azimuth) of the
+    ``network`` they belong to.
 
     A sign whose type is a string that is no known code is skipped, with a
     logged warning, instead of failing the whole file; its id, position and
-    azimuth are still checked. With a ``network``, the signs must be in its
-    coordinate frame, and lon/lat signs reuse its projection; only planar
-    signs may be read without one. The document's features are consumed, as
-    by ``network_from_document``.
+    azimuth are still checked. The signs must be in the network's coordinate
+    frame, and lon/lat signs reuse its projection. The document's features
+    are consumed, as by ``network_from_document``.
     """
     skipped: list = []
     try:
@@ -427,24 +425,17 @@ def signs_from_document(
         _warn_skipped(source, skipped)
 
 
-def _read_signs(
-    document: dict, source: str | Path, network: RoadGraph | None, skipped: list
-) -> list[Sign]:
+def _read_signs(document: dict, source: str | Path, network: RoadGraph, skipped: list) -> list[Sign]:
     """``signs_from_document``, with each unknown-type sign added to ``skipped``
     instead of logged."""
     features = _feature_collection(document, source)
     planar = _is_planar(document)
-    projection = None
-    if network is not None:
-        projection = network.projection
-        if planar != (projection is None):
-            raise InputError(
-                f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
-                f"network is {'lon/lat' if planar else 'planar'}"
-            )
-    elif not planar:
-        raise InputError(f"{source}: lon/lat signs need the network they belong to")
-    point = Point if planar else projection.to_planar
+    if planar != (network.projection is None):
+        raise InputError(
+            f"{source}: signs are {'planar' if planar else 'lon/lat'} but the "
+            f"network is {'lon/lat' if planar else 'planar'}"
+        )
+    point = Point if planar else network.projection.to_planar
     signs: list[Sign] = []
     seen: dict = {}  # the feature of each sign id
     for i, f in enumerate(features):
@@ -474,10 +465,10 @@ def _warn_skipped(source: str | Path, skipped: list) -> None:
                        source, i, shown(sign_id), shown(code))
 
 
-def load_signs(path: str | Path, network: RoadGraph | None = None) -> list[Sign]:
-    """Read a signs GeoJSON file, as ``load_network`` reads a network; pass
-    the network the signs belong to. Skipped signs are logged once, as
-    reading the whole document logs them."""
+def load_signs(path: str | Path, network: RoadGraph) -> list[Sign]:
+    """Read a signs GeoJSON file of ``network``, as ``load_network`` reads a
+    network. Skipped signs are logged once, as reading the whole document
+    logs them."""
     return _load(path, lambda doc, source, skipped: _read_signs(doc, source, network, skipped))
 
 

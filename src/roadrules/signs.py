@@ -77,7 +77,7 @@ class SignIndex:
         ordered = sorted(signs, key=lambda s: id_sort_key(s.id))
         for a, b in zip(ordered, ordered[1:]):
             if a.id == b.id:
-                raise ValueError(f"duplicate sign id {shown(a.id)}")
+                raise InputError(f"duplicate sign id {shown(a.id)}")
         self.signs: tuple[Sign, ...] = tuple(ordered)
         tables: dict[Family, dict[int, list]] = {NODE_SIGN_TYPES: {}, EDGE_SIGN_TYPES: {}}
         for rank, s in enumerate(self.signs):

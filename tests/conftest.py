@@ -40,7 +40,7 @@ def load_scenario(name, **params):
     """(graph, index, expected) for a generated scenario, all in memory."""
     scenario = generate_scenario(name, **params)
     graph = network_from_document(scenario.network)
-    index = SignIndex(signs_from_document(scenario.signs))
+    index = SignIndex(signs_from_document(scenario.signs, network=graph))
     return graph, index, scenario.expected
 
 

@@ -299,7 +299,7 @@ def test_criterion_9_golden_scene_validates_at_100_percent():
     with criterion(9, "golden scene derives exactly the expected rules at 100% accuracy"):
         scenario = generate_scenario("sample-town")
         graph = network_from_document(scenario.network)
-        index = SignIndex(signs_from_document(scenario.signs))
+        index = SignIndex(signs_from_document(scenario.signs, network=graph))
         expected = scenario.expected
         result = derive_rules(graph, index, start_edges=expected["start_edges"])
 

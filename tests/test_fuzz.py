@@ -94,11 +94,10 @@ def _derived(signs):
 
     The loaders consume the documents they read, so they are given copies.
     """
+    graph = network_from_document(copy.deepcopy(SCENARIO.network))
     return rules_document(
         derive_rules(
-            network_from_document(copy.deepcopy(SCENARIO.network)),
-            SignIndex(signs_from_document(copy.deepcopy(signs))),
-            cover_all=True,
+            graph, SignIndex(signs_from_document(copy.deepcopy(signs), network=graph)), cover_all=True
         )
     )
 

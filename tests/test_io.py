@@ -74,6 +74,10 @@ def planar_network(*features):
             "features": list(features)}
 
 
+# the empty planar network: the frame of planar signs whose roads a test does not need
+NO_ROADS = network_from_document(planar_network())
+
+
 def replace_part(feature, part, value):
     """``feature`` itself (``part`` None) or one of its members, replaced by ``value``."""
     if part is None:
@@ -360,7 +364,7 @@ class TestLoadSigns:
         doc = self.signs_doc(
             [geo_feature("Point", [5, 5], sign_id="s", type="R-101", azimuth=270)]
         )
-        (s,) = signs_from_document(doc)
+        (s,) = signs_from_document(doc, network=NO_ROADS)
         assert (s.id, s.sign_type.value, s.azimuth) == ("s", "R-101", 270.0)
         assert s.position == Point(5.0, 5.0)
 
@@ -372,7 +376,7 @@ class TestLoadSigns:
             ]
         )
         with caplog.at_level(logging.WARNING, logger="roadrules"):
-            signs = signs_from_document(doc)
+            signs = signs_from_document(doc, network=NO_ROADS)
         assert [s.id for s in signs] == ["ok"]
         assert "R-500" in caplog.text and "bad" in caplog.text
 
@@ -384,7 +388,7 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="feature 1: coordinates"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("code", ["R-500", "R-101"])
     def test_azimuth_is_checked_whatever_the_type(self, tmp_path, caplog, code):
@@ -393,7 +397,7 @@ class TestLoadSigns:
         ))
         with caplog.at_level(logging.WARNING, logger="roadrules"):
             with pytest.raises(InputError, match="feature 0: bad or missing 'azimuth'"):
-                load_signs(path)
+                load_signs(path, NO_ROADS)
         assert not caplog.records
 
     @pytest.mark.parametrize("code", [None, 101, True, ["R-101"]])
@@ -402,18 +406,18 @@ class TestLoadSigns:
             [geo_feature("Point", [0, 0], sign_id="s", type=code, azimuth=0)]
         )
         with pytest.raises(InputError, match="feature 0: bad or missing 'type'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     def test_azimuth_wraps(self):
         doc = self.signs_doc(
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth=360)]
         )
-        assert signs_from_document(doc)[0].azimuth == 0.0
+        assert signs_from_document(doc, network=NO_ROADS)[0].azimuth == 0.0
 
     def test_missing_field_rejected(self):
         doc = self.signs_doc([geo_feature("Point", [0, 0], sign_id="s", type="R-101")])
         with pytest.raises(InputError, match="azimuth"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("azimuth", [10**400, [], {}, True, "270", " 2.7e2 "])
     def test_unconvertible_azimuth_rejected(self, azimuth):
@@ -424,7 +428,7 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="feature 1: bad or missing 'azimuth'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("value", UNHASHABLE)
     def test_unhashable_sign_id_rejected(self, value):
@@ -435,7 +439,7 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="feature 1: bad or missing 'sign_id'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_number_sign_id_rejected(self, value):
@@ -446,7 +450,7 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="feature 1: bad or missing 'sign_id'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("planar", [True, False])
     @pytest.mark.parametrize("value", NOT_OBJECTS)
@@ -460,7 +464,7 @@ class TestLoadSigns:
             ],
             planar=planar,
         )
-        network = None if planar else self.geographic_network()
+        network = NO_ROADS if planar else self.geographic_network()
         with pytest.raises(InputError, match="feature 1: .*not a JSON object"):
             signs_from_document(doc, network=network)
 
@@ -469,7 +473,7 @@ class TestLoadSigns:
             [geo_feature("Point", [0, 0], sign_id="s", type="R-101", azimuth="north")]
         )
         with pytest.raises(InputError, match="feature 0: bad or missing 'azimuth'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("azimuth", [math.nan, math.inf, "nan", "-inf"])
     def test_non_finite_azimuth_rejected(self, azimuth):
@@ -480,7 +484,7 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="feature 1: bad or missing 'azimuth'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @pytest.mark.parametrize("planar", [True, False])
     @pytest.mark.parametrize("position", BAD_POSITIONS)
@@ -492,7 +496,7 @@ class TestLoadSigns:
             ],
             planar=planar,
         )
-        network = None if planar else self.geographic_network()
+        network = NO_ROADS if planar else self.geographic_network()
         with pytest.raises(InputError, match="feature 1"):
             signs_from_document(doc, network=network)
 
@@ -504,14 +508,14 @@ class TestLoadSigns:
             ]
         )
         with pytest.raises(InputError, match="duplicate sign_id"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     def test_non_point_rejected(self):
         doc = self.signs_doc(
             [geo_feature("LineString", [[0, 0], [1, 1]], sign_id="s", type="R-101", azimuth=0)]
         )
         with pytest.raises(InputError, match="feature 0: unsupported geometry type 'LineString'"):
-            signs_from_document(doc)
+            signs_from_document(doc, network=NO_ROADS)
 
     @staticmethod
     def geographic_network():
@@ -551,12 +555,10 @@ LONLAT_SIGN = geo_feature("Point", [-8.41, 43.362], sign_id="s", type="R-101", a
         # a lon/lat network with no coordinates has nothing to center on
         (load_network, {"type": "FeatureCollection", "features": []},
          "no coordinates to center a projection on"),
-        # signs never center on their own, or they would not line up with their network
-        (load_signs, {"type": "FeatureCollection", "features": [LONLAT_SIGN]},
-         "lon/lat signs need the network they belong to"),
         (load_rules, [], "expected a rule document object"),
         (load_network, [], "expected a GeoJSON FeatureCollection"),
-        (load_signs, [LONLAT_SIGN], "expected a GeoJSON FeatureCollection"),
+        (functools.partial(load_signs, network=TestLoadSigns.geographic_network()),
+         [LONLAT_SIGN], "expected a GeoJSON FeatureCollection"),
     ],
 )
 def test_unusable_document_rejected(tmp_path, load, document, message):
@@ -596,7 +598,7 @@ def sign_inventory(rows, cols):
 READERS = {
     "planar": (grid_network, network_from_document),
     "lonlat": (lambda rows, cols: as_lonlat(grid_network(rows, cols)), network_from_document),
-    "signs": (sign_inventory, signs_from_document),
+    "signs": (sign_inventory, functools.partial(signs_from_document, network=NO_ROADS)),
 }
 
 
@@ -660,7 +662,8 @@ def sign_parts(signs):
 # the file loader, the whole-document reader and what to compare, per file kind
 LOADERS = {
     "network": (load_network, network_from_document, graph_parts),
-    "signs": (load_signs, signs_from_document, sign_parts),
+    "signs": (functools.partial(load_signs, network=NO_ROADS),
+              functools.partial(signs_from_document, network=NO_ROADS), sign_parts),
 }
 
 
@@ -1148,7 +1151,7 @@ class TestStreamedRead:
         path.write_text(path.read_text() + tail)
         with caplog.at_level(logging.WARNING, logger="roadrules"):
             with pytest.raises(InputError, match="malformed JSON" if tail else "feature 1"):
-                load_signs(path)
+                load_signs(path, NO_ROADS)
         assert len(caplog.records) == (0 if tail else 1)
 
     def test_skipped_sign_in_a_streamed_file_is_warned_once(self, tmp_path, caplog):
@@ -1158,7 +1161,7 @@ class TestStreamedRead:
         ]
         path = write_doc(tmp_path, "signs.geojson", planar_network(*features))
         with caplog.at_level(logging.WARNING, logger="roadrules"):
-            assert [s.id for s in load_signs(path)] == ["ok"]
+            assert [s.id for s in load_signs(path, NO_ROADS)] == ["ok"]
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: feature 0: skipping sign 'skipped' with unknown type 'R-500'"
         ]

@@ -2,14 +2,21 @@ import math
 
 import pytest
 
+from roadrules.errors import InputError
 from roadrules.geometry import Point, Polyline, distance
+from roadrules.navigator import derive_rules
+from roadrules.network import build_graph
 from roadrules.signs import (
     CELL,
     EDGE_SIGN_TYPES,
     NODE_SIGN_TYPES,
+    NOMINAL_AHEAD,
     Sign,
     SignIndex,
     SignType,
+    best_no_turn_edge,
+    best_no_way_edge,
+    best_one_way_edge,
 )
 
 
@@ -55,7 +62,7 @@ class TestSign:
 
 class TestSignIndex:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate sign id"):
+        with pytest.raises(InputError, match="duplicate sign id"):
             SignIndex([sign("s", 0, 0), sign("s", 1, 1)])
 
     def test_radius_boundary_inclusive(self):
@@ -243,3 +250,27 @@ class TestCellTable:
             s.id for s in signs
         )
         assert line_hit_ids(index, line, 200.0, held) == sorted(s.id for s in signs)
+
+
+def test_short_loop_is_never_scored():
+    # a closed loop shorter than NOMINAL_AHEAD ends where it starts, at the
+    # node, so a probe on it has no bearing from there: no scorer picks it as
+    # an exit, and a turn read on it as the approach has no candidate
+    graph = build_graph(
+        {"A": Point(0.0, 0.0), "B": Point(100.0, 0.0)},
+        {"ab": ("A", "B", Polyline([(0, 0), (100, 0)])),
+         "ba": ("B", "A", Polyline([(100, 0), (0, 0)])),
+         "loop": ("A", "A", Polyline([(0, 0), (3, 3), (0, 0)]))},
+    )
+    node, edges = graph.nodes["A"], graph.edges
+    loop = edges["loop"]
+    assert loop.geometry.length < NOMINAL_AHEAD
+    exits = [loop, edges["ab"]]
+    no_way, one_way = sign("w", -5, -5, "R-101", 225.0), sign("o", -5, -5, "R-400c", 225.0)
+    no_turn = sign("t", 60, 3, "R-302", 270.0)
+    assert best_no_way_edge(no_way, node, exits).edge == "ab"
+    assert best_one_way_edge(one_way, node, exits).edge == "ab"
+    assert best_no_turn_edge(no_turn, edges["ba"], node, exits).edge == "ab"
+    assert best_no_turn_edge(sign("t", -5, -5, "R-302"), loop, node, exits) is None
+    result = derive_rules(graph, SignIndex([no_way, one_way, no_turn]), cover_all=True)
+    assert result.visited_edges == {"ab", "ba", "loop"}
