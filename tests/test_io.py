@@ -555,11 +555,17 @@ LONLAT_SIGN = geo_feature("Point", [-8.41, 43.362], sign_id="s", type="R-101", a
         # a lon/lat network with no coordinates has nothing to center on
         (load_network, {"type": "FeatureCollection", "features": []},
          "no coordinates to center a projection on"),
+        # lon/lat signs are read only in a lon/lat network's frame
+        (functools.partial(load_signs, network=NO_ROADS),
+         {"type": "FeatureCollection", "features": [LONLAT_SIGN]},
+         "signs are lon/lat but the network is planar"),
         (load_rules, [], "expected a rule document object"),
         (load_network, [], "expected a GeoJSON FeatureCollection"),
         (functools.partial(load_signs, network=TestLoadSigns.geographic_network()),
          [LONLAT_SIGN], "expected a GeoJSON FeatureCollection"),
     ],
+    # a loader given its network is named as the loader
+    ids=lambda value: value.func.__name__ if isinstance(value, functools.partial) else None,
 )
 def test_unusable_document_rejected(tmp_path, load, document, message):
     path = write_doc(tmp_path, "document.json", document)
