@@ -148,7 +148,7 @@ class LocalProjection:
 
     @classmethod
     def centered(cls, coordinates: Iterable[tuple[float, float]]) -> "LocalProjection":
-        """Projection centered on the centroid of (lon, lat) pairs.
+        """Projection centered on the centroid of one or more (lon, lat) pairs.
 
         The sums are plain left-to-right float additions, not ``sum()``,
         which Python 3.12 made compensated: the centroid, and so every
@@ -159,8 +159,6 @@ class LocalProjection:
             count += 1
             lon_total += lon
             lat_total += lat
-        if not count:
-            raise ValueError("cannot center a projection on zero coordinates")
         return cls(lon_total / count, lat_total / count)
 
     @cached_property

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from array import array
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -267,8 +266,8 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 
     LineString features carry properties ``edge_id``, ``source_node``,
     ``target_node`` and optional ``opposite_id``; Point features carry
-    ``node_id``. Node positions missing from the Point features are inferred
-    from edge endpoints.
+    ``node_id``. ``build_graph`` places a node no Point feature holds at the
+    first edge endpoint that names it.
 
     The document's features are consumed: each is dropped as it is read, so
     the graph is built in the memory the document frees, and the features
@@ -291,31 +290,27 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     # first, so the graph holds each id once (as it does each position). A
     # numeric id is kept as read, since ``1 == 1.0``.
     intern = {}.setdefault
-    if planar:
-        point = _shared_points(Point)
-    else:
+    point = _shared_points(Point)
+    if not planar:
         # a lon/lat network is read as lon/lat points and projected once all
-        # are read, centered on their centroid: the lon and the lat of each
-        # position, in feature order, go into one array. Each point is made
-        # of floats, so ``10`` and ``10.0`` share one, as both project to the
+        # are read, centered on them in feature order. Each point is made of
+        # floats, so ``10`` and ``10.0`` share one, as both project to the
         # same bits; a zero still does not, as ``-0.0 - 0.0`` is ``-0.0``.
-        lonlat = array("d")
-        lonlat_point = _shared_points(Point)
+        shared_lonlat = point
 
         def point(x: Any, y: Any) -> Point:
-            lonlat.extend((x, y))
-            return lonlat_point(float(x), float(y))
+            return shared_lonlat(float(x), float(y))
 
     node_positions: dict = {}
     edges: dict[EdgeId, tuple[Any, Any, Polyline]] = {}
     opposites: dict[EdgeId, EdgeId] = {}
-    # each feature's node or edge id, and whether it is an edge: they name a
-    # duplicate's first feature, as a node and an edge may share an id
-    ids: list = []
+    # whether each feature is an edge: with the order of its kind's dict, it
+    # names a duplicate's first feature, as a node and an edge may share an id
     is_edge = bytearray()
 
     def first(edge: bool, feature_id: Any) -> int:
-        return next(j for j, x in enumerate(ids) if is_edge[j] == edge and x == feature_id)
+        k = list(edges if edge else node_positions).index(feature_id)
+        return [j for j, e in enumerate(is_edge) if e == edge][k]
 
     kinds = ("Point", "LineString")
     for i, f in enumerate(features):
@@ -325,7 +320,6 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
         feature_id = _read_id(properties, name, intern, source, i)
         if feature_id in (edges if edge else node_positions):
             raise _duplicate(source, name, feature_id, first(edge, feature_id), i)
-        ids.append(feature_id)
         is_edge.append(edge)
         if not edge:
             node_positions[feature_id] = points[0]
@@ -342,11 +336,13 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
 
     projection = None
     if not planar:
-        if not lonlat:
+        if not is_edge:  # every feature read holds a position
             raise InputError(f"{source}: no coordinates to center a projection on")
-        values = iter(lonlat)
-        projection = LocalProjection.centered(zip(values, values))
-        del lonlat, values, lonlat_point  # the lon/lat tables, before the planar one
+        nodes, lines = iter(node_positions.values()), iter(edges.values())
+        projection = LocalProjection.centered(
+            p for edge in is_edge for p in (next(lines)[2] if edge else (next(nodes),))
+        )
+        del shared_lonlat, nodes, lines  # the lon/lat points, before the planar ones
         point = _shared_points(projection.to_planar)
         node_positions = {node: point(*p) for node, p in node_positions.items()}
         for edge_id, (src, dst, line) in edges.items():
@@ -354,13 +350,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
                 edges[edge_id] = src, dst, Polyline([point(*v) for v in line])
             except ValueError as exc:
                 raise _bad_coordinates(source, first(True, edge_id), exc) from exc
-    del intern, ids, is_edge, first, point  # before the graph is built in the memory they free
-
-    # fall back to edge endpoints for nodes the Point features do not cover
-    for src, dst, line in edges.values():
-        node_positions.setdefault(src, line[0])
-        node_positions.setdefault(dst, line[-1])
-
+    del intern, is_edge, first, point  # before the graph is built in the memory they free
     try:
         return build_graph(node_positions, edges, opposites.items() or None, projection=projection)
     except InputError as exc:

@@ -6,9 +6,10 @@ plain data that no derivation writes, so one graph can serve any number of
 runs; what a run visits and bans lives in its ``DerivationState``.
 
 ``build_graph`` checks how the parts fit together: endpoints, geometry and
-opposite pairs. Ids are unique because its inputs are keyed by id, and the
-values it gets are already checked: ``io`` reads each id and position once,
-where it enters, and names the feature that holds a bad one.
+opposite pairs. It fills in each node only edges name, at the first endpoint
+naming it, so it has no unknown-node error. Ids are unique because its inputs
+are keyed by id, and the values it gets are already checked: ``io`` reads each
+id and position once, where it enters, and names the feature holding a bad one.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _reversed_match(a: Polyline, b: Polyline, tol: float) -> bool:
 
 
 def build_graph(
-    nodes: Mapping[NodeId, Point],
+    nodes: dict[NodeId, Point],
     edges: Mapping[EdgeId, tuple[NodeId, NodeId, Polyline]],
     opposite_pairs: Iterable[tuple[EdgeId, EdgeId]] | None = None,
     projection: LocalProjection | None = None,
@@ -68,6 +69,8 @@ def build_graph(
     ``nodes`` maps each node id to its position; ``edges`` maps each edge id
     to its (source, destination, geometry), whose geometry starts at the
     source position and ends at the destination position (within 1 mm).
+    A node missing from ``nodes`` is added to it at the first endpoint, in
+    input order, that names it, so there is no unknown-node error.
     ``opposite_pairs`` may name a pair in either order or in both, but never
     an edge paired with itself; when it is None, opposites are auto-detected
     as the unique other edge with swapped endpoints and reversed geometry.
@@ -75,13 +78,10 @@ def build_graph(
     # Endpoints are checked in input order, so the first bad edge read is the
     # one reported; an exactly equal pair is within the tolerance.
     for edge_id, (source, destination, geometry) in edges.items():
-        for endpoint in (source, destination):
-            if endpoint not in nodes:
-                raise InputError(f"edge {shown(edge_id)} references unknown node {shown(endpoint)}")
-        start, position = geometry[0], nodes[source]
+        start, position = geometry[0], nodes.setdefault(source, geometry[0])
         if start != position and distance(start, position) > ENDPOINT_TOLERANCE:
             raise InputError(f"edge {shown(edge_id)} geometry does not start at node {shown(source)}")
-        end, position = geometry[-1], nodes[destination]
+        end, position = geometry[-1], nodes.setdefault(destination, geometry[-1])
         if end != position and distance(end, position) > ENDPOINT_TOLERANCE:
             raise InputError(f"edge {shown(edge_id)} geometry does not end at node {shown(destination)}")
 

@@ -754,6 +754,12 @@ class TestOneMessagePerFault:
             network_from_document(planar_network(edge, node, node))
         with pytest.raises(InputError, match="duplicate edge_id 'A' in features 1 and 2$"):
             network_from_document(planar_network(node, edge, edge))
+        # interleaved: the first edge 'A' is the second edge, after two nodes
+        other = geo_feature("LineString", [[0, 0], [0, 100]],
+                            edge_id="C", source_node="A", target_node="C")
+        node_b = geo_feature("Point", [100, 0], node_id="B")
+        with pytest.raises(InputError, match="duplicate edge_id 'A' in features 3 and 4$"):
+            network_from_document(planar_network(node, other, node_b, edge, edge))
 
 
 def member_text(document, marker_first, extras, dump):

@@ -1,18 +1,20 @@
 """Metamorphic tests: a planar result depends on the ids' order, not on the
 order of the input features or on how the ids are spelled, and a sign out
-of every detector's reach, a second, disconnected network or collinear
-vertices put into every line change nothing. Mirrored left to right, a scene
-without R-101 signs derives its mirror. Across start edges, a sign read from
-one place only holds the same rule wherever a run starts.
+of every detector's reach, a second, disconnected network, collinear
+vertices put into every line or nodes left to their edges' endpoints change
+nothing. Mirrored left to right, a scene without R-101 signs derives its
+mirror. Across start edges, a sign read from one place only holds the same
+rule wherever a run starts.
 
 Each seed writes a 7x7 planar grid with 150 random signs of all 8 types and
 runs ``derive --cover-all --overlay`` through the CLI on it, on a copy with
 the features of both files shuffled, on copies whose ids are renamed in an
-order-preserving way, on a copy with one sign out of every detector's reach
-and on a copy with a second, disconnected grid. Lon/lat inputs are left out
-of the shuffle: their projection is centered on a left-to-right sum of the
-positions in feature order, so shuffling them can move the last bits of a
-score (README, "What a result depends on").
+order-preserving way, on a copy with one sign out of every detector's reach,
+on a copy with a second, disconnected grid and on a copy without its Point
+features, whose nodes then sit at their edges' endpoints. Lon/lat inputs are
+left out of the shuffle: their projection is centered on a left-to-right sum
+of the positions in feature order, so shuffling them can move the last bits
+of a score (README, "What a result depends on").
 
 The mirror negates every x (or lon), swaps each sign type with its left/right
 partner and maps each azimuth to ``(360 - az) % 360``. R-101 has no partner
@@ -112,6 +114,19 @@ RENAMINGS = {
     # integers by rank, from 0, in the order of the original strings
     "ranked": lambda ids: {old: rank for rank, old in enumerate(sorted(ids))},
 }
+
+
+def _as_lonlat(*documents):
+    """``documents`` as lon/lat, about a meter per meter near (2 E, 41 N)."""
+    documents = copy.deepcopy(documents)
+    meters_per_degree = math.radians(1.0) * 6378137.0
+    for document in documents:
+        del document["coordinate_system"]
+        for feature in document["features"]:
+            for point in _points(feature):
+                point[0] = 2.0 + point[0] / (meters_per_degree * math.cos(math.radians(41.0)))
+                point[1] = 41.0 + point[1] / meters_per_degree
+    return documents
 
 
 def _renamed(documents, renaming):
@@ -262,6 +277,36 @@ def test_collinear_vertices_change_no_rule(scene, tmp_path, k):
     assert _encoded(split_overlay) == overlay
 
 
+def _without_nodes(network):
+    """``network`` without its Point features: each node is then placed at the
+    first edge endpoint that names it."""
+    kept = [f for f in network["features"] if f["geometry"]["type"] != "Point"]
+    return dict(network, features=kept)
+
+
+def test_nodes_left_to_edge_endpoints_give_identical_bytes(scene, tmp_path):
+    # each node of the grid sits exactly at its edges' endpoints
+    network, signs, rules, overlay = scene
+    assert _derive(tmp_path / "nodeless", _without_nodes(network), signs) == (rules, overlay)
+
+
+def test_lonlat_node_is_the_projected_first_vertex_that_names_it():
+    # "a vertex at a node is the node's own position", with no Point feature
+    network, = _as_lonlat(_without_nodes(_inputs(SEEDS[0])[0]))
+    named = [
+        (p["edge_id"], p["source_node"], p["target_node"])
+        for p in (f["properties"] for f in network["features"])
+    ]
+    graph = network_from_document(network)
+    first = {}  # node id -> the projected vertex of the first edge that names it
+    for edge_id, source, target in named:
+        geometry = graph.edges[edge_id].geometry
+        first.setdefault(source, geometry[0])
+        first.setdefault(target, geometry[-1])
+    assert first.keys() == graph.nodes.keys()
+    assert all(graph.nodes[node].position is vertex for node, vertex in first.items())
+
+
 def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
     network, signs, rules, _ = scene
     # a copy 10 km to the east whose ids each sort right after their original,
@@ -404,15 +449,8 @@ def test_mirrored_scene_derives_the_mirrored_rules(seed, tmp_path):
 
 
 def test_mirrored_lonlat_scene_derives_the_mirrored_rules(tmp_path):
-    # the planar scene of seed 1 as lon/lat, about a meter per meter near (2 E, 41 N)
-    network, signs = copy.deepcopy(_inputs(SEEDS[0]))
-    meters_per_degree = math.radians(1.0) * 6378137.0
-    for document in (network, signs):
-        del document["coordinate_system"]
-        for feature in document["features"]:
-            for point in _points(feature):
-                point[0] = 2.0 + point[0] / (meters_per_degree * math.cos(math.radians(41.0)))
-                point[1] = 41.0 + point[1] / meters_per_degree
+    # the planar scene of seed 1 as lon/lat
+    network, signs = _as_lonlat(*_inputs(SEEDS[0]))
     _assert_mirrors(network, _without_no_way(signs), tmp_path)
 
 

@@ -38,9 +38,23 @@ class TestBuildGraph:
         graph = build_graph(nodes, dict([straight_edge("A->B", "A", "B", A, B)]))
         assert graph.edges["A->B"].opposite is None
 
-    def test_unknown_node_rejected(self):
-        with pytest.raises(InputError, match="unknown node"):
-            build_graph({"A": A}, dict([straight_edge("A->C", "A", "C", A, B)]))
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_node_only_edges_name_sits_at_its_first_endpoint(self, end):
+        # C is named first by "a" (at its end) and then by "b" (at its start)
+        c, near, far = Point(100, 100), Point(100, 100.0005), Point(100, 100.002)
+        edges = dict([straight_edge("a", "A", "C", A, c), straight_edge("b", "C", "B", near, B)])
+        nodes = {"A": A, "B": B}
+        graph = build_graph(nodes, edges)
+        assert graph.nodes["C"].position is c
+        assert nodes["C"] is c  # filled in the dict it was given
+        assert [e.id for e in graph.nodes["C"].outgoing] == ["b"]
+        # a later edge whose endpoint lies more than 1 mm from that first one
+        later = {
+            "start": straight_edge("z", "C", "B", far, B),
+            "end": straight_edge("z", "B", "C", B, far),
+        }[end]
+        with pytest.raises(InputError, match=f"edge 'z' geometry does not {end} at node 'C'$"):
+            build_graph({"A": A, "B": B}, dict([*edges.items(), later]))
 
     def test_geometry_must_touch_endpoints(self):
         nodes = {"A": A, "B": B}
