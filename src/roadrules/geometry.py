@@ -124,8 +124,7 @@ class Polyline(tuple[Point, ...]):
                 t = 0.0
             elif t > 1.0:
                 t = 1.0
-            q = Point(a.x + t * abx, a.y + t * aby)
-            d = math.hypot(q.x - p.x, q.y - p.y)
+            d = math.hypot(a.x + t * abx - p.x, a.y + t * aby - p.y)
             if d < best_d:
                 best_d = d
                 best_arc = start + t * math.sqrt(seg2)

@@ -9,13 +9,13 @@ outputs are deterministic byte-for-byte for identical inputs.
 A file enters through one loader and one JSON reader. A network or a signs
 file goes through ``_load``, which streams it (``stream``), one feature at a
 time from text read a chunk at a time, planar or lon/lat, wherever its
-``coordinate_system`` sits, and hands any file the streamed reader declines
-to ``_read_json``, the one reader of a whole file, which also reads each
-rule document and ground truth. Every value read from a file is
-checked once, here, where it enters, and a bad one is reported with the
-feature or entry that holds it: ``_positions`` checks each coordinate, and
-``_read_id`` each id. A fault in a network or a signs file, streamed or read
-whole, gives one message:
+``coordinate_system`` sits, and parses it once, a faulty one too: only a file
+the streamed reader declines goes to ``_read_json``, the one reader of a
+whole file, which also reads each rule document and ground truth. Every
+value read from a file is checked once, here, where it enters, and a bad one
+is reported with the feature or entry that holds it: ``_positions`` checks
+each coordinate, and ``_read_id`` each id. A fault in a network or a signs
+file, streamed or read whole, gives one message:
 ``feature <i>: bad or missing '<property>'`` for a missing or ill-typed id,
 sign ``type`` or ``azimuth`` (checked on a skipped sign too), ``duplicate
 <property> <id> in features <a> and <b>`` for any id read twice, and
@@ -290,17 +290,9 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
     # first, so the graph holds each id once (as it does each position). A
     # numeric id is kept as read, since ``1 == 1.0``.
     intern = {}.setdefault
+    # a lon/lat network is read as lon/lat points, shared as planar ones are,
+    # and projected once all are read, centered on them in feature order
     point = _shared_points(Point)
-    if not planar:
-        # a lon/lat network is read as lon/lat points and projected once all
-        # are read, centered on them in feature order. Each point is made of
-        # floats, so ``10`` and ``10.0`` share one, as both project to the
-        # same bits; a zero still does not, as ``-0.0 - 0.0`` is ``-0.0``.
-        shared_lonlat = point
-
-        def point(x: Any, y: Any) -> Point:
-            return shared_lonlat(float(x), float(y))
-
     node_positions: dict = {}
     edges: dict[EdgeId, tuple[Any, Any, Polyline]] = {}
     opposites: dict[EdgeId, EdgeId] = {}
@@ -342,7 +334,7 @@ def network_from_document(document: dict, source: str | Path = "<network>") -> R
         projection = LocalProjection.centered(
             p for edge in is_edge for p in (next(lines)[2] if edge else (next(nodes),))
         )
-        del shared_lonlat, nodes, lines  # the lon/lat points, before the planar ones
+        del nodes, lines  # the lon/lat points, before the planar ones
         point = _shared_points(projection.to_planar)
         node_positions = {node: point(*p) for node, p in node_positions.items()}
         for edge_id, (src, dst, line) in edges.items():
@@ -363,11 +355,11 @@ def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any
 
     The one loader of a feature file. The file is first streamed
     (``_streamed_features``): the document has the frame the streamed read
-    yields first, and each feature is decoded as ``read`` takes it. When the
-    streamed read declines the file (any malformed one, and one whose frame
-    was guessed wrong) or ``read`` rejects it, the file is read again, whole,
-    by ``_read_json`` and consumed feature by feature, so every result, error
-    and warning is the one reading the whole document gives.
+    yields first, and each feature is decoded as ``read`` takes it. When
+    ``read`` rejects a feature, the rest of the file streams on, unbuilt, and
+    the error stands. A file the streamed read declines (a malformed one, and
+    one whose frame was guessed wrong), even after a rejection, is read whole
+    by ``_read_json``. So every result, error and warning is the whole read's.
     """
     skipped: list = []
     features = _streamed_features(path)
@@ -375,8 +367,13 @@ def _load(path: str | Path, read: Callable[[Any, str | Path, list], Any]) -> Any
         try:
             frame = next(features)
             document = dict(type="FeatureCollection", coordinate_system=frame, features=features)
-            return read(document, path, skipped)
-        except (_Declined, InputError):
+            try:
+                return read(document, path, skipped)
+            except InputError:
+                for _ in features:  # the rest of the file, as ``json.loads`` would read it
+                    pass
+                raise
+        except _Declined:
             skipped.clear()  # the whole read finds them again
         finally:
             features.close()  # the file and its text, on every path

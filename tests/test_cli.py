@@ -184,8 +184,9 @@ class TestDerive:
         assert main(derive_args(town, tmp_path / "r.json")) == 1
         error = f"{path}: feature {i}: {message}"
         assert capsys.readouterr().err == f"error: {error}\n"
-        # a streamed read that fails is read again whole, to report what ``json.loads`` meets
-        assert reads == [(True, error), (False, error)][read == "whole":]
+        # a streamed read that fails is not read again: the rest of the file
+        # streams on, so the error is the one ``json.loads`` would meet
+        assert reads == [(read == "streamed", error)]
 
     @pytest.mark.parametrize(
         "name, kind, part, value",

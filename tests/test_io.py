@@ -831,10 +831,6 @@ def declined_texts():
             "network", f'{head}{marker}, "features": {network[:-1]}, {deep}]}}'
         ),
         "features-not-an-array": ("network", f'{head}"features": {{}}, {marker}}}'),
-        # a frame that is not planar streams as lon/lat, but these planar
-        # meters are past its ±90° latitudes: the streamed read is rejected
-        "marker-not-planar": ("network", f'{head}"features": {grid}, '
-                                         '"coordinate_system": "wgs84"}'),
         # the frame is guessed from the file's tail only, so this planar file is read whole
         "marker-before-a-long-tail": (
             "network", f'{head}"features": {network}, {marker}, '
@@ -879,6 +875,23 @@ def unusual_texts():
     }
 
 
+def never_read_whole(*args):
+    raise AssertionError("the file was read whole, not streamed")
+
+
+def traced_load(load, path):
+    """(traced peak, error message or ``None``) of ``load(path)``."""
+    tracemalloc.start()
+    try:
+        load(path)
+    except InputError as exc:
+        return tracemalloc.get_traced_memory()[1], str(exc)
+    else:
+        return tracemalloc.get_traced_memory()[1], None
+    finally:
+        tracemalloc.stop()
+
+
 DECLINED = declined_texts()
 UNUSUAL = unusual_texts()
 # the streamed reader's chunk, and chunks that cut every token and character
@@ -918,11 +931,7 @@ class TestStreamedRead:
         path.write_text(text, encoding="utf-8")
         expected = self.whole(kind, path)
         assert expected[0] == "ok", expected
-
-        def whole_read(*args):
-            raise AssertionError("the file was read whole, not streamed")
-
-        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
+        monkeypatch.setattr(roadrules_io, "_read_json", never_read_whole)
         monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
 
@@ -947,11 +956,7 @@ class TestStreamedRead:
             from_document = functools.partial(from_document, network=network)
         expected = outcome(lambda: parts(from_document(json.loads(path.read_text()), path)))
         assert expected[0] == "ok", expected
-
-        def whole_read(*args):
-            raise AssertionError("the file was read whole, not streamed")
-
-        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
+        monkeypatch.setattr(roadrules_io, "_read_json", never_read_whole)
         monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         assert outcome(lambda: parts(load(path))) == expected
 
@@ -963,11 +968,7 @@ class TestStreamedRead:
         path.write_bytes(text.encode("utf-8"))  # the line ends as written
         expected = self.whole(kind, path)
         assert expected[0] == "ok", expected
-
-        def whole_read(*args):
-            raise AssertionError("the file was read whole, not streamed")
-
-        monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
+        monkeypatch.setattr(roadrules_io, "_read_json", never_read_whole)
         monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
         assert self.streamed(kind, path) == expected
 
@@ -1022,20 +1023,50 @@ class TestStreamedRead:
         with pytest.raises(ValueError) as caught:
             json.loads(text[: len(text) // 2])
 
-        def traced_load(path):
-            tracemalloc.start()
-            try:
-                load_network(path)
-            except InputError as exc:
-                return tracemalloc.get_traced_memory()[1], str(exc)
-            else:
-                return tracemalloc.get_traced_memory()[1], None
-            finally:
-                tracemalloc.stop()
-
-        (cut_peak, error), (valid_peak, no_error) = traced_load(cut), traced_load(valid)
+        (cut_peak, error), (valid_peak, no_error) = (
+            traced_load(load_network, cut), traced_load(load_network, valid)
+        )
         assert (error, no_error) == (f"{cut}: malformed JSON: {caught.value}", None)
         assert cut_peak < valid_peak, (cut_peak, valid_peak)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_faulty_file_fails_streamed_as_the_whole_document(self, tmp_path, monkeypatch, chunk):
+        # a frame that is not planar streams as lon/lat, as ``json.loads``
+        # reads it too, but these planar meters are past its ±90° latitudes
+        grid = json.dumps(grid_network(2, 2)["features"])
+        path = tmp_path / "input.geojson"
+        path.write_text(f'{{"type": "FeatureCollection", "features": {grid}, '
+                        '"coordinate_system": "wgs84"}', encoding="utf-8")
+        expected = self.whole("network", path)
+        assert expected[0] == "error", expected
+        monkeypatch.setattr(roadrules_io, "_read_json", never_read_whole)
+        monkeypatch.setattr(roadrules_stream, "_CHUNK", chunk)
+        assert self.streamed("network", path) == expected
+
+    @pytest.mark.parametrize("reading", READERS)
+    def test_faulty_feature_fails_without_a_second_parse(self, tmp_path, monkeypatch, reading):
+        # the marker after ``features``, as the benchmark writes it, and a
+        # fault in feature 3: the rest of the file streams on, one feature at
+        # a time, and is never read whole
+        make, read = READERS[reading]
+        document = make(40, 40)
+        if "coordinate_system" in document:
+            document["coordinate_system"] = document.pop("coordinate_system")
+        valid = write_doc(tmp_path, "valid.geojson", document)
+        name, value = ("azimuth", "x") if reading == "signs" else ("node_id", True)
+        document["features"][3]["properties"][name] = value
+        faulty = write_doc(tmp_path, "faulty.geojson", document)
+        del document
+        with pytest.raises(InputError) as caught:
+            read(json.loads(faulty.read_text(encoding="utf-8")), faulty)
+        assert str(caught.value) == f"{faulty}: feature 3: bad or missing {name!r}"
+        load = functools.partial(load_signs, network=NO_ROADS) if reading == "signs" else load_network
+        monkeypatch.setattr(roadrules_io, "_read_json", never_read_whole)
+        (faulty_peak, error), (valid_peak, no_error) = (
+            traced_load(load, faulty), traced_load(load, valid)
+        )
+        assert (error, no_error) == (str(caught.value), None)
+        assert faulty_peak < valid_peak, (faulty_peak, valid_peak)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("where", ["in-a-feature", "after-the-features"])
@@ -1358,11 +1389,7 @@ class TestSharedValues:
             document = as_lonlat(document)
         else:  # the marker after ``features``, as the benchmark writes it
             document["coordinate_system"] = document.pop("coordinate_system")
-
-            def whole_read(*args):
-                raise AssertionError("the file was read whole, not streamed")
-
-            monkeypatch.setattr(roadrules_io, "_read_json", whole_read)
+            monkeypatch.setattr(roadrules_io, "_read_json", never_read_whole)
         return load_network(write_doc(tmp_path, "network.geojson", document))
 
     @pytest.mark.parametrize("path_kind", ["streamed", "whole", "lonlat"])
@@ -1378,20 +1405,6 @@ class TestSharedValues:
             assert edge.opposite is graph.edges[edge.opposite].id
             assert edge.geometry[0] is source.position
             assert edge.geometry[-1] is destination.position
-
-    @pytest.mark.parametrize("path_kind", ["streamed", "whole"])
-    def test_lonlat_int_and_float_spellings_are_one_point(self, tmp_path, path_kind):
-        # both are read as floats, so both project to the same bits
-        document = {"type": "FeatureCollection", "features": [
-            geo_feature("Point", [10, 50], node_id="a"),
-            geo_feature("LineString", [[10.0, 50.0], [10.001, 50.001]],
-                        edge_id="ab", source_node="a", target_node="b"),
-        ]}
-        if path_kind == "whole":
-            graph = network_from_document(document)
-        else:
-            graph = load_network(write_doc(tmp_path, "network.geojson", document))
-        assert graph.edges["ab"].geometry[0] is graph.nodes["a"].position
 
     def test_equal_values_written_differently_are_kept_as_read(self):
         graph = network_from_document(as_read_network())

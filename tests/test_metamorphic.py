@@ -1,9 +1,9 @@
 """Metamorphic tests: a planar result depends on the ids' order, not on the
 order of the input features or on how the ids are spelled, and a sign out
 of every detector's reach, a second, disconnected network, collinear
-vertices put into every line or nodes left to their edges' endpoints change
-nothing. Mirrored left to right, a scene without R-101 signs derives its
-mirror. Across start edges, a sign read from one place only holds the same
+vertices put into every line, nodes left to their edges' endpoints or a
+lon/lat scene's integral coordinates written as ints change nothing.
+Mirrored left to right, a scene without R-101 signs derives its mirror. Across start edges, a sign read from one place only holds the same
 rule wherever a run starts.
 
 Each seed writes a 7x7 planar grid with 150 random signs of all 8 types and
@@ -290,21 +290,50 @@ def test_nodes_left_to_edge_endpoints_give_identical_bytes(scene, tmp_path):
     assert _derive(tmp_path / "nodeless", _without_nodes(network), signs) == (rules, overlay)
 
 
-def test_lonlat_node_is_the_projected_first_vertex_that_names_it():
-    # "a vertex at a node is the node's own position", with no Point feature
-    network, = _as_lonlat(_without_nodes(_inputs(SEEDS[0])[0]))
+def _first_vertices(network):
+    """The graph of ``network`` and, for each node id, the vertex of the first
+    edge that names it, projected."""
     named = [
         (p["edge_id"], p["source_node"], p["target_node"])
-        for p in (f["properties"] for f in network["features"])
+        for p in (f["properties"] for f in network["features"]) if "edge_id" in p
     ]
     graph = network_from_document(network)
-    first = {}  # node id -> the projected vertex of the first edge that names it
+    first = {}
     for edge_id, source, target in named:
         geometry = graph.edges[edge_id].geometry
         first.setdefault(source, geometry[0])
         first.setdefault(target, geometry[-1])
+    return graph, first
+
+
+def test_lonlat_node_is_the_projected_first_vertex_that_names_it():
+    # "a vertex at a node is the node's own position", with no Point feature
+    network, = _as_lonlat(_without_nodes(_inputs(SEEDS[0])[0]))
+    graph, first = _first_vertices(network)
     assert first.keys() == graph.nodes.keys()
     assert all(graph.nodes[node].position is vertex for node, vertex in first.items())
+
+
+def _int_spelled(document):
+    """``document`` with every integral coordinate written as an int: ``2`` for ``2.0``."""
+    document = copy.deepcopy(document)
+    for feature in document["features"]:
+        for point in _points(feature):
+            point[:] = [int(c) if c.is_integer() else c for c in point]
+    return document
+
+
+def test_lonlat_int_spelling_derives_the_float_spelling(tmp_path):
+    # an int coordinate is kept as read, not shared with its float spelling,
+    # and projects to the same bits
+    sample = generate_scenario("sample-town")
+    floats = _as_lonlat(sample.network, sample.signs)
+    ints = [_int_spelled(document) for document in floats]
+    assert json.dumps(ints) != json.dumps(floats)
+    assert _derive(tmp_path / "ints", *ints) == _derive(tmp_path / "floats", *floats)
+    graph, first = _first_vertices(ints[0])
+    assert first.keys() == graph.nodes.keys()
+    assert all(graph.nodes[node].position == vertex for node, vertex in first.items())
 
 
 def test_disjoint_component_leaves_the_first_unchanged(scene, tmp_path):
