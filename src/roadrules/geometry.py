@@ -47,16 +47,6 @@ def normalize(theta: float) -> float:
     return r + 360.0 if r <= -180.0 else r
 
 
-def angle(tip1: Point, tail: Point, tip2: Point) -> float:
-    """Signed angle between the vectors tail->tip1 and tail->tip2.
-
-    Result is in (-180, 180], negative when tip2 lies clockwise (to the
-    right) of the tail->tip1 direction. Raises ValueError when either tip
-    coincides with the tail.
-    """
-    return normalize(heading(tail, tip1) - heading(tail, tip2))
-
-
 class Polyline(tuple[Point, ...]):
     """Directed polyline addressed by arc length from its first vertex.
 
@@ -86,8 +76,10 @@ class Polyline(tuple[Point, ...]):
     def length(self) -> float:
         """Total arc length in meters."""
         total = 0.0
-        for a, b in zip(self, self[1:]):
-            total += distance(a, b)
+        ax, ay = self[0]
+        for bx, by in self[1:]:
+            total += math.hypot(bx - ax, by - ay)
+            ax, ay = bx, by
         return total
 
     def project(self, d: float) -> Point:
@@ -95,14 +87,16 @@ class Polyline(tuple[Point, ...]):
         if d <= 0.0:
             return self[0]
         start = 0.0
-        for a, b in zip(self, self[1:]):
-            end = start + distance(a, b)
+        ax, ay = self[0]
+        for bx, by in self[1:]:
+            end = start + math.hypot(bx - ax, by - ay)
             # the first segment that ends past d: where several vertices share
             # one sum, the last of them starts it
             if end > d:
                 t = (d - start) / (end - start)
-                return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+                return Point(ax + t * (bx - ax), ay + t * (by - ay))
             start = end
+            ax, ay = bx, by
         return self[-1]
 
     def nearest(self, p: Point) -> tuple[float, float]:

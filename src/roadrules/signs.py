@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import InputError, shown
-from .geometry import Point, Polyline, angle, distance, heading, normalize
+from .geometry import Point, Polyline, distance, heading, normalize
 from .ids import Identifier, id_sort_key
 from .network import DirectedEdge, EdgeId, Node
 
@@ -225,6 +225,7 @@ def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> Sc
     """
     if sign.position == node.position:
         return None
+    to_sign = heading(node.position, sign.position)
     best: ScoredEdge | None = None
     for edge in outgoing:
         geometry = edge.geometry
@@ -234,7 +235,7 @@ def best_no_way_edge(sign: Sign, node: Node, outgoing: list[DirectedEdge]) -> Sc
         probe = geometry.project(sign_proj)
         if probe == node.position:
             continue
-        alpha = angle(sign.position, node.position, probe)
+        alpha = normalize(to_sign - heading(node.position, probe))
         if alpha < -10.0:
             alpha -= 30.0
         score = 90.0 - abs(alpha)
@@ -265,19 +266,21 @@ def best_no_turn_edge(
     (left), and scored by how exactly it matches the named turn.
     """
     geometry = current.geometry
+    length = geometry.length
     sign_proj = geometry.nearest(sign.position)[1]
-    if sign_proj >= geometry.length:
-        sign_proj = max(0.0, geometry.length - NOMINAL_AHEAD)
+    if sign_proj >= length:
+        sign_proj = max(0.0, length - NOMINAL_AHEAD)
     back_point = geometry.project(sign_proj)
     if back_point == node.position:
         return None
+    back = heading(node.position, back_point)
     offset = _OFFSETS[sign.sign_type]
     best: ScoredEdge | None = None
     for edge in outgoing:
         probe = edge.geometry.project(NOMINAL_AHEAD)
         if probe == node.position:
             continue
-        alpha = normalize(angle(back_point, node.position, probe) + offset)
+        alpha = normalize(normalize(back - heading(node.position, probe)) + offset)
         score = 60.0 - abs(alpha)
         if best is None or score > best.score:
             best = ScoredEdge(edge.id, score)

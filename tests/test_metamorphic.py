@@ -1,15 +1,17 @@
-"""Metamorphic tests: a planar result depends on the ids' order, not on the
-order of the input features or on how the ids are spelled, and a sign out
-of every detector's reach, a second, disconnected network, collinear
-vertices put into every line, nodes left to their edges' endpoints or a
-lon/lat scene's integral coordinates written as ints change nothing.
+"""Metamorphic tests: a planar result depends on the edge ids' order, not on
+the order of the input features, on how the ids are spelled or on the order
+of the sign and node ids, and a sign out of every detector's reach, a
+second, disconnected network, collinear vertices put into every line, nodes
+left to their edges' endpoints or a lon/lat scene's integral coordinates
+written as ints change nothing.
 Mirrored left to right, a scene without R-101 signs derives its mirror. Across start edges, a sign read from one place only holds the same
 rule wherever a run starts.
 
 Each seed writes a 7x7 planar grid with 150 random signs of all 8 types and
 runs ``derive --cover-all --overlay`` through the CLI on it, on a copy with
 the features of both files shuffled, on copies whose ids are renamed in an
-order-preserving way, on a copy with one sign out of every detector's reach,
+order-preserving way, on copies whose sign ids or node ids are shuffled among
+themselves, on a copy with one sign out of every detector's reach,
 on a copy with a second, disconnected grid and on a copy without its Point
 features, whose nodes then sit at their edges' endpoints. Lon/lat inputs are
 left out of the shuffle: their projection is centered on a left-to-right sum
@@ -129,8 +131,8 @@ def _as_lonlat(*documents):
     return documents
 
 
-def _renamed(documents, renaming):
-    """``documents`` with their ids renamed, and the map from each new name back."""
+def _renamed(documents, renaming, kinds=frozenset(ID_KINDS.values())):
+    """``documents`` with the ids of ``kinds`` renamed, and the map from each new name back."""
     documents = copy.deepcopy(documents)
     ids = {kind: set() for kind in ID_KINDS.values()}
     for document in documents:
@@ -138,7 +140,10 @@ def _renamed(documents, renaming):
             for key, value in feature["properties"].items():
                 if key in ID_KINDS:
                     ids[ID_KINDS[key]].add(value)
-    names = {kind: renaming(found) for kind, found in ids.items()}
+    names = {
+        kind: renaming(found) if kind in kinds else {old: old for old in found}
+        for kind, found in ids.items()
+    }
     for document in documents:
         for feature in document["features"]:
             properties = feature["properties"]
@@ -190,19 +195,13 @@ def test_permuted_features_give_identical_bytes(scene, tmp_path):
     assert _derive(tmp_path / "permuted", network, signs) == (rules, overlay)
 
 
-@pytest.mark.parametrize("renaming", RENAMINGS)
-def test_order_preserving_renaming_maps_back_to_identical_bytes(scene, tmp_path, renaming):
-    network, signs, rules, overlay = scene
-    (network, signs), back = _renamed((network, signs), RENAMINGS[renaming])
-    renamed_rules, renamed_overlay = (
-        json.loads(text) for text in _derive(tmp_path / renaming, network, signs)
-    )
-    assert renamed_rules != json.loads(rules)
-
+def _outputs_named_back(outputs, back):
+    """The rule document and overlay of a renamed scene, with its ids mapped back."""
+    rules, overlay = (json.loads(text) for text in outputs)
     for family in ("no_way", "one_way", "no_turn"):
-        renamed_rules[family] = [_named_back(entry, back) for entry in renamed_rules[family]]
-    renamed_rules["unreached"] = [back["edge"][edge] for edge in renamed_rules["unreached"]]
-    for feature in renamed_overlay["features"]:
+        rules[family] = [_named_back(entry, back) for entry in rules[family]]
+    rules["unreached"] = [back["edge"][edge] for edge in rules["unreached"]]
+    for feature in overlay["features"]:
         properties = feature["properties"]
         if "edge_id" in properties:
             properties["edge_id"] = back["edge"][properties["edge_id"]]
@@ -210,7 +209,46 @@ def test_order_preserving_renaming_maps_back_to_identical_bytes(scene, tmp_path,
             properties["sign_id"] = back["sign"][properties["sign_id"]]
             if properties["rule"] is not None:
                 properties["rule"] = _named_back(properties["rule"], back)
+    return rules, overlay
+
+
+@pytest.mark.parametrize("renaming", RENAMINGS)
+def test_order_preserving_renaming_maps_back_to_identical_bytes(scene, tmp_path, renaming):
+    network, signs, rules, overlay = scene
+    (network, signs), back = _renamed((network, signs), RENAMINGS[renaming])
+    outputs = _derive(tmp_path / renaming, network, signs)
+    assert json.loads(outputs[0]) != json.loads(rules)
+    renamed_rules, renamed_overlay = _outputs_named_back(outputs, back)
     assert (_encoded(renamed_rules), _encoded(renamed_overlay)) == (rules, overlay)
+
+
+def _shuffled(ids):
+    """Each id renamed to another of ``ids``, by a seeded permutation that does not keep their order."""
+    old = sorted(ids)
+    new = old.copy()
+    random.Random(len(old)).shuffle(new)
+    assert new != old
+    return dict(zip(old, new))
+
+
+def _unordered(document):
+    """The entries of a rule document, or the features of an overlay, as a sorted list."""
+    items = document["features"] if "features" in document else (
+        [(family, entry) for family, entries in document.items() for entry in entries]
+    )
+    return sorted(json.dumps(item, sort_keys=True) for item in items)
+
+
+@pytest.mark.parametrize("kind", ["sign", "node"])
+def test_shuffled_sign_or_node_ids_map_back_to_the_same_rules(scene, tmp_path, kind):
+    # unlike edge ids, which order each node's exits and the restarts, the
+    # order of sign ids and node ids decides nothing
+    network, signs, rules, overlay = scene
+    (network, signs), back = _renamed((network, signs), _shuffled, {kind})
+    renamed = _outputs_named_back(_derive(tmp_path / kind, network, signs), back)
+    assert [_unordered(document) for document in renamed] == [
+        _unordered(json.loads(text)) for text in (rules, overlay)
+    ]
 
 
 def test_sign_out_of_reach_changes_only_its_own_overlay_feature(scene, tmp_path):

@@ -22,7 +22,7 @@ from roadrules.rules import (
 )
 from roadrules.signs import Sign, SignType
 
-from conftest import loose_edge, loose_node, star_graph
+from conftest import load_scenario, loose_edge, loose_node, star_graph
 from helpers import short_block_scene
 
 NODE = loose_node("n", 0, 0)
@@ -48,6 +48,13 @@ class TestBestNoWayEdge:
         r = math.radians(70.0)
         s = sign("R-101", 10 * math.sin(r), 10 * math.cos(r), azimuth=250.0)
         assert best_no_way_edge(s, NODE, [EAST]).score == 40.0
+
+    def test_right_exit_at_exactly_minus_ten_is_not_penalized(self):
+        # sign at bearing 80, edge at 90: the angle is exactly -10.0, the
+        # boundary, and only angles below it are penalized
+        r = math.radians(80.0)
+        s = sign("R-101", 10 * math.sin(r), 10 * math.cos(r), azimuth=260.0)
+        assert best_no_way_edge(s, NODE, [EAST]).score == 80.0
 
     def test_sign_behind_edge_start_probed_ahead(self):
         # closest point is the edge start: judged at the 10 m probe instead
@@ -128,6 +135,48 @@ class TestBestOneWayEdge:
     def test_opposite_direction_scores_minus_ninety(self):
         s = sign("R-400a", 0, 5, azimuth=0.0)
         assert best_one_way_edge(s, NODE, [WEST]).score == -90.0
+
+
+class TestExactTiesGoToTheFirstExitInIdOrder:
+    """Two exits that score exactly equal: each scorer keeps the first in
+    ``Node.outgoing``, which is id order, since only a strictly higher score
+    replaces the best so far."""
+
+    def test_no_way(self):
+        # exits 5 degrees right (85) and left (75) of a sign at bearing 80
+        graph = star_graph([85.0, 75.0])
+        r = math.radians(80.0)
+        s = sign("R-101", 10 * math.sin(r), 10 * math.cos(r))
+        node = graph.nodes["C"]
+        assert [best_no_way_edge(s, node, [e]).score for e in node.outgoing] == [85.0, 85.0]
+        assert best_no_way_edge(s, node, node.outgoing) == ("out0", 85.0)
+
+    @pytest.mark.parametrize("code", ["R-302", "R-400d"])
+    def test_turn(self, code):
+        # from the south, the exits at 45 and 135 are each 45 degrees off the right turn
+        graph = star_graph([180.0, 45.0, 135.0])
+        node, current = graph.nodes["C"], graph.edges["in0"]
+        s = sign(code, 3, -10)
+        scores = [best_no_turn_edge(s, current, node, [e]).score for e in node.outgoing]
+        assert scores == [-30.0, 15.0, 15.0]
+        assert best_no_turn_edge(s, current, node, node.outgoing) == ("out1", 15.0)
+
+    def test_one_way(self):
+        # an R-400c at azimuth 45 on a 3x3 grid's centre node: east and north
+        # are each 45 degrees off, and east comes first in id order
+        graph, _, _ = load_scenario("grid", rows=3, cols=3)
+        node = graph.nodes["n001_001"]
+        s = sign("R-400c", 105, 105, azimuth=45.0)
+        east, north = "n001_001->n001_002", "n001_001->n002_001"
+        assert [e.id for e in node.outgoing][2:] == [east, north]
+        assert best_one_way_edge(s, node, node.outgoing) == (east, 45.0)
+        assert best_one_way_edge(s, node, [graph.edges[north], graph.edges[east]]) == (north, 45.0)
+        state = DerivationState(graph)
+        analyze_signs([s], graph.edges["n000_001->n001_001"], node, state)
+        assert state.held["s"] == (
+            Rule("one_way", east, ("n001_001->n000_001", "n001_001->n001_000", north)),
+            45.0,
+        )
 
 
 class TestRuleShapes:
